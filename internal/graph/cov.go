@@ -14,10 +14,12 @@
 //
 //	Cov(xⱼ, xₗ) = δⱼₗ·dⱼ − dⱼcⱼ · cₗdₗ / (σ_r² + Σᵢ cᵢ²dᵢ),  dⱼ = 1/pⱼ.
 //
-// Execute extracts these k×k blocks per lane after convergence; Result.Cov
-// and Result.Corr expose them, and DerivedPosteriorCov feeds them to the
-// delta method so e.g. a ratio whose numerator and denominator share an
-// invariant stops over- (or under-) counting their coupling.
+// Execute extracts these k×k blocks after convergence for every lane that
+// ran message passing; lanes the direct solver answered read the exact
+// blocks from its selected inverse instead (solve.go), in the same layout.
+// Result.Cov and Result.Corr expose them, and DerivedPosteriorCov feeds
+// them to the delta method so e.g. a ratio whose numerator and denominator
+// share an invariant stops over- (or under-) counting their coupling.
 package graph
 
 import (
@@ -39,8 +41,8 @@ func (b *Batch) ensureCovScratch() {
 }
 
 // extractCovariances fills res.cov with every relation clique's posterior
-// covariance for every executed lane, in the lane's original (unscaled)
-// units.
+// covariance for every executed lane that ran message passing, in the
+// lane's original (unscaled) units.
 //
 //bayesperf:hotpath
 func (b *Batch) extractCovariances(res *BatchResult) {
@@ -52,6 +54,7 @@ func (b *Batch) extractCovariances(res *BatchResult) {
 	b.ensureCovScratch()
 	d, cd := b.covD, b.covCD
 	denom := b.muJ[:n] // reuse Execute scratch: σ_r² + Σ c²·d per lane
+	solved := b.solved[:n]
 
 	for ri := 0; ri < p.nRels; ri++ {
 		eStart, eEnd := p.factorOff[ri], p.factorOff[ri+1]
@@ -82,6 +85,9 @@ func (b *Batch) extractCovariances(res *BatchResult) {
 				outJL := res.cov[(covBase+j*k+l)*n:]
 				outLJ := res.cov[(covBase+l*k+j)*n:]
 				for lane := 0; lane < n; lane++ {
+					if solved[lane] {
+						continue // read from the selected inverse (readSolved)
+					}
 					cov := -dj[lane] * cj * cdl[lane] / denom[lane]
 					if l == j {
 						cov += dj[lane]

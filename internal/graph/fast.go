@@ -27,9 +27,11 @@
 // on relations whose terms name distinct events — every shipped catalog —
 // the two schedules compute the same mathematical update and differ only in
 // floating-point summation order. The posteriors therefore agree with the
-// exact kernel to a tight relative tolerance, not bit for bit;
+// exact message schedule to a tight relative tolerance, not bit for bit;
 // TestFastMathAccuracyDelta pins that delta on all four catalogs, including
-// unconverged budgets and covariance mode.
+// unconverged budgets and covariance mode. Against the default closed-form
+// kernel (solve.go) the means agree as closely, but the variances carry
+// loopy message passing's error on catalogs whose relation graph has loops.
 //
 // On amd64 hosts with AVX2+FMA the whole sweep runs in a hand-written
 // vector kernel (fast_amd64.s) processing four lanes per instruction —

@@ -1,19 +1,25 @@
 // Package graph implements BayesPerf's inference layer: a Gaussian factor
 // graph over the events of one uarch.Catalog, with a variable node per event
 // and a factor node per measurement and per microarchitectural invariant
-// (§4 of the paper). Inference runs iterative Gaussian message passing
-// (loopy BP, the Gaussian special case of expectation propagation), which is
-// exact on tree-structured relation sets and empirically convergent on the
-// loopy catalogs used here thanks to damping.
+// (§4 of the paper). Per window the model is linear-Gaussian, so its exact
+// posterior is one small sparse SPD solve. The default kernel computes it in
+// closed form (solve.go): a compiled sparse Cholesky factorization for the
+// means, and a selected inverse for the marginal variances and the
+// relation-clique covariances. A window whose factorization cannot be
+// certified — the data leave some direction undetermined — falls back to
+// iterative Gaussian message passing (loopy BP, the Gaussian special case of
+// expectation propagation), as does every window of an opt-in FastMath
+// batch (fast.go). Message passing converges to the exact means; its
+// variances are exact only on tree-structured relation sets.
 //
 // The engine is two-phase: Compile lowers a catalog once into a flat Plan
-// (dense index arrays plus a precomputed message schedule), and
-// Batch.Execute runs inference for many windows simultaneously over
-// contiguous structure-of-arrays slabs (see plan.go). The Graph type below
-// is the legacy single-window surface, now a thin wrapper over a one-lane
-// batch: Build/Observe/Infer produce posteriors bit-identical to the
-// pre-compilation implementation (asserted against a reference copy in the
-// tests).
+// (dense index arrays, a precomputed message schedule, and a sparse
+// elimination schedule), and Batch.Execute runs inference for many windows
+// simultaneously over contiguous structure-of-arrays slabs (see plan.go).
+// The Graph type below is the legacy single-window surface, a thin wrapper
+// over a one-lane batch. With the direct solver switched off, its
+// message-passing posteriors are bit-identical to the pre-compilation
+// implementation (asserted against a reference copy in the tests).
 //
 // The graph works on whatever unit the caller observes (per-interval rates
 // or whole-run totals); internally all quantities are rescaled to O(1) so
@@ -86,9 +92,9 @@ func Build(cat *uarch.Catalog) *Graph {
 func (g *Graph) Catalog() *uarch.Catalog { return g.batch.plan.cat }
 
 // SetFastMath opts this graph's Infer into the fused-cavity fast schedule
-// (see Batch.FastMath): posteriors then agree with the exact kernel only to
-// a tight relative tolerance instead of bit for bit. Off by default; the
-// exact kernel remains the golden oracle.
+// (see Batch.FastMath): message passing instead of the closed-form solve,
+// so means agree with the exact kernel to a tight relative tolerance and
+// variances carry loopy message passing's error. Off by default.
 func (g *Graph) SetFastMath(on bool) { g.batch.FastMath = on }
 
 // SetMetrics attaches the graph-layer instrument set (see Batch.SetMetrics);
@@ -139,11 +145,13 @@ func (r *Result) DerivedPosterior(d *uarch.Derived) (mean, std float64) {
 	return d.PosteriorFrom(r.Mean, r.Std)
 }
 
-// Infer runs damped Gaussian message passing until the largest change in
-// any posterior mean (relative to the problem scale) drops below tol, or
-// maxIter sweeps elapse. It returns the posterior mean and std per event.
-// Unobserved events are inferred purely from the invariants (with a weak
-// zero-mean prior keeping their marginals proper).
+// Infer computes the window's posterior mean and std per event: in closed
+// form by default (Iters = 1, Converged = true), or — under fast math, or
+// when the factorization is not certified — by damped Gaussian message
+// passing until the largest change in any posterior mean (relative to the
+// problem scale) drops below tol, or maxIter sweeps elapse. Unobserved
+// events are inferred purely from the invariants (with a weak zero-mean
+// prior keeping their marginals proper).
 func (g *Graph) Infer(maxIter int, tol float64) Result {
 	return g.batch.Execute(1, maxIter, tol).Window(0)
 }

@@ -278,11 +278,11 @@ func BenchmarkInfer(b *testing.B) {
 }
 
 // BenchmarkInferBatch is the inference trajectory's headline number: ns per
-// window for batched message passing at B ∈ {1, 8, 64} on the Skylake
-// catalog, under both the exact kernel and the opt-in fast schedule. B=1
-// runs the legacy Build/Observe/Infer wrapper (the bit-identical baseline
-// every batch lane is measured against); the wider batches walk the
-// compiled schedule once per sweep for the whole batch, reusing one
+// window for batched inference at B ∈ {1, 8, 64} on the Skylake catalog,
+// under both the exact kernel (the closed-form solve) and the opt-in fast
+// schedule. B=1 runs the legacy Build/Observe/Infer wrapper (the
+// bit-identical baseline every batch lane is measured against); the wider
+// batches walk the compiled schedules once for the whole batch, reusing one
 // result via ExecuteInto the way the stream workers do. The per-window
 // metric is emitted as ns/window so the trajectory stays comparable
 // across PRs, batch widths, and kernels; cmd/benchjson snapshots it into

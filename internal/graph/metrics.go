@@ -13,6 +13,7 @@ type Metrics struct {
 	sweepsPerWin *obs.Histogram
 	kernelExact  *obs.Counter
 	kernelFast   *obs.Counter
+	fallback     *obs.Counter
 	cavityFloor  *obs.Counter
 }
 
@@ -29,16 +30,18 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		unconverged: r.Counter("bayesperf_graph_unconverged_windows_total",
 			"Windows that exhausted maxIter without meeting the convergence tolerance."),
 		sweeps: r.Counter("bayesperf_graph_sweeps_total",
-			"Message-passing sweeps run across all windows."),
+			"Message-passing sweeps run across all windows; a window solved in closed form counts one."),
 		sweepsPerWin: r.Histogram("bayesperf_graph_sweeps_per_window",
-			"Sweeps needed per window before convergence (or the maxIter budget).",
+			"Sweeps needed per window before convergence (or the maxIter budget); 1 for a window solved in closed form.",
 			ExponentialSweepBuckets()),
 		kernelExact: r.Counter("bayesperf_graph_kernel_windows_total",
 			"Windows executed per inference kernel.", obs.Label{Key: "kernel", Value: "exact"}),
 		kernelFast: r.Counter("bayesperf_graph_kernel_windows_total",
 			"Windows executed per inference kernel.", obs.Label{Key: "kernel", Value: "fast"}),
+		fallback: r.Counter("bayesperf_graph_direct_fallback_windows_total",
+			"Windows the exact kernel ran by message passing because their direct factorization was not certified (the data left a direction undetermined)."),
 		cavityFloor: r.Counter("bayesperf_graph_cavity_floor_edges_total",
-			"Edges whose final cavity precision sat at the vanishing-precision floor (order-sensitive, numerically flat cavities)."),
+			"Edges whose final cavity precision sat at the vanishing-precision floor (order-sensitive, numerically flat cavities), over windows that ran message passing."),
 	}
 }
 
@@ -49,12 +52,13 @@ func ExponentialSweepBuckets() []float64 {
 }
 
 // recordExecute folds one Execute call's outcome into the instruments. It
-// runs after the sweep loop, reading converged state only — never inside
-// the kernels — so instrumentation cannot perturb the exact kernel's
-// bit-exactness or the fast kernel's accuracy gate, and costs nothing on
-// the per-sweep hot path. The cavity-floor scan mirrors the moments()
+// runs after the kernels, reading final state only — never inside them —
+// so instrumentation cannot perturb any posterior bit, and costs nothing
+// on the per-sweep hot path. The cavity-floor scan mirrors the moments()
 // guard: a final belief-minus-message precision below minPrec means that
-// edge's cavity was flat and its contribution order-sensitive.
+// edge's cavity was flat and its contribution order-sensitive. It covers
+// only the lanes that ran message passing; solved lanes never touch the
+// message slabs.
 func (m *Metrics) recordExecute(b *Batch, n int) {
 	m.windows.Add(uint64(n))
 	if b.FastMath {
@@ -73,6 +77,10 @@ func (m *Metrics) recordExecute(b *Batch, n int) {
 	}
 	m.sweeps.Add(sweeps)
 	m.unconverged.Add(unconv)
+	m.fallback.Add(uint64(b.uncertified))
+	if b.nSolved == n {
+		return
+	}
 
 	p := b.plan
 	B := b.stride
@@ -81,6 +89,9 @@ func (m *Metrics) recordExecute(b *Batch, n int) {
 		row := p.edgeVar[e] * B
 		mrow := e * B
 		for lane := 0; lane < n; lane++ {
+			if b.solved[lane] {
+				continue
+			}
 			if b.beliefPrec[row+lane]-b.msgPrec[mrow+lane] < minPrec {
 				floored++
 			}

@@ -1,17 +1,21 @@
 // Compiled inference: Compile lowers a catalog's factor graph once into a
-// flat Plan — dense variable/factor index arrays and a precomputed message
-// schedule — and Execute runs damped Gaussian message passing for many
-// windows simultaneously over contiguous structure-of-arrays slabs. One
-// schedule walk (relation/term bookkeeping, slice indexing, bounds checks)
-// is amortized across the whole batch, and every inner loop strides over
-// adjacent memory.
+// flat Plan — dense variable/factor index arrays, a precomputed message
+// schedule, and a sparse elimination schedule (solve.go) — and Execute
+// infers many windows simultaneously over contiguous structure-of-arrays
+// slabs. By default each window is solved in closed form (sparse Cholesky
+// plus a selected inverse); windows whose factorization is not certified,
+// and every window of a FastMath batch, run damped Gaussian message passing
+// instead. One schedule walk (relation/term bookkeeping, slice indexing,
+// bounds checks) is amortized across the whole batch, and every inner loop
+// strides over adjacent memory.
 //
-// Each batch lane is an independent inference problem: the per-lane
-// arithmetic reproduces the classic per-window loop operation for
-// operation, so a lane's posterior is bit-identical whether it runs alone
-// (the legacy Build/Observe/Infer wrapper) or packed into a 64-wide batch.
-// That invariance is what lets the streaming engine batch windows freely
-// without perturbing a single stitched output bit.
+// Each batch lane is an independent inference problem: every kernel's
+// per-lane arithmetic is elementwise, and the message-passing schedule
+// reproduces the classic per-window loop operation for operation, so a
+// lane's posterior is bit-identical whether it runs alone (the legacy
+// Build/Observe/Infer wrapper) or packed into a 64-wide batch. That
+// invariance is what lets the streaming engine batch windows freely without
+// perturbing a single stitched output bit.
 package graph
 
 import (
@@ -46,6 +50,9 @@ type Plan struct {
 	// pairLoc resolves an event pair (lower ID first) to the first relation
 	// clique containing both, for Result.Cov/Corr lookups.
 	pairLoc map[uint64]pairLoc
+
+	// solve is the direct solver's elimination schedule (solve.go).
+	solve solveSchedule
 }
 
 type pairLoc struct {
@@ -101,6 +108,7 @@ func Compile(cat *uarch.Catalog) *Plan {
 	}
 	p.factorOff[p.nRels] = p.nEdges
 	p.covOff[p.nRels] = p.nCov
+	p.compileSolve()
 	return p
 }
 
@@ -129,13 +137,14 @@ func (p *Plan) SharesClique(i, j uarch.EventID) bool {
 	return ok
 }
 
-// Batch holds the observations and message-passing state of up to `lanes`
-// independent inference windows over one Plan, in structure-of-arrays
-// layout: quantity q of lane b lives at q*stride+b, so the per-schedule-step
-// inner loops run over contiguous float64 runs. The row stride is the lane
-// count rounded up to a multiple of four, so the vectorized fast kernel can
-// always process whole 4-lane groups without crossing into the next row;
-// the padding lanes hold zeroes and are never read back. A Batch is
+// Batch holds the observations and the solver and message-passing state of
+// up to `lanes` independent inference windows over one Plan, in
+// structure-of-arrays layout: quantity q of lane b lives at q*stride+b, so
+// the per-schedule-step inner loops run over contiguous float64 runs. The
+// row stride is the lane count rounded up to a multiple of four, so the
+// vectorized fast kernel can always process whole 4-lane groups without
+// crossing into the next row; the padding lanes hold zeroes and are never
+// read back. A Batch is
 // reusable (ClearObservations between rounds) and, like the legacy Graph,
 // not safe for concurrent use.
 type Batch struct {
@@ -143,13 +152,14 @@ type Batch struct {
 	lanes int
 	// stride is the slab row stride: lanes rounded up to a multiple of 4.
 	stride int
-	// FastMath opts Execute into the fused-cavity fast schedule (fast.go):
-	// O(k) per-relation gathers instead of the exact kernel's O(k²) sibling
+	// FastMath opts Execute into the fused-cavity fast schedule (fast.go)
+	// instead of the closed-form solve: message passing with O(k)
+	// per-relation gathers instead of the message schedule's O(k²) sibling
 	// loops, inverse variances computed once per edge, and a multiply-add
-	// update loop. The fast kernel's posteriors agree with the exact
-	// kernel's only to a tight relative tolerance (not bit for bit), pinned
-	// by TestFastMathAccuracyDelta; leave it off wherever bit-exactness
-	// against the legacy oracle matters.
+	// update loop. It agrees with the message-passing schedule to a tight
+	// relative tolerance (TestFastMathAccuracyDelta), so its means match the
+	// exact posterior's while its variances carry loopy message passing's
+	// error on catalogs whose relation graph has loops.
 	FastMath bool
 	// needCov gates clique-covariance extraction (EnableCovariance):
 	// consumers that never read Cov/Corr — the default stream
@@ -172,9 +182,20 @@ type Batch struct {
 	// row in the belief slabs.
 	activeMask []float64
 	rowOff     []int64
+	// Direct-solver slabs (solve.go), sized on first use: the factor L and
+	// the selected inverse Z (nSlots·stride each), the right-hand side and
+	// mean in elimination order, reciprocal pivots, certification
+	// thresholds (nv·stride each), and 1/σ_r² (nRels·stride).
+	lf, zinv, xv, linv, pivMin, invVar []float64
+	// solved marks the lanes the last Execute answered in closed form;
+	// nSolved counts them and uncertified counts the lanes that fell back
+	// to message passing because their factorization was not certified.
+	solved      []bool
+	nSolved     int
+	uncertified int
 	// m, when non-nil, records per-Execute outcomes (windows, sweeps,
-	// convergence, kernel choice, cavity-floor hits) after each sweep loop
-	// finishes — see SetMetrics.
+	// convergence, kernel choice, fallbacks, cavity-floor hits) after each
+	// Execute finishes — see SetMetrics.
 	m *Metrics
 
 	obsMean  []float64 // nv*lanes
@@ -230,6 +251,7 @@ func (p *Plan) NewBatch(lanes int) *Batch {
 		active:     make([]bool, lanes),
 		iters:      make([]int, lanes),
 		converged:  make([]bool, lanes),
+		solved:     make([]bool, lanes),
 	}
 }
 
@@ -320,11 +342,15 @@ func (r *BatchResult) Window(lane int) Result {
 	return res
 }
 
-// Execute runs damped Gaussian message passing on the first n lanes of the
-// batch, walking the compiled schedule once per sweep for all lanes. Each
-// lane converges (and freezes) independently against the same per-window
-// criterion as Graph.Infer, so lane posteriors do not depend on n or on
-// which other windows share the batch.
+// Execute infers the first n lanes of the batch. By default every lane is
+// solved in closed form by one walk of the compiled elimination schedule
+// (solve.go) and reports one converged iteration. Lanes whose
+// factorization is not certified, and every lane of a FastMath batch, run
+// damped Gaussian message passing instead, walking the message schedule
+// once per sweep; each converges (and freezes) independently against the
+// same per-window criterion as Graph.Infer, within maxIter sweeps to tol.
+// Either way lane posteriors do not depend on n or on which other windows
+// share the batch.
 //
 //bayesperf:hotpath
 func (b *Batch) Execute(n, maxIter int, tol float64) *BatchResult {
@@ -410,8 +436,49 @@ func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *Batc
 		}
 	}
 
-	// Messages start flat; beliefs start at the unaries.
-	for e := 0; e < p.nEdges; e++ {
+	// The exact kernel solves every lane in closed form first; only lanes
+	// whose factorization is not certified go on to message passing, and
+	// they report the sweeps they ran. A solved lane reports one iteration,
+	// converged.
+	solved := b.solved[:n]
+	for lane := range solved {
+		solved[lane] = false
+	}
+	b.nSolved, b.uncertified = 0, 0
+	if !b.FastMath && directSolveEnabled {
+		b.uncertified = b.solveDirect(n)
+		b.nSolved = n - b.uncertified
+	}
+	active := b.active[:n]
+	for lane := range active {
+		active[lane] = !solved[lane]
+		b.converged[lane] = solved[lane]
+		b.iters[lane] = maxIter
+		if solved[lane] {
+			b.iters[lane] = 1
+		}
+	}
+
+	if b.nSolved < n {
+		b.resetMessages(n)
+		if b.FastMath {
+			b.sweepFast(n, maxIter, tol)
+		} else {
+			b.sweepExact(n, maxIter, tol)
+		}
+	}
+	if b.m != nil {
+		b.m.recordExecute(b, n)
+	}
+
+	return b.resultInto(res, n)
+}
+
+// resetMessages starts message passing from flat messages, with every
+// belief at its unary.
+func (b *Batch) resetMessages(n int) {
+	B := b.stride
+	for e := 0; e < b.plan.nEdges; e++ {
 		mp := b.msgPrec[e*B : e*B+n]
 		mh := b.msgH[e*B : e*B+n]
 		for lane := range mp {
@@ -421,37 +488,25 @@ func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *Batc
 	}
 	copy(b.beliefPrec, b.unaryPrec)
 	copy(b.beliefH, b.unaryH)
-
-	active := b.active[:n]
-	for lane := range active {
-		active[lane] = true
-		b.converged[lane] = false
-		b.iters[lane] = maxIter
-	}
-
-	if b.FastMath {
-		b.sweepFast(n, maxIter, tol)
-	} else {
-		b.sweepExact(n, maxIter, tol)
-	}
-	if b.m != nil {
-		b.m.recordExecute(b, n)
-	}
-
-	return b.resultInto(res, n)
 }
 
-// sweepExact runs the exact message schedule: the legacy per-window loop,
-// operation for operation, vectorized only across lanes. It is the golden
-// oracle the fast schedule is measured against and stays bit-identical to
-// the frozen reference implementation (reference_test.go).
+// sweepExact runs the exact message schedule on the active lanes: the
+// legacy per-window loop, operation for operation, vectorized only across
+// lanes. It serves the lanes the direct solver could not certify, is the
+// schedule the fast kernel approximates, and stays bit-identical to the
+// frozen reference implementation (reference_test.go).
 //
 //bayesperf:hotpath
 func (b *Batch) sweepExact(n, maxIter int, tol float64) {
 	p := b.plan
 	nv, B := p.nv, b.stride
 	active := b.active[:n]
-	remaining := n
+	remaining := 0
+	for _, a := range active {
+		if a {
+			remaining++
+		}
+	}
 	for i := 0; i < nv; i++ {
 		row := i * B
 		for lane := 0; lane < n; lane++ {
@@ -576,11 +631,21 @@ func (b *Batch) resultInto(res *BatchResult, n int) *BatchResult {
 	}
 	copy(res.Iters, b.iters[:n])
 	copy(res.Converged, b.converged[:n])
+	if b.nSolved > 0 {
+		b.readSolved(res)
+	}
+	if b.nSolved == n {
+		return res
+	}
 	scale := b.scale
+	solved := b.solved[:n]
 	for i := 0; i < nv; i++ {
 		bp := b.beliefPrec[i*B : i*B+n]
 		bh := b.beliefH[i*B : i*B+n]
 		for lane := range bp {
+			if solved[lane] {
+				continue
+			}
 			m, v := natural{prec: bp[lane], h: bh[lane]}.moments()
 			res.Mean[i*n+lane] = m * scale[lane]
 			res.Std[i*n+lane] = math.Sqrt(v) * scale[lane]

@@ -178,13 +178,15 @@ func observeRound(cat *uarch.Catalog, r *rng.Rand, observe func(id uarch.EventID
 	}
 }
 
-// TestInferBitIdenticalToReference is the acceptance criterion of the
-// compile/execute refactor: the B=1 plan wrapper reproduces the legacy
-// implementation's posteriors bit for bit — Mean, Std, Iters and Converged
-// — on both builder catalogs and both shipped JSON catalogs, across
-// observed subsets and inference budgets (including budgets too small to
-// converge).
+// TestInferBitIdenticalToReference pins the message-passing schedule: with
+// the direct solver switched off, the B=1 plan wrapper reproduces the
+// legacy implementation's posteriors bit for bit — Mean, Std, Iters and
+// Converged — on both builder catalogs and both shipped JSON catalogs,
+// across observed subsets and inference budgets (including budgets too
+// small to converge). TestFallbackBitIdenticalToReference pins the same
+// schedule where the default path falls back to it.
 func TestInferBitIdenticalToReference(t *testing.T) {
+	forceMessagePassing(t)
 	for _, cat := range identityCatalogs(t) {
 		g := Build(cat)
 		for round := 0; round < 4; round++ {
@@ -221,32 +223,41 @@ func TestInferBitIdenticalToReference(t *testing.T) {
 
 // TestExecuteLaneInvariance is the batching contract: a window's posterior
 // is bit-identical whether it runs through the one-lane wrapper or packed
-// into any lane of any wider batch, including partially filled ones.
+// into any lane of any wider batch, including partially filled ones. Every
+// third window leaves a whole relation unobserved, so batches mix windows
+// the direct solver certifies with windows that fall back to message
+// passing, and neither kind may perturb the other.
 func TestExecuteLaneInvariance(t *testing.T) {
 	for _, cat := range identityCatalogs(t) {
 		plan := Compile(cat)
 		const windows = 13
-		type obs struct {
-			id        uarch.EventID
-			mean, std float64
-		}
-		jobs := make([][]obs, windows)
+		jobs := make([][]obsEntry, windows)
 		solo := make([]Result, windows)
+		soloSolved := make([]bool, windows)
 		g := Build(cat)
 		for w := 0; w < windows; w++ {
 			r := rng.New(uint64(w)*31 + 5)
 			observeRound(cat, r, func(id uarch.EventID, mean, std float64) {
-				jobs[w] = append(jobs[w], obs{id, mean, std})
+				jobs[w] = append(jobs[w], obsEntry{id, mean, std})
 			})
+			if w%3 == 1 {
+				var rel []uarch.EventID
+				for _, term := range cat.Rels[(w/3)%len(cat.Rels)].Terms {
+					rel = append(rel, term.Event)
+				}
+				jobs[w] = without(jobs[w], rel...)
+			}
 			g.ClearObservations()
 			for _, o := range jobs[w] {
 				g.Observe(o.id, o.mean, o.std)
 			}
 			solo[w] = g.Infer(200, 1e-9)
+			soloSolved[w] = g.batch.solved[0]
 		}
 		for _, lanes := range []int{2, 5, 64} {
 			batch := plan.NewBatch(lanes)
 			batch.EnableCovariance() // solo Results carry cov; compare it too
+			mixed := false
 			for start := 0; start < windows; start += lanes {
 				n := windows - start
 				if n > lanes {
@@ -259,7 +270,14 @@ func TestExecuteLaneInvariance(t *testing.T) {
 					}
 				}
 				res := batch.Execute(n, 200, 1e-9)
+				if batch.nSolved > 0 && batch.nSolved < n {
+					mixed = true
+				}
 				for lane := 0; lane < n; lane++ {
+					if batch.solved[lane] != soloSolved[start+lane] {
+						t.Fatalf("%s lanes=%d window %d: solved=%v in the batch, %v alone",
+							cat.Arch, lanes, start+lane, batch.solved[lane], soloSolved[start+lane])
+					}
 					got := res.Window(lane)
 					want := solo[start+lane]
 					if got.Iters != want.Iters || got.Converged != want.Converged {
@@ -284,6 +302,9 @@ func TestExecuteLaneInvariance(t *testing.T) {
 						}
 					}
 				}
+			}
+			if !mixed {
+				t.Fatalf("%s lanes=%d: no batch mixed certified and fallback windows", cat.Arch, lanes)
 			}
 		}
 	}

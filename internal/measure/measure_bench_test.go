@@ -45,6 +45,18 @@ func BenchmarkMultiplexGumbel(b *testing.B) {
 	}
 }
 
+// BenchmarkGroundTruth tracks trace generation: a 15,000-interval Skylake
+// trace, the size of one benchmark session.
+func BenchmarkGroundTruth(b *testing.B) {
+	cat := uarch.Skylake()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if tr := GroundTruth(cat, DefaultWorkload(5000), rng.New(uint64(i))); tr.Intervals() != 15000 {
+			b.Fatal("short trace")
+		}
+	}
+}
+
 // BenchmarkSampler tracks the per-interval cost of the streaming sampler.
 func BenchmarkSampler(b *testing.B) {
 	cat := uarch.Skylake()

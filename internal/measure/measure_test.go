@@ -36,6 +36,91 @@ func TestEstimateSamplesMatchesScalar(t *testing.T) {
 	}
 }
 
+// refPrimValue and refEventValue are the per-interval model walk that
+// GroundTruth ran before models were compiled: for every primitive name in
+// primOrder, a map lookup in the event's model and a name switch.
+func refPrimValue(name string, p primitives) float64 {
+	switch name {
+	case "inst":
+		return p.inst
+	case "cycles":
+		return p.cycles
+	case "ref_cycles":
+		return p.refCycles
+	case "pend_cycles":
+		return p.pendCycles
+	case "loads":
+		return p.loads
+	case "stores":
+		return p.stores
+	case "branches":
+		return p.branches
+	case "misp":
+		return p.misp
+	case "other":
+		return p.other
+	case "l1_hit":
+		return p.l1Hit
+	case "l1_miss":
+		return p.l1Miss
+	case "l2_hit":
+		return p.l2Hit
+	case "l3_hit":
+		return p.l3Hit
+	case "l3_miss":
+		return p.l3Miss
+	}
+	panic("unknown primitive " + name)
+}
+
+func refEventValue(ev uarch.Event, p primitives) float64 {
+	var s float64
+	for _, name := range primOrder {
+		if coeff, ok := ev.Model[name]; ok {
+			s += coeff * refPrimValue(name, p)
+		}
+	}
+	return s
+}
+
+// TestGroundTruthMatchesModelWalk: the compiled event models reproduce the
+// per-interval map walk bit for bit on all four catalogs.
+func TestGroundTruthMatchesModelWalk(t *testing.T) {
+	cats := uarch.Catalogs()
+	for _, file := range []string{"zen.json", "neoverse.json"} {
+		spec, err := uarch.LoadSpecFile("../../examples/catalogs/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := spec.Catalog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cats = append(cats, cat)
+	}
+	wl := StreamWorkload(50)
+	for _, cat := range cats {
+		tr := GroundTruth(cat, wl, rng.New(3))
+		r := rng.New(3)
+		ti := 0
+		for _, ph := range wl.Phases {
+			for i := 0; i < ph.Intervals; i++ {
+				p := drawPrimitives(ph, r)
+				for id, ev := range cat.Events {
+					if want := refEventValue(ev, p); tr.Series[id][ti] != want {
+						t.Fatalf("%s interval %d event %s: %v, model walk %v",
+							cat.Arch, ti, ev.Name, tr.Series[id][ti], want)
+					}
+				}
+				ti++
+			}
+		}
+		if ti != tr.Intervals() {
+			t.Fatalf("%s: %d intervals, walked %d", cat.Arch, tr.Intervals(), ti)
+		}
+	}
+}
+
 func TestGroundTruthSatisfiesInvariants(t *testing.T) {
 	for _, cat := range uarch.Catalogs() {
 		tr := GroundTruth(cat, DefaultWorkload(40), rng.New(1))

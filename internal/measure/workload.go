@@ -164,81 +164,73 @@ func drawPrimitives(p Phase, r *rng.Rand) primitives {
 // Model sums accumulate in this order — never in map order — so a
 // multi-primitive event's value is deterministic and a spec-loaded catalog
 // reproduces the builder catalog's ground truth bit for bit.
-var primOrder = []string{
+var primOrder = [...]string{
 	"inst", "cycles", "ref_cycles", "pend_cycles",
 	"loads", "stores", "branches", "misp", "other",
 	"l1_hit", "l1_miss", "l2_hit", "l3_hit", "l3_miss",
 }
 
-// primValue maps one primitive name onto the interval's draw.
-func primValue(name string, p primitives) (float64, bool) {
-	switch name {
-	case "inst":
-		return p.inst, true
-	case "cycles":
-		return p.cycles, true
-	case "ref_cycles":
-		return p.refCycles, true
-	case "pend_cycles":
-		return p.pendCycles, true
-	case "loads":
-		return p.loads, true
-	case "stores":
-		return p.stores, true
-	case "branches":
-		return p.branches, true
-	case "misp":
-		return p.misp, true
-	case "other":
-		return p.other, true
-	case "l1_hit":
-		return p.l1Hit, true
-	case "l1_miss":
-		return p.l1Miss, true
-	case "l2_hit":
-		return p.l2Hit, true
-	case "l3_hit":
-		return p.l3Hit, true
-	case "l3_miss":
-		return p.l3Miss, true
+// values returns the interval's primitives in primOrder.
+func (p primitives) values() [len(primOrder)]float64 {
+	return [len(primOrder)]float64{
+		p.inst, p.cycles, p.refCycles, p.pendCycles,
+		p.loads, p.stores, p.branches, p.misp, p.other,
+		p.l1Hit, p.l1Miss, p.l2Hit, p.l3Hit, p.l3Miss,
+	}
+}
+
+// primIndex returns a primitive's position in primOrder.
+func primIndex(name string) (int, bool) {
+	for i, known := range primOrder {
+		if known == name {
+			return i, true
+		}
 	}
 	return 0, false
 }
 
-// eventValue evaluates one catalog event's declared primitive model
-// (Event.Model, Σ coeff·primitive) on the interval's draw. Events without a
-// model — or with a key outside the primitive set, which the canonical-order
-// walk would otherwise silently skip — panic, which the tests turn into a
-// catalog/generator drift check; ValidateModels offers the polite,
-// error-returning form of the same check for catalogs loaded from
-// user-supplied JSON.
-func eventValue(ev uarch.Event, p primitives) float64 {
+// modelTerm is one coeff·primitive term of a compiled event model; prim
+// indexes primitives.values().
+type modelTerm struct {
+	prim  int
+	coeff float64
+}
+
+// compileModel resolves one catalog event's declared primitive model
+// (Event.Model, Σ coeff·primitive) into terms in primOrder, so every
+// interval sums them in the canonical order without touching the map.
+// Events without a model — or with a key outside the primitive set, which
+// the canonical-order walk would otherwise silently skip — panic, which the
+// tests turn into a catalog/generator drift check; ValidateModels offers
+// the polite, error-returning form of the same check for catalogs loaded
+// from user-supplied JSON.
+func compileModel(ev uarch.Event) []modelTerm {
 	if len(ev.Model) == 0 {
 		panic(fmt.Sprintf("measure: no ground-truth model for event %q", ev.Name))
 	}
-	var s float64
-	matched := 0
-	for _, name := range primOrder {
-		coeff, ok := ev.Model[name]
-		if !ok {
-			continue
+	terms := make([]modelTerm, 0, len(ev.Model))
+	for i, name := range primOrder {
+		if coeff, ok := ev.Model[name]; ok {
+			terms = append(terms, modelTerm{prim: i, coeff: coeff})
 		}
-		matched++
-		v, _ := primValue(name, p)
-		s += coeff * v
 	}
-	if matched != len(ev.Model) {
-		var unknown []string
-		for name := range ev.Model {
-			if _, ok := primValue(name, p); !ok {
-				unknown = append(unknown, name)
-			}
-		}
-		sort.Strings(unknown)
+	if len(terms) != len(ev.Model) {
 		panic(fmt.Sprintf("measure: event %q model references unknown primitives %q (known: %v)",
-			ev.Name, unknown, primOrder))
+			ev.Name, unknownPrimitives(ev.Model), primOrder))
 	}
-	return s
+	return terms
+}
+
+// unknownPrimitives lists a model's keys outside the primitive set, sorted.
+func unknownPrimitives(model map[string]float64) []string {
+	var unknown []string
+	for name := range model {
+		if _, ok := primIndex(name); !ok {
+			unknown = append(unknown, name)
+		}
+	}
+	sort.Strings(unknown)
+	return unknown
 }
 
 // ValidateModels checks that every event in the catalog declares a
@@ -249,13 +241,7 @@ func ValidateModels(cat *uarch.Catalog) error {
 		if len(ev.Model) == 0 {
 			return fmt.Errorf("measure: %s: event %s declares no ground-truth model", cat.Arch, ev.Name)
 		}
-		var unknown []string
-		for name := range ev.Model {
-			if _, ok := primValue(name, primitives{}); !ok {
-				unknown = append(unknown, name)
-			}
-		}
-		if len(unknown) > 0 {
+		if unknown := unknownPrimitives(ev.Model); len(unknown) > 0 {
 			sort.Strings(unknown)
 			return fmt.Errorf("measure: %s: event %s references unknown primitives %q (known: %v)",
 				cat.Arch, ev.Name, unknown, primOrder)
@@ -277,14 +263,20 @@ type Trace struct {
 func GroundTruth(cat *uarch.Catalog, wl Workload, r *rng.Rand) *Trace {
 	tr := &Trace{Cat: cat, Series: make([]timeseries.Series, cat.NumEvents())}
 	total := wl.Intervals()
-	for i := range tr.Series {
-		tr.Series[i] = make(timeseries.Series, 0, total)
+	models := make([][]modelTerm, len(tr.Series))
+	for id := range tr.Series {
+		tr.Series[id] = make(timeseries.Series, 0, total)
+		models[id] = compileModel(cat.Event(uarch.EventID(id)))
 	}
 	for _, ph := range wl.Phases {
 		for t := 0; t < ph.Intervals; t++ {
-			p := drawPrimitives(ph, r)
-			for id := range tr.Series {
-				tr.Series[id] = append(tr.Series[id], eventValue(cat.Event(uarch.EventID(id)), p))
+			v := drawPrimitives(ph, r).values()
+			for id, terms := range models {
+				var s float64
+				for _, term := range terms {
+					s += term.coeff * v[term.prim]
+				}
+				tr.Series[id] = append(tr.Series[id], s)
 			}
 		}
 	}

@@ -12,26 +12,49 @@ import (
 )
 
 // fastStreamTol bounds the stitched fast-vs-exact drift of the posterior
-// mean and std series. It inherits the graph-level accuracy gate
-// (fastAccuracyTol in internal/graph) with one decade of headroom for the
-// stitcher's hop-overlap averaging accumulating per-window deltas.
+// mean series, and of the std series where message passing is exact. It
+// inherits the graph-level accuracy gate (fastAccuracyTol in
+// internal/graph) with one decade of headroom for the stitcher's
+// hop-overlap averaging accumulating per-window deltas.
 const fastStreamTol = 1e-6
 
 // fastDerivedStdTol bounds the covariance-aware derived-event posterior
-// std series. It is looser than fastStreamTol because that series consumes
-// clique correlations, and a correlation whose cavity precision sits near
-// the vanishing floor is ill-conditioned in both kernels (see the
-// conditioning note on the graph-level accuracy gate); the bound asserts
-// the drift stays below anything a consumer of an uncertainty band could
-// perceive, not bit-level agreement.
+// std series where message passing is exact. It is looser than
+// fastStreamTol because that series consumes clique correlations, and a
+// correlation whose cavity precision sits near the vanishing floor is
+// ill-conditioned in message passing (see the conditioning note on the
+// graph-level accuracy gate); the bound asserts the drift stays below
+// anything a consumer of an uncertainty band could perceive, not bit-level
+// agreement.
 const fastDerivedStdTol = 1e-3
 
+// loopyStdTol and loopyDerivedStdTol bound the std series on a catalog
+// whose relation graph has loops (Skylake). There the default kernel's
+// stds are the exact posterior's, while the fast kernel approximates loopy
+// message passing and inherits its variance error: 4.1% on correctedStd
+// and 2.0% on derivedCorrectedStd at most on this trace. The gates leave
+// 2× headroom; they assert the fast kernel's uncertainty bands stay close,
+// not that they are exact.
+const (
+	loopyStdTol        = 0.08
+	loopyDerivedStdTol = 0.04
+)
+
 // TestStreamFastMathAccuracy: a -fast streaming run must stitch the same
-// story as the exact kernel on the same trace — every corrected event
-// series (means and stds) within fastStreamTol relative, every derived
-// posterior series within its gate — with covariance-aware derived stds on.
+// story as the exact kernel on the same trace — every corrected and
+// derived mean series within fastStreamTol relative, and every std series
+// within its catalog's gate — with covariance-aware derived stds on.
+// Power9's relation graph is a tree, where message passing is exact, so
+// its std series keep the tight gates.
 func TestStreamFastMathAccuracy(t *testing.T) {
-	for _, arch := range []*uarch.Catalog{uarch.Skylake(), uarch.Power9()} {
+	for _, tc := range []struct {
+		arch             *uarch.Catalog
+		stdTol, derivTol float64
+	}{
+		{uarch.Skylake(), loopyStdTol, loopyDerivedStdTol},
+		{uarch.Power9(), fastStreamTol, fastDerivedStdTol},
+	} {
+		arch := tc.arch
 		tr := measure.GroundTruth(arch, measure.DefaultWorkload(60), rng.New(5))
 		runWith := func(fast bool) *Result {
 			cfg := testConfig(2)
@@ -47,6 +70,7 @@ func TestStreamFastMathAccuracy(t *testing.T) {
 		}
 		within := func(name string, a, b []timeseries.Series, tol float64) {
 			t.Helper()
+			worst := 0.0
 			for id := range b {
 				for ti := range b[id] {
 					d := math.Abs(a[id][ti]-b[id][ti]) / math.Max(math.Abs(b[id][ti]), 1)
@@ -54,13 +78,15 @@ func TestStreamFastMathAccuracy(t *testing.T) {
 						t.Fatalf("%s: %s[%d][%d] = %v, exact %v (rel delta %.3g > %g)",
 							arch.Arch, name, id, ti, a[id][ti], b[id][ti], d, tol)
 					}
+					worst = math.Max(worst, d)
 				}
 			}
+			t.Logf("%s: %s max rel delta %.3g (gate %g)", arch.Arch, name, worst, tol)
 		}
 		within("corrected", fast.Corrected, exact.Corrected, fastStreamTol)
-		within("correctedStd", fast.CorrectedStd, exact.CorrectedStd, fastStreamTol)
+		within("correctedStd", fast.CorrectedStd, exact.CorrectedStd, tc.stdTol)
 		within("derivedCorrected", fast.DerivedCorrected, exact.DerivedCorrected, fastStreamTol)
-		within("derivedCorrectedStd", fast.DerivedCorrectedStd, exact.DerivedCorrectedStd, fastDerivedStdTol)
+		within("derivedCorrectedStd", fast.DerivedCorrectedStd, exact.DerivedCorrectedStd, tc.derivTol)
 	}
 }
 
