@@ -22,7 +22,6 @@ type sharedFlags struct {
 	tol       *float64
 	arch      *string
 	catalog   *string
-	fast      *bool
 	derived   *bool
 	quiet     *bool
 
@@ -38,11 +37,10 @@ func addSharedFlags(fs *flag.FlagSet, defaultIntervals int) *sharedFlags {
 		seed:      fs.Uint64("seed", 42, "RNG seed (whole pipeline is deterministic per seed)"),
 		intervals: fs.Int("intervals", defaultIntervals, "sampling intervals per workload phase"),
 		noise:     fs.Float64("noise", 0.01, "relative per-interval measurement noise"),
-		maxIter:   fs.Int("maxiter", 0, "max message-passing sweeps per inference (0 = default 500)"),
-		tol:       fs.Float64("tol", 0, "convergence tolerance on posterior means (0 = default 1e-9)"),
+		maxIter:   fs.Int("maxiter", 0, "max message-passing sweeps for a window the closed-form solve cannot certify (0 = default 500)"),
+		tol:       fs.Float64("tol", 0, "convergence tolerance on posterior means of such a window (0 = default 1e-9)"),
 		arch:      fs.String("arch", "all", "registered catalog to run ('all' for every one; see -catalog for files)"),
 		catalog:   fs.String("catalog", "", "load the catalog from a JSON spec file instead of the registry"),
-		fast:      fs.Bool("fast", false, "fast-math inference kernel (O(k) fused cavities + AVX2 where available; posteriors match the exact kernel to a tight tolerance, not bit for bit)"),
 		derived:   fs.Bool("derived", false, "evaluate derived events (IPC, MPKI, …) with propagated posterior stds and gate on their improvement"),
 		quiet:     fs.Bool("q", false, "only print per-catalog summary lines"),
 
@@ -107,13 +105,4 @@ func (sf *sharedFlags) muxConfig(gumbel bool, outliers float64) measure.MuxConfi
 // bayesperf.WithInference).
 func (sf *sharedFlags) inference() (maxIter int, tol float64) {
 	return *sf.maxIter, *sf.tol
-}
-
-// kernelName names the inference kernel for the config lines both
-// subcommands print.
-func kernelName(fast bool) string {
-	if fast {
-		return "fast"
-	}
-	return "exact"
 }

@@ -35,14 +35,13 @@ import (
 // catalog through the Session API; it is the unit under test for the
 // end-to-end acceptance check.
 func runCatalog(cat *uarch.Catalog, wl measure.Workload, mux measure.MuxConfig,
-	seed uint64, maxIter int, tol float64, fast bool,
+	seed uint64, maxIter int, tol float64,
 	reg *bayesperf.MetricsRegistry) (*bayesperf.Report, error) {
 
 	sess, err := bayesperf.New(
 		bayesperf.WithCatalog(cat),
 		bayesperf.WithMux(mux),
 		bayesperf.WithInference(maxIter, tol),
-		bayesperf.WithFastMath(fast),
 		bayesperf.WithMetrics(reg),
 	)
 	if err != nil {
@@ -53,9 +52,8 @@ func runCatalog(cat *uarch.Catalog, wl measure.Workload, mux measure.MuxConfig,
 
 func printReport(rep *bayesperf.Report, quiet, derived bool) {
 	fmt.Printf("=== %s ===\n", rep.Arch)
-	fmt.Printf("multiplex groups: %d   inference: %d iters (converged=%v) kernel=%s sweeps=%d unconverged=%d\n",
-		rep.Groups, rep.Iters, rep.Converged, kernelName(rep.FastMath),
-		rep.TotalSweeps, rep.UnconvergedWindows)
+	fmt.Printf("multiplex groups: %d   inference: %d iters (converged=%v) sweeps=%d unconverged=%d\n",
+		rep.Groups, rep.Iters, rep.Converged, rep.TotalSweeps, rep.UnconvergedWindows)
 	if !quiet {
 		fmt.Printf("%-42s %5s %9s %12s %12s\n", "event", "kind", "coverage", "raw err", "corrected")
 		for _, e := range rep.Events {
@@ -105,7 +103,7 @@ const derivedSeeds = 11
 // comparing seeds so a base seed near the top of the uint64 range still
 // yields a full ensemble (individual member seeds wrapping is harmless).
 func derivedEnsemble(base *bayesperf.Report, cat *uarch.Catalog, wl measure.Workload,
-	mux measure.MuxConfig, seed uint64, maxIter int, tol float64, fast bool,
+	mux measure.MuxConfig, seed uint64, maxIter int, tol float64,
 	reg *bayesperf.MetricsRegistry) (raw, corr float64, err error) {
 
 	var dRaw, dCorr stats.Running
@@ -117,7 +115,7 @@ func derivedEnsemble(base *bayesperf.Report, cat *uarch.Catalog, wl measure.Work
 	}
 	pool(base.Derived)
 	for i := 1; i < derivedSeeds; i++ {
-		rep, rerr := runCatalog(cat, wl, mux, seed+uint64(i), maxIter, tol, fast, reg)
+		rep, rerr := runCatalog(cat, wl, mux, seed+uint64(i), maxIter, tol, reg)
 		if rerr != nil {
 			return 0, 0, rerr
 		}
@@ -159,7 +157,7 @@ func main() {
 
 	ok := true
 	for _, cat := range cats {
-		rep, err := runCatalog(cat, wl, mux, *sf.seed, maxIter, tol, *sf.fast, sink.Registry())
+		rep, err := runCatalog(cat, wl, mux, *sf.seed, maxIter, tol, sink.Registry())
 		if err != nil {
 			fatal("bayesperf", 1, err)
 		}
@@ -168,7 +166,7 @@ func main() {
 			ok = false
 		}
 		if *sf.derived {
-			dRaw, dCorr, err := derivedEnsemble(rep, cat, wl, mux, *sf.seed, maxIter, tol, *sf.fast, sink.Registry())
+			dRaw, dCorr, err := derivedEnsemble(rep, cat, wl, mux, *sf.seed, maxIter, tol, sink.Registry())
 			if err != nil {
 				fatal("bayesperf", 1, err)
 			}

@@ -13,7 +13,7 @@ import (
 func mustRunCatalog(t *testing.T, cat *uarch.Catalog, wl measure.Workload,
 	mux measure.MuxConfig, seed uint64, maxIter int, tol float64) *bayesperf.Report {
 	t.Helper()
-	rep, err := runCatalog(cat, wl, mux, seed, maxIter, tol, false, nil)
+	rep, err := runCatalog(cat, wl, mux, seed, maxIter, tol, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", cat.Arch, err)
 	}
@@ -77,7 +77,7 @@ func TestDerivedEnsembleImproves(t *testing.T) {
 	cfg := measure.DefaultMuxConfig()
 	for _, cat := range uarch.Catalogs() {
 		rep := mustRunCatalog(t, cat, wl, cfg, 42, 500, 1e-9)
-		dRaw, dCorr, err := derivedEnsemble(rep, cat, wl, cfg, 42, 500, 1e-9, false, nil)
+		dRaw, dCorr, err := derivedEnsemble(rep, cat, wl, cfg, 42, 500, 1e-9, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cat.Arch, err)
 		}
@@ -110,7 +110,7 @@ func TestDerivedEnsembleSeedWrap(t *testing.T) {
 	cat := uarch.Skylake()
 	seed := ^uint64(0) - 3 // wraps after 4 of the 11 members
 	base := mustRunCatalog(t, cat, wl, cfg, seed, 200, 1e-8)
-	dRaw, dCorr, err := derivedEnsemble(base, cat, wl, cfg, seed, 200, 1e-8, false, nil)
+	dRaw, dCorr, err := derivedEnsemble(base, cat, wl, cfg, seed, 200, 1e-8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 
 	"bayesperf/internal/uarch"
@@ -50,7 +49,7 @@ func (b *Batch) extractCovariances(res *BatchResult) {
 	if !b.needCov || p.nCov == 0 {
 		return
 	}
-	n, B := res.n, b.stride
+	n, B := res.n, b.lanes
 	b.ensureCovScratch()
 	d, cd := b.covD, b.covCD
 	denom := b.muJ[:n] // reuse Execute scratch: σ_r² + Σ c²·d per lane
@@ -157,31 +156,6 @@ func (r *Result) Corr(i, j uarch.EventID) float64 {
 	base := r.plan.covOff[loc.rel]
 	k := r.plan.factorOff[loc.rel+1] - r.plan.factorOff[loc.rel]
 	return corrOf(r.cov[base+loc.a*k+loc.b], r.cov[base+loc.a*k+loc.a], r.cov[base+loc.b*k+loc.b])
-}
-
-// Corr returns one lane's posterior correlation of two events, read
-// directly from the batch result's lane-strided covariance slab — the
-// allocation-free counterpart of Window(lane).Corr for consumers that only
-// need a few pairs per lane (the streaming engine's tracked-pair
-// extraction). Semantics match Result.Corr.
-func (r *BatchResult) Corr(lane int, i, j uarch.EventID) float64 {
-	if lane < 0 || lane >= r.n {
-		panic(fmt.Sprintf("graph: Corr on lane %d of a %d-window result", lane, r.n))
-	}
-	if i == j {
-		return 1
-	}
-	if r.cov == nil {
-		return 0
-	}
-	loc, ok := r.plan.pairLoc[pairKey(i, j)]
-	if !ok {
-		return 0
-	}
-	base := r.plan.covOff[loc.rel]
-	k := r.plan.factorOff[loc.rel+1] - r.plan.factorOff[loc.rel]
-	at := func(e int) float64 { return r.cov[(base+e)*r.n+lane] }
-	return corrOf(at(loc.a*k+loc.b), at(loc.a*k+loc.a), at(loc.b*k+loc.b))
 }
 
 // DerivedPosteriorCov propagates the posterior through a derived-event

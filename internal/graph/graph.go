@@ -2,15 +2,14 @@
 // graph over the events of one uarch.Catalog, with a variable node per event
 // and a factor node per measurement and per microarchitectural invariant
 // (§4 of the paper). Per window the model is linear-Gaussian, so its exact
-// posterior is one small sparse SPD solve. The default kernel computes it in
-// closed form (solve.go): a compiled sparse Cholesky factorization for the
-// means, and a selected inverse for the marginal variances and the
-// relation-clique covariances. A window whose factorization cannot be
-// certified — the data leave some direction undetermined — falls back to
-// iterative Gaussian message passing (loopy BP, the Gaussian special case of
-// expectation propagation), as does every window of an opt-in FastMath
-// batch (fast.go). Message passing converges to the exact means; its
-// variances are exact only on tree-structured relation sets.
+// posterior is one small sparse SPD solve, computed in closed form
+// (solve.go): a compiled sparse Cholesky factorization for the means, and a
+// selected inverse for the marginal variances and the relation-clique
+// covariances. A window whose factorization cannot be certified — the data
+// leave some direction undetermined — falls back to iterative Gaussian
+// message passing (loopy BP, the Gaussian special case of expectation
+// propagation). Message passing converges to the exact means; its variances
+// are exact only on tree-structured relation sets.
 //
 // The engine is two-phase: Compile lowers a catalog once into a flat Plan
 // (dense index arrays, a precomputed message schedule, and a sparse
@@ -42,8 +41,9 @@ func (n natural) add(o natural) natural { return natural{n.prec + o.prec, n.h + 
 func (n natural) sub(o natural) natural { return natural{n.prec - o.prec, n.h - o.h} }
 
 // minPrec is the vanishing-precision floor: messages and beliefs with
-// precision below it behave as flat (mean 0, variance 1/minPrec). Both
-// kernels share it so their guard semantics cannot drift.
+// precision below it behave as flat (mean 0, variance 1/minPrec). The
+// message schedule, the clique-covariance read-out and the cavity-floor
+// metric share it so their guard semantics cannot drift.
 const minPrec = 1e-12
 
 // moments converts to (mean, variance), guarding against vanishing
@@ -90,12 +90,6 @@ func Build(cat *uarch.Catalog) *Graph {
 
 // Catalog returns the catalog the graph was built over.
 func (g *Graph) Catalog() *uarch.Catalog { return g.batch.plan.cat }
-
-// SetFastMath opts this graph's Infer into the fused-cavity fast schedule
-// (see Batch.FastMath): message passing instead of the closed-form solve,
-// so means agree with the exact kernel to a tight relative tolerance and
-// variances carry loopy message passing's error. Off by default.
-func (g *Graph) SetFastMath(on bool) { g.batch.FastMath = on }
 
 // SetMetrics attaches the graph-layer instrument set (see Batch.SetMetrics);
 // nil detaches. Posteriors are bitwise unaffected either way.
@@ -146,12 +140,11 @@ func (r *Result) DerivedPosterior(d *uarch.Derived) (mean, std float64) {
 }
 
 // Infer computes the window's posterior mean and std per event: in closed
-// form by default (Iters = 1, Converged = true), or — under fast math, or
-// when the factorization is not certified — by damped Gaussian message
-// passing until the largest change in any posterior mean (relative to the
-// problem scale) drops below tol, or maxIter sweeps elapse. Unobserved
-// events are inferred purely from the invariants (with a weak zero-mean
-// prior keeping their marginals proper).
+// form (Iters = 1, Converged = true), or — when the factorization is not
+// certified — by damped Gaussian message passing until the largest change
+// in any posterior mean (relative to the problem scale) drops below tol, or
+// maxIter sweeps elapse. Unobserved events are inferred purely from the
+// invariants (with a weak zero-mean prior keeping their marginals proper).
 func (g *Graph) Infer(maxIter int, tol float64) Result {
 	return g.batch.Execute(1, maxIter, tol).Window(0)
 }

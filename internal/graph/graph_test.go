@@ -278,76 +278,70 @@ func BenchmarkInfer(b *testing.B) {
 }
 
 // BenchmarkInferBatch is the inference trajectory's headline number: ns per
-// window for batched inference at B ∈ {1, 8, 64} on the Skylake catalog,
-// under both the exact kernel (the closed-form solve) and the opt-in fast
-// schedule. B=1 runs the legacy Build/Observe/Infer wrapper (the
+// window for batched closed-form inference at B ∈ {1, 8, 64} on the Skylake
+// catalog. B=1 runs the legacy Build/Observe/Infer wrapper (the
 // bit-identical baseline every batch lane is measured against); the wider
-// batches walk the compiled schedules once for the whole batch, reusing one
+// batches walk the compiled schedule once for the whole batch, reusing one
 // result via ExecuteInto the way the stream workers do. The per-window
-// metric is emitted as ns/window so the trajectory stays comparable
-// across PRs, batch widths, and kernels; cmd/benchjson snapshots it into
-// BENCH_graph.json and CI gates regressions against that baseline.
+// metric is emitted as ns/window so the trajectory stays comparable across
+// PRs and batch widths; the "/exact" suffix keeps the names of the committed
+// BENCH_graph.json rows, which cmd/benchjson gates regressions against.
 func BenchmarkInferBatch(b *testing.B) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 	for _, width := range []int{1, 8, 64} {
-		for _, kernel := range []string{"exact", "fast"} {
-			fast := kernel == "fast"
-			b.Run(fmt.Sprintf("B=%d/%s", width, kernel), func(b *testing.B) {
-				// Pre-draw one observation set per lane so every run and width
-				// measures identical inference problems.
-				r := rng.New(3)
-				obsMean := make([][]float64, width)
-				obsStd := make([][]float64, width)
-				for w := 0; w < width; w++ {
-					obsMean[w] = make([]float64, len(truth))
-					obsStd[w] = make([]float64, len(truth))
-					for id, want := range truth {
-						obsStd[w][id] = 0.05 * want
-						obsMean[w][id] = r.Gaussian(want, obsStd[w][id])
+		b.Run(fmt.Sprintf("B=%d/exact", width), func(b *testing.B) {
+			// Pre-draw one observation set per lane so every run and width
+			// measures identical inference problems.
+			r := rng.New(3)
+			obsMean := make([][]float64, width)
+			obsStd := make([][]float64, width)
+			for w := 0; w < width; w++ {
+				obsMean[w] = make([]float64, len(truth))
+				obsStd[w] = make([]float64, len(truth))
+				for id, want := range truth {
+					obsStd[w][id] = 0.05 * want
+					obsMean[w][id] = r.Gaussian(want, obsStd[w][id])
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if width == 1 {
+				g := Build(c)
+				for i := 0; i < b.N; i++ {
+					g.ClearObservations()
+					for id := range truth {
+						g.Observe(uarch.EventID(id), obsMean[0][id], obsStd[0][id])
+					}
+					res := g.Infer(100, 1e-8)
+					if math.IsNaN(res.Mean[0]) {
+						b.Fatal("NaN posterior")
 					}
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				if width == 1 {
-					g := Build(c)
-					g.SetFastMath(fast)
-					for i := 0; i < b.N; i++ {
-						g.ClearObservations()
+			} else {
+				batch := Compile(c).NewBatch(width)
+				// Build() enables covariance extraction on the B=1 wrapper,
+				// so the wide batches must pay for it too — otherwise the
+				// ns/window ratio would credit skipped work, not schedule
+				// amortization.
+				batch.EnableCovariance()
+				var res *BatchResult
+				for i := 0; i < b.N; i++ {
+					batch.ClearObservations()
+					for w := 0; w < width; w++ {
 						for id := range truth {
-							g.Observe(uarch.EventID(id), obsMean[0][id], obsStd[0][id])
-						}
-						res := g.Infer(100, 1e-8)
-						if math.IsNaN(res.Mean[0]) {
-							b.Fatal("NaN posterior")
+							batch.Observe(w, uarch.EventID(id), obsMean[w][id], obsStd[w][id])
 						}
 					}
-				} else {
-					batch := Compile(c).NewBatch(width)
-					batch.FastMath = fast
-					// Build() enables covariance extraction on the B=1 wrapper,
-					// so the wide batches must pay for it too — otherwise the
-					// ns/window ratio would credit skipped work, not schedule
-					// amortization.
-					batch.EnableCovariance()
-					var res *BatchResult
-					for i := 0; i < b.N; i++ {
-						batch.ClearObservations()
-						for w := 0; w < width; w++ {
-							for id := range truth {
-								batch.Observe(w, uarch.EventID(id), obsMean[w][id], obsStd[w][id])
-							}
-						}
-						res = batch.ExecuteInto(res, width, 100, 1e-8)
-						if math.IsNaN(res.Mean[0]) {
-							b.Fatal("NaN posterior")
-						}
+					res = batch.ExecuteInto(res, width, 100, 1e-8)
+					if math.IsNaN(res.Mean[0]) {
+						b.Fatal("NaN posterior")
 					}
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/window")
-			})
-		}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/window")
+		})
 	}
 }
 

@@ -11,8 +11,6 @@ type Metrics struct {
 	unconverged  *obs.Counter
 	sweeps       *obs.Counter
 	sweepsPerWin *obs.Histogram
-	kernelExact  *obs.Counter
-	kernelFast   *obs.Counter
 	fallback     *obs.Counter
 	cavityFloor  *obs.Counter
 }
@@ -34,12 +32,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		sweepsPerWin: r.Histogram("bayesperf_graph_sweeps_per_window",
 			"Sweeps needed per window before convergence (or the maxIter budget); 1 for a window solved in closed form.",
 			ExponentialSweepBuckets()),
-		kernelExact: r.Counter("bayesperf_graph_kernel_windows_total",
-			"Windows executed per inference kernel.", obs.Label{Key: "kernel", Value: "exact"}),
-		kernelFast: r.Counter("bayesperf_graph_kernel_windows_total",
-			"Windows executed per inference kernel.", obs.Label{Key: "kernel", Value: "fast"}),
 		fallback: r.Counter("bayesperf_graph_direct_fallback_windows_total",
-			"Windows the exact kernel ran by message passing because their direct factorization was not certified (the data left a direction undetermined)."),
+			"Windows that ran message passing because their direct factorization was not certified (the data left a direction undetermined)."),
 		cavityFloor: r.Counter("bayesperf_graph_cavity_floor_edges_total",
 			"Edges whose final cavity precision sat at the vanishing-precision floor (order-sensitive, numerically flat cavities), over windows that ran message passing."),
 	}
@@ -52,20 +46,15 @@ func ExponentialSweepBuckets() []float64 {
 }
 
 // recordExecute folds one Execute call's outcome into the instruments. It
-// runs after the kernels, reading final state only — never inside them —
-// so instrumentation cannot perturb any posterior bit, and costs nothing
-// on the per-sweep hot path. The cavity-floor scan mirrors the moments()
+// runs after the solve and any message passing, reading final state only —
+// never inside them — so instrumentation cannot perturb any posterior bit,
+// and costs nothing on the per-sweep hot path. The cavity-floor scan mirrors the moments()
 // guard: a final belief-minus-message precision below minPrec means that
 // edge's cavity was flat and its contribution order-sensitive. It covers
 // only the lanes that ran message passing; solved lanes never touch the
 // message slabs.
 func (m *Metrics) recordExecute(b *Batch, n int) {
 	m.windows.Add(uint64(n))
-	if b.FastMath {
-		m.kernelFast.Add(uint64(n))
-	} else {
-		m.kernelExact.Add(uint64(n))
-	}
 	var sweeps, unconv uint64
 	for lane := 0; lane < n; lane++ {
 		it := b.iters[lane]
@@ -83,7 +72,7 @@ func (m *Metrics) recordExecute(b *Batch, n int) {
 	}
 
 	p := b.plan
-	B := b.stride
+	B := b.lanes
 	var floored uint64
 	for e := 0; e < p.nEdges; e++ {
 		row := p.edgeVar[e] * B

@@ -15,9 +15,8 @@ func TestGraphMetricsRecording(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 
-	infer := func(m *Metrics, fast bool) Result {
+	infer := func(m *Metrics) Result {
 		g := Build(c)
-		g.SetFastMath(fast)
 		g.SetMetrics(m)
 		benchObserveAll(g, truth, rng.New(3))
 		return g.Infer(200, 1e-9)
@@ -25,8 +24,8 @@ func TestGraphMetricsRecording(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	res := infer(m, false)
-	plain := infer(nil, false)
+	res := infer(m)
+	plain := infer(nil)
 
 	for id := range res.Mean {
 		if res.Mean[id] != plain.Mean[id] || res.Std[id] != plain.Std[id] {
@@ -35,11 +34,11 @@ func TestGraphMetricsRecording(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	counter := func(name string, labels ...obs.Label) float64 {
+	counter := func(name string) float64 {
 		t.Helper()
-		ms := snap.Find(name, labels...)
+		ms := snap.Find(name)
 		if ms == nil {
-			t.Fatalf("metric %s%v not in snapshot", name, labels)
+			t.Fatalf("metric %s not in snapshot", name)
 		}
 		return ms.Value
 	}
@@ -48,9 +47,6 @@ func TestGraphMetricsRecording(t *testing.T) {
 	}
 	if got := counter("bayesperf_graph_sweeps_total"); got != float64(res.Iters) {
 		t.Errorf("sweeps counter = %v, want Result.Iters %d", got, res.Iters)
-	}
-	if got := counter("bayesperf_graph_kernel_windows_total", obs.Label{Key: "kernel", Value: "exact"}); got != 1 {
-		t.Errorf("exact kernel counter = %v, want 1", got)
 	}
 	unconv := counter("bayesperf_graph_unconverged_windows_total")
 	if want := float64(0); !res.Converged {
@@ -61,13 +57,6 @@ func TestGraphMetricsRecording(t *testing.T) {
 	hist := snap.Find("bayesperf_graph_sweeps_per_window")
 	if hist == nil || hist.Count != 1 || hist.Sum != float64(res.Iters) {
 		t.Errorf("sweeps histogram = %+v, want count 1 sum %d", hist, res.Iters)
-	}
-
-	// The fast kernel records under its own label.
-	infer(m, true)
-	snap = reg.Snapshot()
-	if got := counter("bayesperf_graph_kernel_windows_total", obs.Label{Key: "kernel", Value: "fast"}); got != 1 {
-		t.Errorf("fast kernel counter = %v, want 1", got)
 	}
 }
 

@@ -2,20 +2,19 @@
 // flat Plan — dense variable/factor index arrays, a precomputed message
 // schedule, and a sparse elimination schedule (solve.go) — and Execute
 // infers many windows simultaneously over contiguous structure-of-arrays
-// slabs. By default each window is solved in closed form (sparse Cholesky
-// plus a selected inverse); windows whose factorization is not certified,
-// and every window of a FastMath batch, run damped Gaussian message passing
-// instead. One schedule walk (relation/term bookkeeping, slice indexing,
-// bounds checks) is amortized across the whole batch, and every inner loop
-// strides over adjacent memory.
+// slabs. Each window is solved in closed form (sparse Cholesky plus a
+// selected inverse); windows whose factorization is not certified run
+// damped Gaussian message passing instead. One schedule walk (relation/term
+// bookkeeping, slice indexing, bounds checks) is amortized across the whole
+// batch, and every inner loop strides over adjacent memory.
 //
-// Each batch lane is an independent inference problem: every kernel's
-// per-lane arithmetic is elementwise, and the message-passing schedule
-// reproduces the classic per-window loop operation for operation, so a
-// lane's posterior is bit-identical whether it runs alone (the legacy
-// Build/Observe/Infer wrapper) or packed into a 64-wide batch. That
-// invariance is what lets the streaming engine batch windows freely without
-// perturbing a single stitched output bit.
+// Each batch lane is an independent inference problem: the solver's and the
+// message-passing schedule's per-lane arithmetic is elementwise, and the
+// message-passing schedule reproduces the classic per-window loop operation
+// for operation, so a lane's posterior is bit-identical whether it runs
+// alone (the legacy Build/Observe/Infer wrapper) or packed into a 64-wide
+// batch. That invariance is what lets the streaming engine batch windows
+// freely without perturbing a single stitched output bit.
 package graph
 
 import (
@@ -139,27 +138,18 @@ func (p *Plan) SharesClique(i, j uarch.EventID) bool {
 
 // Batch holds the observations and the solver and message-passing state of
 // up to `lanes` independent inference windows over one Plan, in
-// structure-of-arrays layout: quantity q of lane b lives at q*stride+b, so
-// the per-schedule-step inner loops run over contiguous float64 runs. The
-// row stride is the lane count rounded up to a multiple of four, so the
-// vectorized fast kernel can always process whole 4-lane groups without
-// crossing into the next row; the padding lanes hold zeroes and are never
-// read back. A Batch is
-// reusable (ClearObservations between rounds) and, like the legacy Graph,
-// not safe for concurrent use.
+// structure-of-arrays layout: quantity q of lane b lives at q*lanes+b, so
+// the per-schedule-step inner loops run over contiguous float64 runs. A
+// Batch is reusable (ClearObservations between rounds) and, like the legacy
+// Graph, not safe for concurrent use.
 type Batch struct {
 	plan  *Plan
 	lanes int
-	// stride is the slab row stride: lanes rounded up to a multiple of 4.
-	stride int
-	// FastMath opts Execute into the fused-cavity fast schedule (fast.go)
-	// instead of the closed-form solve: message passing with O(k)
-	// per-relation gathers instead of the message schedule's O(k²) sibling
-	// loops, inverse variances computed once per edge, and a multiply-add
-	// update loop. It agrees with the message-passing schedule to a tight
-	// relative tolerance (TestFastMathAccuracyDelta), so its means match the
-	// exact posterior's while its variances carry loopy message passing's
-	// error on catalogs whose relation graph has loops.
+	// FastMath is ignored: every window is solved in closed form, with the
+	// message-passing fallback for windows the solver cannot certify.
+	//
+	// Deprecated: FastMath selects nothing. It remains only until the
+	// repository benchmark (bench/) stops setting it.
 	FastMath bool
 	// needCov gates clique-covariance extraction (EnableCovariance):
 	// consumers that never read Cov/Corr — the default stream
@@ -168,24 +158,10 @@ type Batch struct {
 	needCov bool
 	// Extraction scratch (extractCovariances), sized on first use.
 	covD, covCD []float64
-	// Fast-schedule scratch (sweepFast), sized on first use: per-relation
-	// edge descriptors, weighted cavity contributions, and suffix sums
-	// (maxCliqueSize each, reused across lanes and sweeps) plus the previous
-	// sweep's belief naturals backing the divide-free convergence test
-	// (nv·stride).
-	fastWM, fastWV, fastSM, fastSV, fastC []float64
-	fastRow, fastMsg                      []int
-	prevP, prevH                          []float64
-	// Vector-kernel state (amd64 AVX2 path, fast_amd64.s): per-lane
-	// active-lane masks as float64 bit patterns (all-ones = active, zero =
-	// frozen or padding) and per-edge byte offsets of each edge's variable
-	// row in the belief slabs.
-	activeMask []float64
-	rowOff     []int64
 	// Direct-solver slabs (solve.go), sized on first use: the factor L and
-	// the selected inverse Z (nSlots·stride each), the right-hand side and
+	// the selected inverse Z (nSlots·lanes each), the right-hand side and
 	// mean in elimination order, reciprocal pivots, certification
-	// thresholds (nv·stride each), and 1/σ_r² (nRels·stride).
+	// thresholds (nv·lanes each), and 1/σ_r² (nRels·lanes).
 	lf, zinv, xv, linv, pivMin, invVar []float64
 	// solved marks the lanes the last Execute answered in closed form;
 	// nSolved counts them and uncertified counts the lanes that fell back
@@ -194,8 +170,8 @@ type Batch struct {
 	nSolved     int
 	uncertified int
 	// m, when non-nil, records per-Execute outcomes (windows, sweeps,
-	// convergence, kernel choice, fallbacks, cavity-floor hits) after each
-	// Execute finishes — see SetMetrics.
+	// convergence, fallbacks, cavity-floor hits) after each Execute
+	// finishes — see SetMetrics.
 	m *Metrics
 
 	obsMean  []float64 // nv*lanes
@@ -227,27 +203,25 @@ func (p *Plan) NewBatch(lanes int) *Batch {
 		panic(fmt.Sprintf("graph: NewBatch with %d lanes", lanes))
 	}
 	nv, ne, nr := p.nv, p.nEdges, p.nRels
-	stride := (lanes + 3) &^ 3
 	return &Batch{
 		plan:       p,
 		lanes:      lanes,
-		stride:     stride,
-		obsMean:    make([]float64, nv*stride),
-		obsStd:     make([]float64, nv*stride),
-		observed:   make([]bool, nv*stride),
+		obsMean:    make([]float64, nv*lanes),
+		obsStd:     make([]float64, nv*lanes),
+		observed:   make([]bool, nv*lanes),
 		scale:      make([]float64, lanes),
-		scaled:     make([]float64, nv*stride),
-		unaryPrec:  make([]float64, nv*stride),
-		unaryH:     make([]float64, nv*stride),
-		beliefPrec: make([]float64, nv*stride),
-		beliefH:    make([]float64, nv*stride),
-		means:      make([]float64, nv*stride),
-		msgPrec:    make([]float64, ne*stride),
-		msgH:       make([]float64, ne*stride),
-		relVar:     make([]float64, nr*stride),
-		muJ:        make([]float64, stride),
-		varJ:       make([]float64, stride),
-		maxDelta:   make([]float64, stride),
+		scaled:     make([]float64, nv*lanes),
+		unaryPrec:  make([]float64, nv*lanes),
+		unaryH:     make([]float64, nv*lanes),
+		beliefPrec: make([]float64, nv*lanes),
+		beliefH:    make([]float64, nv*lanes),
+		means:      make([]float64, nv*lanes),
+		msgPrec:    make([]float64, ne*lanes),
+		msgH:       make([]float64, ne*lanes),
+		relVar:     make([]float64, nr*lanes),
+		muJ:        make([]float64, lanes),
+		varJ:       make([]float64, lanes),
+		maxDelta:   make([]float64, lanes),
 		active:     make([]bool, lanes),
 		iters:      make([]int, lanes),
 		converged:  make([]bool, lanes),
@@ -288,7 +262,7 @@ func (b *Batch) Observe(lane int, id uarch.EventID, mean, std float64) {
 		panic(fmt.Sprintf("graph: Observe(%s) with invalid mean=%v std=%v",
 			b.plan.cat.Event(id).Name, mean, std))
 	}
-	at := int(id)*b.stride + lane
+	at := int(id)*b.lanes + lane
 	b.obsMean[at] = mean
 	b.obsStd[at] = std
 	b.observed[at] = true
@@ -342,15 +316,14 @@ func (r *BatchResult) Window(lane int) Result {
 	return res
 }
 
-// Execute infers the first n lanes of the batch. By default every lane is
-// solved in closed form by one walk of the compiled elimination schedule
-// (solve.go) and reports one converged iteration. Lanes whose
-// factorization is not certified, and every lane of a FastMath batch, run
-// damped Gaussian message passing instead, walking the message schedule
-// once per sweep; each converges (and freezes) independently against the
-// same per-window criterion as Graph.Infer, within maxIter sweeps to tol.
-// Either way lane posteriors do not depend on n or on which other windows
-// share the batch.
+// Execute infers the first n lanes of the batch. Every lane is solved in
+// closed form by one walk of the compiled elimination schedule (solve.go)
+// and reports one converged iteration. Lanes whose factorization is not
+// certified run damped Gaussian message passing instead, walking the
+// message schedule once per sweep; each converges (and freezes)
+// independently against the same per-window criterion as Graph.Infer,
+// within maxIter sweeps to tol. Either way lane posteriors do not depend on
+// n or on which other windows share the batch.
 //
 //bayesperf:hotpath
 func (b *Batch) Execute(n, maxIter int, tol float64) *BatchResult {
@@ -370,7 +343,7 @@ func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *Batc
 		panic(fmt.Sprintf("graph: Execute of %d lanes on a %d-lane batch", n, b.lanes))
 	}
 	p := b.plan
-	nv, B := p.nv, b.stride
+	nv, B := p.nv, b.lanes
 
 	// Per-lane problem scale, from the lane's observed magnitudes.
 	scale := b.scale
@@ -436,16 +409,16 @@ func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *Batc
 		}
 	}
 
-	// The exact kernel solves every lane in closed form first; only lanes
-	// whose factorization is not certified go on to message passing, and
-	// they report the sweeps they ran. A solved lane reports one iteration,
+	// Every lane is solved in closed form first; only lanes whose
+	// factorization is not certified go on to message passing, and they
+	// report the sweeps they ran. A solved lane reports one iteration,
 	// converged.
 	solved := b.solved[:n]
 	for lane := range solved {
 		solved[lane] = false
 	}
 	b.nSolved, b.uncertified = 0, 0
-	if !b.FastMath && directSolveEnabled {
+	if directSolveEnabled {
 		b.uncertified = b.solveDirect(n)
 		b.nSolved = n - b.uncertified
 	}
@@ -461,11 +434,7 @@ func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *Batc
 
 	if b.nSolved < n {
 		b.resetMessages(n)
-		if b.FastMath {
-			b.sweepFast(n, maxIter, tol)
-		} else {
-			b.sweepExact(n, maxIter, tol)
-		}
+		b.sweepExact(n, maxIter, tol)
 	}
 	if b.m != nil {
 		b.m.recordExecute(b, n)
@@ -477,7 +446,7 @@ func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *Batc
 // resetMessages starts message passing from flat messages, with every
 // belief at its unary.
 func (b *Batch) resetMessages(n int) {
-	B := b.stride
+	B := b.lanes
 	for e := 0; e < b.plan.nEdges; e++ {
 		mp := b.msgPrec[e*B : e*B+n]
 		mh := b.msgH[e*B : e*B+n]
@@ -492,14 +461,13 @@ func (b *Batch) resetMessages(n int) {
 
 // sweepExact runs the exact message schedule on the active lanes: the
 // legacy per-window loop, operation for operation, vectorized only across
-// lanes. It serves the lanes the direct solver could not certify, is the
-// schedule the fast kernel approximates, and stays bit-identical to the
-// frozen reference implementation (reference_test.go).
+// lanes. It serves the lanes the direct solver could not certify and stays
+// bit-identical to the frozen reference implementation (reference_test.go).
 //
 //bayesperf:hotpath
 func (b *Batch) sweepExact(n, maxIter int, tol float64) {
 	p := b.plan
-	nv, B := p.nv, b.stride
+	nv, B := p.nv, b.lanes
 	active := b.active[:n]
 	remaining := 0
 	for _, a := range active {
@@ -614,7 +582,7 @@ func sized[T any](s []T, n int) []T {
 // reusing its slabs where the capacities allow.
 func (b *Batch) resultInto(res *BatchResult, n int) *BatchResult {
 	p := b.plan
-	nv, B := p.nv, b.stride
+	nv, B := p.nv, b.lanes
 	if res == nil {
 		res = &BatchResult{}
 	}

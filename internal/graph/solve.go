@@ -39,9 +39,9 @@ import (
 // eight digits to cancellation, and its lane falls back to message passing.
 const certifyTol = 1e-8
 
-// directSolveEnabled gates the closed-form kernel behind the default
-// (non-FastMath) Execute. It is always true in the program; tests clear it
-// to pin the message-passing schedule against its frozen reference.
+// directSolveEnabled gates the closed-form kernel behind Execute. It is
+// always true in the program; tests clear it to pin the message-passing
+// schedule against its frozen reference.
 var directSolveEnabled = true
 
 // solveSchedule is a plan's direct-solve program. Slots index the lane
@@ -237,13 +237,13 @@ func (p *Plan) compileSolve() {
 // annotation.
 func (b *Batch) ensureSolveScratch() {
 	p := b.plan
-	if len(b.lf) < p.solve.nSlots*b.stride {
-		b.lf = make([]float64, p.solve.nSlots*b.stride)
-		b.zinv = make([]float64, p.solve.nSlots*b.stride)
-		b.xv = make([]float64, p.nv*b.stride)
-		b.linv = make([]float64, p.nv*b.stride)
-		b.pivMin = make([]float64, p.nv*b.stride)
-		b.invVar = make([]float64, p.nRels*b.stride)
+	if len(b.lf) < p.solve.nSlots*b.lanes {
+		b.lf = make([]float64, p.solve.nSlots*b.lanes)
+		b.zinv = make([]float64, p.solve.nSlots*b.lanes)
+		b.xv = make([]float64, p.nv*b.lanes)
+		b.linv = make([]float64, p.nv*b.lanes)
+		b.pivMin = make([]float64, p.nv*b.lanes)
+		b.invVar = make([]float64, p.nRels*b.lanes)
 	}
 }
 
@@ -256,7 +256,7 @@ func (b *Batch) ensureSolveScratch() {
 func (b *Batch) solveDirect(n int) (uncertified int) {
 	p := b.plan
 	s := &p.solve
-	nv, B := p.nv, b.stride
+	nv, B := p.nv, b.lanes
 	b.ensureSolveScratch()
 	L, Z, x, li := b.lf, b.zinv, b.xv, b.linv
 	solved := b.solved[:n]
@@ -402,7 +402,7 @@ func (b *Batch) solveDirect(n int) (uncertified int) {
 func (b *Batch) readSolved(res *BatchResult) {
 	p := b.plan
 	s := &p.solve
-	n, B := res.n, b.stride
+	n, B := res.n, b.lanes
 	scale := b.scale[:n]
 	for i := 0; i < p.nv; i++ {
 		k := s.pos[i]

@@ -9,9 +9,8 @@ import (
 	"bayesperf/internal/uarch"
 )
 
-// forceMessagePassing routes the exact kernel through the message-passing
-// schedule for the rest of the test, the way fastKernelPaths forces the
-// portable fast schedule.
+// forceMessagePassing routes every window through the message-passing
+// schedule for the rest of the test.
 func forceMessagePassing(t *testing.T) {
 	t.Helper()
 	saved := directSolveEnabled
@@ -88,7 +87,7 @@ type oracleWindow struct {
 // [][]float64 from the batch's unary and relation-noise slabs, inverts Λ by
 // Gauss-Jordan elimination with partial pivoting, and rescales.
 func denseOracle(b *Batch, lane int) oracleWindow {
-	nv, B := b.plan.nv, b.stride
+	nv, B := b.plan.nv, b.lanes
 	a := make([][]float64, nv)
 	for i := range a {
 		a[i] = make([]float64, 2*nv)
@@ -338,6 +337,75 @@ func TestFallbackBitIdenticalToReference(t *testing.T) {
 			t.Fatalf("%s: no window fell back", cat.Arch)
 		}
 	}
+}
+
+// TestScaleEquivariance checks the claim behind rescaling every window to
+// O(1): multiplying every observed mean and std by a power of two k
+// multiplies every posterior mean and std by k and every clique covariance
+// by k², bit for bit, on windows the solver certifies and on windows that
+// fall back to message passing alike. Precondition: the largest observed
+// |mean| stays ≥ 1 after scaling, because the window scale is floored at 1;
+// below that the scaled problem itself changes.
+func TestScaleEquivariance(t *testing.T) {
+	windows, fellBack := 0, 0
+	for _, cat := range identityCatalogs(t) {
+		base := truthWindows(cat, 1, 47)[0]
+		cases := [][]obsEntry{base}
+		_, drops := unobservedCases(cat)
+		for _, drop := range drops {
+			cases = append(cases, without(base, drop...))
+		}
+		g := Build(cat)
+		infer := func(win []obsEntry, k float64) (Result, bool) {
+			g.ClearObservations()
+			for _, o := range win {
+				g.Observe(o.id, k*o.mean, k*o.std)
+			}
+			return g.Infer(200, 1e-9), g.batch.solved[0]
+		}
+		for ci, win := range cases {
+			largest := 0.0
+			for _, o := range win {
+				largest = math.Max(largest, math.Abs(o.mean))
+			}
+			want, solved := infer(win, 1)
+			windows++
+			if !solved {
+				fellBack++
+			}
+			for _, k := range []float64{0x1p20, 0x1p-3} {
+				if largest*k < 1 {
+					t.Fatalf("%s case %d: largest |mean| %v scaled by %v falls below the scale floor",
+						cat.Arch, ci, largest, k)
+				}
+				got, gotSolved := infer(win, k)
+				if gotSolved != solved || got.Iters != want.Iters || got.Converged != want.Converged {
+					t.Fatalf("%s case %d ×%v: (solved, iters, converged) = (%v, %d, %v), unscaled (%v, %d, %v)",
+						cat.Arch, ci, k, gotSolved, got.Iters, got.Converged, solved, want.Iters, want.Converged)
+				}
+				for id := range want.Mean {
+					if got.Mean[id] != k*want.Mean[id] || got.Std[id] != k*want.Std[id] {
+						t.Fatalf("%s case %d ×%v event %d: mean %v std %v, want %v and %v",
+							cat.Arch, ci, k, id, got.Mean[id], got.Std[id], k*want.Mean[id], k*want.Std[id])
+					}
+				}
+				for _, r := range cat.Rels {
+					for _, ta := range r.Terms {
+						for _, tb := range r.Terms {
+							if c, w := got.Cov(ta.Event, tb.Event), k*k*want.Cov(ta.Event, tb.Event); c != w {
+								t.Fatalf("%s case %d ×%v: clique cov (%d,%d) = %v, want %v",
+									cat.Arch, ci, k, ta.Event, tb.Event, c, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no window fell back to message passing")
+	}
+	t.Logf("%d windows × 2 factors, %d of them fallback windows", windows, fellBack)
 }
 
 // TestSolveScheduleShape pins the compiled schedule of the shipped

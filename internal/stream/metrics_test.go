@@ -26,11 +26,11 @@ func TestStreamMetricsEndToEnd(t *testing.T) {
 	res := RunTrace(tr, measure.NewRoundRobin(cat), cfg, rng.New(5))
 	snap := reg.Snapshot()
 
-	counter := func(name string, labels ...obs.Label) uint64 {
+	counter := func(name string) uint64 {
 		t.Helper()
-		m := snap.Find(name, labels...)
+		m := snap.Find(name)
 		if m == nil {
-			t.Fatalf("metric %s%v not in snapshot", name, labels)
+			t.Fatalf("metric %s not in snapshot", name)
 		}
 		return uint64(m.Value)
 	}
@@ -43,9 +43,6 @@ func TestStreamMetricsEndToEnd(t *testing.T) {
 	}
 	if got := counter("bayesperf_graph_windows_total"); got != uint64(res.Windows) {
 		t.Errorf("graph windows counter = %d, want %d", got, res.Windows)
-	}
-	if got := counter("bayesperf_graph_kernel_windows_total", obs.Label{Key: "kernel", Value: "exact"}); got != uint64(res.Windows) {
-		t.Errorf("exact-kernel windows = %d, want %d", got, res.Windows)
 	}
 	if got := counter("bayesperf_graph_sweeps_total"); got != uint64(res.TotalSweeps) {
 		t.Errorf("sweeps counter = %d, want Result.TotalSweeps %d", got, res.TotalSweeps)

@@ -6,10 +6,10 @@
 // The engine slides a Window accumulator over the stream; every hop it
 // snapshots the window's observations (scaled totals plus incrementally
 // re-derived Student-t stds) and fans the snapshot out to a pool of
-// workers, each owning one reusable graph.Graph EP engine. Posteriors come
-// back asynchronously, are re-ordered, and overlapping windows are stitched
-// into one corrected trace by precision weighting. The posterior
-// uncertainty also closes the measurement loop: a
+// workers, each owning one reusable graph.Batch over the catalog's shared
+// compiled plan. Posteriors come back asynchronously, are re-ordered, and
+// overlapping windows are stitched into one corrected trace by precision
+// weighting. The posterior uncertainty also closes the measurement loop: a
 // measure.AdaptiveScheduler fed the epoch-averaged posterior
 // (EpochPosterior) re-prioritizes the multiplexing groups each epoch,
 // replacing pure round-robin.
@@ -42,21 +42,23 @@ type Config struct {
 	// Batch is the number of windows fused into one compiled-plan Execute
 	// call per worker (0 = default 8). Each batch lane runs the identical
 	// per-window arithmetic, so the stitched output is bit-identical for
-	// every batch size; larger batches only amortize the message-schedule
-	// walk across more windows.
+	// every batch size; larger batches only amortize the schedule walk
+	// across more windows.
 	Batch int
 	// Covariance switches the derived-event posterior std series from the
 	// diagonal delta method to clique-covariance-aware propagation: each
 	// window's per-relation posterior correlations are stitched alongside
 	// the marginals and enter the delta method's cross terms.
 	Covariance bool
-	// FastMath switches every worker's batch to the fused fast-math message
-	// schedule (graph.Batch.FastMath): posteriors agree with the exact
-	// kernel to a tight relative tolerance instead of bit for bit, and the
-	// output remains deterministic across worker counts and batch sizes.
-	// Composes with Covariance.
+	// FastMath is ignored: every window is solved in closed form.
+	//
+	// Deprecated: FastMath selects nothing. It remains only until the
+	// repository benchmark (bench/) stops reading it.
 	FastMath bool
-	// MaxIter and Tol are passed to graph.Infer per window.
+	// MaxIter and Tol bound the damped message passing that runs only for
+	// windows the closed-form solve cannot certify (the data leave a
+	// direction undetermined): at most MaxIter sweeps, to a tolerance of
+	// Tol on the posterior means.
 	MaxIter int
 	Tol     float64
 	// Mux carries the observation model shared with the measurement layer:
@@ -385,7 +387,6 @@ func (e *Engine) buildCovPairs() {
 func (e *Engine) worker(wi int) {
 	defer e.wg.Done()
 	batch := e.plan.NewBatch(e.cfg.Batch)
-	batch.FastMath = e.cfg.FastMath
 	batch.SetMetrics(e.gm)
 	if len(e.covPairs) > 0 {
 		batch.EnableCovariance()

@@ -236,23 +236,20 @@ func WithCovariance(on bool) Option {
 	}
 }
 
-// WithFastMath switches inference (batch and stream) to the fused fast-math
-// message schedule: per-relation cavity gathers collapse from O(k²) to O(k)
-// and, on CPUs with AVX2+FMA, the sweep runs four windows per instruction.
-// Posteriors agree with the exact kernel to a tight relative tolerance
-// instead of bit for bit (the accuracy-delta tests pin the drift); results
-// remain deterministic across worker counts and batch widths. Composes with
-// WithCovariance.
-func WithFastMath(on bool) Option {
-	return func(s *Session) error {
-		s.cfg.FastMath = on
-		return nil
-	}
+// WithFastMath is ignored: every window, batch or stream, is solved in
+// closed form, so a session built with it reports bit for bit what one
+// built without it does.
+//
+// Deprecated: WithFastMath selects nothing. It remains only until the
+// repository benchmark (bench/) stops passing it.
+func WithFastMath(bool) Option {
+	return func(*Session) error { return nil }
 }
 
-// WithInference sets the per-inference budget: maximum message-passing
-// sweeps and the convergence tolerance on posterior means (zero keeps the
-// respective default).
+// WithInference bounds the message passing that runs only for windows the
+// closed-form solve cannot certify (the data leave a direction
+// undetermined): the maximum sweeps and the convergence tolerance on
+// posterior means (zero keeps the respective default).
 func WithInference(maxIter int, tol float64) Option {
 	return func(s *Session) error {
 		if maxIter > 0 {
@@ -488,7 +485,6 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 		mm.GumbelRejected.Add(rejected)
 	}
 	g := graph.Build(cat)
-	g.SetFastMath(cfg.FastMath)
 	g.SetMetrics(graph.NewMetrics(s.obs))
 	for id := range est {
 		if est[id].N > 0 {

@@ -6,6 +6,7 @@ import (
 
 	"bayesperf/internal/measure"
 	"bayesperf/internal/rng"
+	"bayesperf/internal/timeseries"
 	"bayesperf/internal/uarch"
 	"bayesperf/pkg/bayesperf"
 )
@@ -201,18 +202,21 @@ func TestNeoverseJSONEndToEnd(t *testing.T) {
 }
 
 // TestSessionBatchWidthInvariance is the WithBatch contract at the API
-// surface: any batch width yields a bit-identical streamed report.
+// surface: any batch width yields a bit-identical streamed report — aligned
+// errors, corrected mean and std series, and derived series. The deprecated
+// WithFastMath(true) is one more input: it selects nothing, so its report
+// must match the default's bit for bit too.
 func TestSessionBatchWidthInvariance(t *testing.T) {
 	cat := uarch.Skylake()
 	wl := bayesperf.DefaultWorkload(40)
 	mux := bayesperf.DefaultMuxConfig()
-	run := func(batch int) *bayesperf.Report {
+	run := func(opt bayesperf.Option) *bayesperf.Report {
 		sess, err := bayesperf.New(
 			bayesperf.WithCatalog(cat),
 			bayesperf.WithMux(mux),
-			bayesperf.WithBatch(batch),
 			bayesperf.WithCovariance(true),
 			bayesperf.WithDerived(true),
+			opt,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -223,18 +227,37 @@ func TestSessionBatchWidthInvariance(t *testing.T) {
 		}
 		return rep
 	}
-	base := run(1)
-	for _, batch := range []int{4, 32} {
-		rep := run(batch)
+	base := run(bayesperf.WithBatch(1))
+	for _, tc := range []struct {
+		label string
+		opt   bayesperf.Option
+	}{
+		{"batch=4", bayesperf.WithBatch(4)},
+		{"batch=32", bayesperf.WithBatch(32)},
+		{"WithFastMath(true)", bayesperf.WithFastMath(true)},
+	} {
+		rep := run(tc.opt)
 		if rep.CorrectedAligned != base.CorrectedAligned ||
 			rep.WindowedAligned != base.WindowedAligned ||
-			rep.DerivedCorrectedAligned != base.DerivedCorrectedAligned {
-			t.Errorf("batch=%d: aligned errors diverged from batch=1", batch)
+			rep.DerivedCorrectedAligned != base.DerivedCorrectedAligned ||
+			rep.PostRelStd != base.PostRelStd {
+			t.Errorf("%s: aligned errors or posterior std pool diverged from batch=1", tc.label)
 		}
-		for id := range base.Stream.Corrected {
-			for ti := range base.Stream.Corrected[id] {
-				if rep.Stream.Corrected[id][ti] != base.Stream.Corrected[id][ti] {
-					t.Fatalf("batch=%d: corrected[%d][%d] diverged", batch, id, ti)
+		for _, s := range []struct {
+			name      string
+			got, want []timeseries.Series
+		}{
+			{"corrected", rep.Stream.Corrected, base.Stream.Corrected},
+			{"correctedStd", rep.Stream.CorrectedStd, base.Stream.CorrectedStd},
+			{"derivedCorrected", rep.Stream.DerivedCorrected, base.Stream.DerivedCorrected},
+			{"derivedCorrectedStd", rep.Stream.DerivedCorrectedStd, base.Stream.DerivedCorrectedStd},
+		} {
+			for id := range s.want {
+				for ti := range s.want[id] {
+					if s.got[id][ti] != s.want[id][ti] {
+						t.Fatalf("%s: %s[%d][%d] = %v, batch=1 has %v",
+							tc.label, s.name, id, ti, s.got[id][ti], s.want[id][ti])
+					}
 				}
 			}
 		}
