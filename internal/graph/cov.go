@@ -23,21 +23,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 
 	"bayesperf/internal/uarch"
 )
-
-// ensureCovScratch sizes covD and covCD — per-(term,lane) scratch for the
-// current relation's cavity variance and coeff·variance — on first use;
-// steady-state extractions reuse them, which is what lets
-// extractCovariances carry the hotpath annotation.
-func (b *Batch) ensureCovScratch() {
-	if maxK := b.plan.maxCliqueSize(); len(b.covD) < maxK*b.lanes {
-		b.covD = make([]float64, maxK*b.lanes)
-		b.covCD = make([]float64, maxK*b.lanes)
-	}
-}
 
 // extractCovariances fills res.cov with every relation clique's posterior
 // covariance for every executed lane that ran message passing, in the
@@ -50,7 +40,6 @@ func (b *Batch) extractCovariances(res *BatchResult) {
 		return
 	}
 	n, B := res.n, b.lanes
-	b.ensureCovScratch()
 	d, cd := b.covD, b.covCD
 	denom := b.muJ[:n] // reuse Execute scratch: σ_r² + Σ c²·d per lane
 	solved := b.solved[:n]
@@ -156,6 +145,30 @@ func (r *Result) Corr(i, j uarch.EventID) float64 {
 	base := r.plan.covOff[loc.rel]
 	k := r.plan.factorOff[loc.rel+1] - r.plan.factorOff[loc.rel]
 	return corrOf(r.cov[base+loc.a*k+loc.b], r.cov[base+loc.a*k+loc.a], r.cov[base+loc.b*k+loc.b])
+}
+
+// Corr is Result.Corr read straight from one lane of the batch's
+// clique-entry-major covariance slab, with the same arithmetic, so callers
+// that only need a few correlations per window skip Window's copies.
+func (r *BatchResult) Corr(lane int, i, j uarch.EventID) float64 {
+	if lane < 0 || lane >= r.n {
+		panic(fmt.Sprintf("graph: Corr on lane %d of a %d-window result", lane, r.n))
+	}
+	if i == j {
+		return 1
+	}
+	if r.cov == nil {
+		return 0
+	}
+	loc, ok := r.plan.pairLoc[pairKey(i, j)]
+	if !ok {
+		return 0
+	}
+	base := r.plan.covOff[loc.rel]
+	k := r.plan.factorOff[loc.rel+1] - r.plan.factorOff[loc.rel]
+	n := r.n
+	return corrOf(r.cov[(base+loc.a*k+loc.b)*n+lane],
+		r.cov[(base+loc.a*k+loc.a)*n+lane], r.cov[(base+loc.b*k+loc.b)*n+lane])
 }
 
 // DerivedPosteriorCov propagates the posterior through a derived-event

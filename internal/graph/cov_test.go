@@ -237,3 +237,43 @@ func TestDerivedPosteriorCovUncoupledFallback(t *testing.T) {
 		t.Errorf("covariance-aware Branch_Misp_Rate std = %v", bcs)
 	}
 }
+
+// TestBatchResultCorrMatchesWindow: the lane-indexed BatchResult.Corr reads
+// the same slab entries with the same arithmetic as Window(lane).Corr, so
+// every pair agrees bit for bit — on lanes with events left to the
+// invariants, and for pairs that share no clique.
+func TestBatchResultCorrMatchesWindow(t *testing.T) {
+	cat := uarch.Skylake()
+	r := rng.New(17)
+	plan := Compile(cat)
+	b := plan.NewBatch(5)
+	b.EnableCovariance()
+	for lane := 0; lane < 5; lane++ {
+		for id := 0; id < cat.NumEvents(); id++ {
+			if (id+lane)%4 == 0 {
+				continue // leave some events to the invariants
+			}
+			m := 1e6 * (1 + r.Float64())
+			b.Observe(lane, uarch.EventID(id), m, 0.03*m)
+		}
+	}
+	res := b.Execute(5, 500, 1e-9)
+	checked := 0
+	for lane := 0; lane < 5; lane++ {
+		w := res.Window(lane)
+		for i := 0; i < cat.NumEvents(); i++ {
+			for j := 0; j < cat.NumEvents(); j++ {
+				got, want := res.Corr(lane, uarch.EventID(i), uarch.EventID(j)), w.Corr(uarch.EventID(i), uarch.EventID(j))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("lane %d Corr(%d,%d) = %v, Window gives %v", lane, i, j, got, want)
+				}
+				if got != 0 && i != j {
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no coupled pair had a nonzero correlation")
+	}
+}

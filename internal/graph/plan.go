@@ -156,7 +156,9 @@ type Batch struct {
 	// configuration — skip the extraction flops and the per-result
 	// covariance slabs entirely.
 	needCov bool
-	// Extraction scratch (extractCovariances), sized on first use.
+	// Extraction scratch (extractCovariances): per-(term,lane) cavity
+	// variance and coeff·variance of the current relation, sized by
+	// EnableCovariance.
 	covD, covCD []float64
 	// Direct-solver slabs (solve.go), sized on first use: the factor L and
 	// the selected inverse Z (nSlots·lanes each), the right-hand side and
@@ -237,8 +239,14 @@ func (b *Batch) Lanes() int { return b.lanes }
 // Off by default for plain batches: extraction costs O(Σk² · lanes) per
 // Execute plus a covariance slab per result, which pure marginal consumers
 // should not pay. The one-lane Graph wrapper enables it, preserving the
-// single-window Result contract.
-func (b *Batch) EnableCovariance() { b.needCov = true }
+// single-window Result contract. The extraction scratch is sized here, so
+// a batch's first message-passing window allocates nothing.
+func (b *Batch) EnableCovariance() {
+	b.needCov = true
+	maxK := b.plan.maxCliqueSize()
+	b.covD = make([]float64, maxK*b.lanes)
+	b.covCD = make([]float64, maxK*b.lanes)
+}
 
 // Plan returns the compiled plan the batch executes.
 func (b *Batch) Plan() *Plan { return b.plan }

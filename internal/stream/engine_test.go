@@ -1,0 +1,320 @@
+package stream
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"bayesperf/internal/measure"
+	"bayesperf/internal/obs"
+	"bayesperf/internal/rng"
+	"bayesperf/internal/stats"
+	"bayesperf/internal/timeseries"
+	"bayesperf/internal/uarch"
+)
+
+// snapshot is snapshotInto over freshly allocated slices, the form the
+// window tests read. The window-index argument is unused.
+func (w *Window) snapshot(_ int, mux measure.MuxConfig) windowJob {
+	ne := w.cat.NumEvents()
+	job := windowJob{
+		obsMean:  make([]float64, ne),
+		obsStd:   make([]float64, ne),
+		disp:     make([]float64, ne),
+		observed: make([]bool, ne),
+	}
+	w.snapshotInto(&job, mux)
+	return job
+}
+
+// presample records the round-robin sampler's stream over a trace.
+func presample(tr *measure.Trace, seed uint64) []measure.IntervalSample {
+	smp := measure.NewSampler(tr, measure.DefaultMuxConfig(), measure.NewRoundRobin(tr.Cat), rng.New(seed))
+	var samples []measure.IntervalSample
+	for {
+		s, ok := smp.Next()
+		if !ok {
+			return samples
+		}
+		samples = append(samples, s)
+	}
+}
+
+// cycleSource replays pre-sampled intervals, cycling through them with
+// consecutive interval numbers until n intervals are served, so streams of
+// any length cost nothing to produce and Next never allocates.
+type cycleSource struct {
+	samples []measure.IntervalSample
+	n, t    int
+}
+
+func newCycleSource(cat *uarch.Catalog, n int) *cycleSource {
+	tr := measure.GroundTruth(cat, measure.DefaultWorkload(80), rng.New(3))
+	return &cycleSource{samples: presample(tr, 4), n: n}
+}
+
+func (s *cycleSource) Next() (measure.IntervalSample, bool) {
+	if s.t == s.n {
+		return measure.IntervalSample{}, false
+	}
+	iv := s.samples[s.t%len(s.samples)]
+	iv.T = s.t
+	s.t++
+	return iv, true
+}
+
+// stateBound is the engine state bound derived from the configuration
+// alone: the stitch ring never holds more than the intervals spanned by
+// the windows in flight (fewer than 2·Workers·Batch dispatched plus one
+// batch being filled) and one window, rounded up to a power of two, and at
+// most 2·Workers hand-offs are ever live.
+func stateBound(cfg Config) (ringCap, handoffs int) {
+	cfg = cfg.WithDefaults()
+	need := (2*cfg.Workers*cfg.Batch+cfg.Batch)*cfg.Hop + cfg.Window
+	ringCap = 1
+	for ringCap < need {
+		ringCap *= 2
+	}
+	return ringCap, 2 * cfg.Workers
+}
+
+// TestEngineStateBounded: the stitch ring and the hand-off pool stay under
+// a bound computed from Window, Hop, Workers and Batch, the same at 10³
+// and at 10⁵ intervals — including with more workers than CPUs, where one
+// descheduled worker lets the others race ahead. The unfinalized span is
+// sampled after every interval and must always fit the ring.
+func TestEngineStateBounded(t *testing.T) {
+	cat := uarch.Skylake()
+	long := 100_000
+	if raceEnabled {
+		long = 10_000 // the race detector slows the engine ~10×; 10⁴ still spans many rings
+	}
+	configs := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"default", func(c *Config) { c.Workers = 2 }},
+		{"oversubscribed", func(c *Config) { c.Workers = 4 * runtime.NumCPU() }},
+		{"hop1-batch1", func(c *Config) { c.Window, c.Hop, c.Workers, c.Batch = 16, 1, 3, 1 }},
+		{"batch64-cov", func(c *Config) { c.Workers, c.Batch, c.Covariance = 2, 64, true }},
+	}
+	for _, c := range configs {
+		cfg := DefaultConfig()
+		c.set(&cfg)
+		ringBound, handoffBound := stateBound(cfg)
+		for _, n := range []int{1_000, long} {
+			e := NewEngine(cat, cfg)
+			src := newCycleSource(cat, n)
+			span := 0
+			for {
+				s, ok := src.Next()
+				if !ok {
+					break
+				}
+				e.Ingest(s)
+				span = max(span, e.ingested-e.final)
+			}
+			res := e.Finish()
+			if res.Intervals != n {
+				t.Fatalf("%s n=%d: %d intervals out", c.name, n, res.Intervals)
+			}
+			// Finish returned every hand-off to the free list.
+			handoffs := len(e.free)
+			t.Logf("%s n=%d: unfinalized span ≤ %d, ring %d (bound %d), hand-offs %d (bound %d)",
+				c.name, n, span, e.ringCap, ringBound, handoffs, handoffBound)
+			if e.ringCap > ringBound || span > e.ringCap {
+				t.Errorf("%s n=%d: unfinalized span %d in a ring of %d, bound %d",
+					c.name, n, span, e.ringCap, ringBound)
+			}
+			if handoffs > handoffBound {
+				t.Errorf("%s n=%d: %d hand-offs allocated, bound %d", c.name, n, handoffs, handoffBound)
+			}
+		}
+	}
+}
+
+// TestEngineSteadyStateAllocs: once its hand-off pool is at its bound,
+// Ingest allocates nothing per window — with covariance tracking off and
+// on. The only allocation left is the output chunk each chunkLen
+// intervals open, and every run below ingests exactly one chunk's worth.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cat := uarch.Skylake()
+	for _, cov := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Workers = 2
+		cfg.Covariance = cov
+		e := NewEngine(cat, cfg)
+		src := newCycleSource(cat, math.MaxInt)
+		ingest := func(n int) {
+			for i := 0; i < n; i++ {
+				s, _ := src.Next()
+				e.Ingest(s)
+			}
+		}
+		ingest(4 * chunkLen)
+		// Bring the hand-off pool to its bound, so a worker stalled by the
+		// scheduler cannot make it grow inside the measurement.
+		e.Flush()
+		_, handoffBound := stateBound(e.cfg)
+		for len(e.free) < handoffBound {
+			e.free = append(e.free, newHandoff(e.ne, len(e.covPairs), e.cfg.Batch))
+		}
+		allocs := testing.AllocsPerRun(8, func() { ingest(chunkLen) })
+		e.Finish()
+		windows := chunkLen / cfg.Hop
+		t.Logf("cov=%v: %v allocs per %d intervals (%d windows)", cov, allocs, chunkLen, windows)
+		if allocs > 1 {
+			t.Errorf("cov=%v: %v allocs per %d windows; want only the one output chunk", cov, allocs, windows)
+		}
+	}
+}
+
+// overflowSource counts every catalog event each interval at 1e6, except
+// at 1.7e308 on intervals [50, 98): finite readings whose window sums
+// overflow.
+type overflowSource struct {
+	cat  *uarch.Catalog
+	n, t int
+}
+
+const overflowLo, overflowHi = 50, 98
+
+func (s *overflowSource) Next() (measure.IntervalSample, bool) {
+	if s.t == s.n {
+		return measure.IntervalSample{}, false
+	}
+	v := 1e6
+	if s.t >= overflowLo && s.t < overflowHi {
+		v = 1.7e308
+	}
+	ne := s.cat.NumEvents()
+	iv := measure.IntervalSample{T: s.t, Group: -1, Events: make([]uarch.EventID, ne), Values: make([]float64, ne)}
+	for id := range iv.Events {
+		iv.Events[id] = uarch.EventID(id)
+		iv.Values[id] = v
+	}
+	s.t++
+	return iv, true
+}
+
+// TestStreamOverflowFailSoft: finite readings large enough to overflow the
+// window sums must not reach the graph (whose Observe panics on a non-finite
+// observation, inside a worker goroutine no embedder can recover). The
+// overflowing events are quarantined per window, counted and warned about
+// once, and every output stays finite. Derived baselines evaluate their
+// formulas on the readings themselves, so they are checked only outside the
+// overflowing span, where a formula like 1000·x/y overflows on its own.
+func TestStreamOverflowFailSoft(t *testing.T) {
+	cat := uarch.Skylake()
+	var base *Result
+	for _, workers := range []int{1, 2} {
+		warnings := 0
+		orig := warnf
+		warnf = func(string, ...any) { warnings++ }
+		reg := obs.NewRegistry()
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		cfg.Metrics = reg
+		res := Run(cat, &overflowSource{cat: cat, n: 200}, nil, cfg)
+		warnf = orig
+
+		if warnings != 1 {
+			t.Errorf("workers=%d: %d warnings, want exactly 1", workers, warnings)
+		}
+		snap := reg.Snapshot()
+		if m := snap.Find("bayesperf_stream_quarantined_total"); m == nil || m.Value == 0 {
+			t.Errorf("workers=%d: quarantine counter = %+v, want > 0", workers, m)
+		}
+		check := func(name string, series []timeseries.Series, positive, inSpan bool) {
+			for i, s := range series {
+				for ti, v := range s {
+					if !inSpan && ti >= overflowLo && ti < overflowHi {
+						continue
+					}
+					if math.IsNaN(v) || math.IsInf(v, 0) || (positive && v <= 0) {
+						t.Fatalf("workers=%d: %s[%d][%d] = %v", workers, name, i, ti, v)
+					}
+				}
+			}
+		}
+		check("Corrected", res.Corrected, false, true)
+		check("CorrectedStd", res.CorrectedStd, true, true)
+		check("WindowedRaw", res.WindowedRaw, false, true)
+		check("NaiveRaw", res.NaiveRaw, false, true)
+		check("DerivedCorrected", res.DerivedCorrected, false, true)
+		check("DerivedCorrectedStd", res.DerivedCorrectedStd, false, true)
+		check("DerivedCorrectedStd", res.DerivedCorrectedStd, true, false)
+		check("DerivedWindowedRaw", res.DerivedWindowedRaw, false, false)
+		check("DerivedNaive", res.DerivedNaive, false, false)
+		if base == nil {
+			base = res
+		} else if hashResult(res) != hashResult(base) {
+			t.Errorf("workers=%d: output differs from workers=1", workers)
+		}
+	}
+}
+
+// TestEventRingHealsAfterOverflow: once an overflowing reading slides out
+// of the window, the running sums are finite again.
+func TestEventRingHealsAfterOverflow(t *testing.T) {
+	cat := uarch.Skylake()
+	loads := cat.MustEvent("MEM_INST_RETIRED.ALL_LOADS")
+	w := NewWindow(cat, 4)
+	push := func(ti int, v float64) {
+		w.Push(measure.IntervalSample{T: ti, Events: []uarch.EventID{loads}, Values: []float64{v}})
+	}
+	push(0, 1.7e308)
+	push(1, 1.7e308)
+	if job := w.snapshot(0, measure.DefaultMuxConfig()); job.observed[loads] || job.quarantined != 1 {
+		t.Fatalf("overflowing window: observed=%v quarantined=%d, want quarantined", job.observed[loads], job.quarantined)
+	}
+	for ti := 2; ti < 8; ti++ {
+		push(ti, 1e6)
+	}
+	job := w.snapshot(0, measure.DefaultMuxConfig())
+	if !job.observed[loads] || job.quarantined != 0 {
+		t.Fatalf("healed window: observed=%v quarantined=%d", job.observed[loads], job.quarantined)
+	}
+	if got := job.obsMean[loads]; got != 4e6 {
+		t.Errorf("healed window total = %v, want 4e6", got)
+	}
+}
+
+// hashResult folds every output of a Result into one FNV-64a hash, in a
+// fixed order: the shape, the pooled posterior std, then the event and
+// derived series.
+func hashResult(res *Result) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	word(uint64(res.Intervals))
+	word(uint64(res.Windows))
+	pooled := func(r stats.Running) {
+		word(uint64(r.N()))
+		for _, v := range []float64{r.Mean(), r.Variance(), r.Min(), r.Max()} {
+			word(math.Float64bits(v))
+		}
+	}
+	pooled(res.PostRelStd)
+	for _, group := range [][]timeseries.Series{
+		res.Corrected, res.CorrectedStd, res.WindowedRaw, res.NaiveRaw,
+		res.DerivedCorrected, res.DerivedCorrectedStd, res.DerivedWindowedRaw, res.DerivedNaive,
+	} {
+		word(uint64(len(group)))
+		for _, s := range group {
+			word(uint64(len(s)))
+			for _, v := range s {
+				word(math.Float64bits(v))
+			}
+		}
+	}
+	return h.Sum64()
+}

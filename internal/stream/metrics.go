@@ -21,6 +21,7 @@ type engineMetrics struct {
 	fillRatio    *obs.Histogram
 	gumbel       *obs.Counter
 	liveOutliers *obs.Counter
+	quarantined  *obs.Counter
 
 	// Per-stage latency histograms along the ingest → window-snapshot →
 	// batch-dispatch → infer-sweep → stitch → report path, one observation
@@ -60,6 +61,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Window readings rejected by the Gumbel outlier filter at snapshot time."),
 		liveOutliers: r.Counter("bayesperf_stream_live_outliers_total",
 			"Live samples denied full noise precision by the streaming Gumbel test."),
+		quarantined: r.Counter("bayesperf_stream_quarantined_total",
+			"Window observations left for the invariants to infer because the window total, std or dispersion overflowed."),
 		stIngest:   stage("ingest"),
 		stSnapshot: stage("snapshot"),
 		stDispatch: stage("dispatch"),

@@ -5,17 +5,27 @@
 //
 // The engine slides a Window accumulator over the stream; every hop it
 // snapshots the window's observations (scaled totals plus incrementally
-// re-derived Student-t stds) and fans the snapshot out to a pool of
-// workers, each owning one reusable graph.Batch over the catalog's shared
-// compiled plan. Posteriors come back asynchronously, are re-ordered, and
-// overlapping windows are stitched into one corrected trace by precision
-// weighting. The posterior uncertainty also closes the measurement loop: a
-// measure.AdaptiveScheduler fed the epoch-averaged posterior
-// (EpochPosterior) re-prioritizes the multiplexing groups each epoch,
-// replacing pure round-robin.
+// re-derived Student-t stds) into one lane of a recycled batch hand-off,
+// and each full hand-off goes to a pool of workers, each owning one
+// reusable graph.Batch over the catalog's shared compiled plan. The worker
+// writes the posteriors back into the same hand-off; the engine re-orders
+// returned hand-offs and stitches overlapping windows into one corrected
+// trace by precision weighting. The posterior uncertainty also closes the
+// measurement loop: a measure.AdaptiveScheduler fed the epoch-averaged
+// posterior (EpochPosterior) re-prioritizes the multiplexing groups each
+// epoch, replacing pure round-robin.
+//
+// Engine state is bounded by the windows in flight, not by the stream
+// length: the stitch accumulators live in a ring of per-interval cells,
+// and an interval is finalized into chunked output as soon as no window
+// can still change it. Windows emitted but not yet stitched stay below a
+// bound derived from Workers and Batch, and the steady state allocates
+// nothing per window. Only the Result, which holds every output series by
+// contract, grows with the stream.
 package stream
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -43,7 +53,8 @@ type Config struct {
 	// call per worker (0 = default 8). Each batch lane runs the identical
 	// per-window arithmetic, so the stitched output is bit-identical for
 	// every batch size; larger batches only amortize the schedule walk
-	// across more windows.
+	// across more windows. Up to 2·Workers·Batch windows are in flight at
+	// once, which sizes the engine's stitch ring and hand-off pool.
 	Batch int
 	// Covariance switches the derived-event posterior std series from the
 	// diagonal delta method to clique-covariance-aware propagation: each
@@ -64,9 +75,6 @@ type Config struct {
 	// Mux carries the observation model shared with the measurement layer:
 	// noise level, std floors, and the Gumbel rejection switches.
 	Mux measure.MuxConfig
-	// SizeHint presizes the per-interval accumulators when the stream
-	// length is known up front (0 = unknown, grow on demand).
-	SizeHint int
 	// Metrics, when non-nil, receives the engine's instrumentation: stage
 	// latency histograms, window/batch counters, ingestion-quality counters,
 	// and the graph layer's per-Execute outcomes (see internal/obs). Nil
@@ -123,24 +131,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// WindowPosterior is one window's inference output: posterior mean and std
-// of every event's window total, plus the echoed observation model so the
-// stitcher can weight raw and corrected series identically.
-type WindowPosterior struct {
-	Index      int
-	Start, End int
-	Mean, Std  []float64
-	ObsStd     []float64
-	Disp       []float64
-	Observed   []bool
-	// Rho is the window's posterior correlation per tracked event pair
-	// (the engine's covPairs order): clique correlations of derived-input
-	// pairs that share an invariant. Nil unless Config.Covariance.
-	Rho       []float64
-	Iters     int
-	Converged bool
-}
-
 // Result is the outcome of one streamed run.
 type Result struct {
 	Intervals int
@@ -169,8 +159,9 @@ type Result struct {
 	// PostRelStd pools each window's posterior relative std over all
 	// events — the uncertainty metric the adaptive scheduler minimizes.
 	PostRelStd stats.Running
-	// InferIters pools per-window message-passing sweep counts, reduced
-	// across the worker pool via stats.Running.Merge.
+	// InferIters pools per-window message-passing sweep counts, added in
+	// window order like PostRelStd, so it is bit-identical for any worker
+	// count.
 	InferIters stats.Running
 	// AllConverged reports whether every window's inference converged.
 	AllConverged bool
@@ -194,56 +185,60 @@ type Engine struct {
 	cat  *uarch.Catalog
 	cfg  Config
 	plan *graph.Plan // compiled once, shared read-only by every worker
+	ne   int
 
 	win         *Window
 	ingested    int
 	lastEmitEnd int
 	nextIdx     int
-	pending     int
+	stitched    int
 
-	// Snapshotted windows accumulate here until a full batch (cfg.Batch)
-	// is ready to dispatch; Flush and Finish dispatch partial batches.
-	jobBuf  []windowJob
-	jobs    chan []windowJob
-	results chan WindowPosterior
-	wg      sync.WaitGroup
+	// Windows travel in recycled hand-offs: cur collects snapshots until a
+	// full batch (cfg.Batch) is ready to dispatch — Flush and Finish
+	// dispatch partial batches — and a worker sends the same object back
+	// with the posteriors. Hand-offs that return out of order wait in
+	// waiting until every earlier window is stitched, so stitching runs in
+	// strict window-index order and the output is bit-identical for any
+	// worker count; stitched ones return to free. Each dispatch leaves
+	// fewer than maxInFlight windows unstitched, which bounds both the
+	// number of hand-offs and the stitch ring however the workers are
+	// scheduled.
+	cur         *handoff
+	free        []*handoff
+	waiting     []*handoff
+	maxInFlight int
+	jobs        chan *handoff
+	results     chan *handoff
+	wg          sync.WaitGroup
 
 	// Tracked posterior-correlation pairs (Config.Covariance): the derived
 	// formulas' input pairs that share a relation clique. derivedPairs maps
 	// each derived metric onto its pairs' indices.
 	covPairs     []covPair
 	derivedPairs [][]pairRef
-	rhoNum       [][]float64 // per pair, per interval: Σ tri·ρ over windows
-	rhoDen       [][]float64 // per pair, per interval: Σ tri
 
-	// Out-of-order posteriors park here until their index is next; all
-	// stitching happens in index order so results are bit-identical for
-	// any worker count.
-	parked   map[int]WindowPosterior
-	stitched int
+	// The stitch ring holds intervals [final, ingested): event id's cell
+	// for interval t sits at ring[id*ringCap + t&(ringCap-1)], and tracked
+	// pair pi's at rhoRing[pi*ringCap + t&(ringCap-1)]. Interval t is
+	// finalized — written to out and its cells reused — once no window
+	// can still add to it (see Ingest). The naive baseline never changes
+	// after its interval, so it goes straight to out.
+	ring    []cell
+	rhoRing []rhoCell
+	ringCap int
+	final   int
 
-	// Per-event stitch accumulators, grown one slot per interval. The
-	// stitched estimate at an interval is the inverse-variance fusion of
-	// every covering window's estimate plus — when the event was live that
-	// interval — the counted sample itself, whose per-interval noise
-	// precision dwarfs any window's rate precision. Live fusion is what
-	// keeps fully counted events at sample resolution instead of window
-	// resolution; it applies identically to the raw and corrected series,
-	// so their difference isolates the inference layer.
-	corrNum [][]float64 // Σ w·posteriorRate over covering windows
-	corrDen [][]float64 // Σ w
-	stdNum  [][]float64 // Σ w·posteriorRateStd
-	rawNum  [][]float64 // Σ w·observedRate
-	rawDen  [][]float64
-	liveNum [][]float64 // wv·sample at counted intervals (0 elsewhere)
-	liveDen [][]float64
-	liveStd [][]float64 // wv·sampleStd
-	naive   [][]float64
+	// out holds the output in chunks of chunkLen intervals: series s (see
+	// outCorr) of interval t is out[t/chunkLen][s*chunkLen + t%chunkLen].
+	// Finish concatenates each series once. It is the only state that grows
+	// with the stream: the Result's series, which hold every interval by
+	// contract.
+	out     [][]float64
 	lastVal []float64
 	firstT  []int // first interval each event was counted (-1 if never)
 
 	postRelStd  stats.Running
-	workerIters []stats.Running
+	inferIters  stats.Running
 	converged   bool
 	unconverged int
 	totalSweeps int
@@ -252,11 +247,13 @@ type Engine struct {
 	// Instrumentation (all nil-safe no-ops when Config.Metrics is nil):
 	// stream-stage instruments, the shared measure-layer counters, the
 	// graph layer's per-Execute recorder handed to every worker batch, and
-	// the once-per-engine non-finite-drop warning latch.
-	m          engineMetrics
-	mm         measure.Metrics
-	gm         *graph.Metrics
-	warnedDrop bool
+	// the once-per-engine warning latches for non-finite drops and
+	// overflow quarantines.
+	m                engineMetrics
+	mm               measure.Metrics
+	gm               *graph.Metrics
+	warnedDrop       bool
+	warnedQuarantine bool
 
 	// Epoch feedback accumulators: per-event posterior (and observation)
 	// sums over the windows stitched since the last EpochPosterior call.
@@ -267,6 +264,90 @@ type Engine struct {
 	epochObsStd []float64
 	epochObsN   []int
 	epochN      int
+}
+
+// cell is one event's stitch state at one interval. The stitched estimate
+// is the inverse-variance fusion of every covering window's estimate plus
+// — when the event was live that interval — the counted sample itself,
+// whose per-interval noise precision dwarfs any window's rate precision.
+// Live fusion is what keeps fully counted events at sample resolution
+// instead of window resolution; it applies identically to the raw and
+// corrected series, so their difference isolates the inference layer.
+type cell struct {
+	corrNum float64 // Σ w·posteriorRate over covering windows
+	corrDen float64 // Σ w
+	stdNum  float64 // Σ w·posteriorRateStd
+	rawNum  float64 // Σ w·observedRate
+	rawDen  float64
+	liveNum float64 // wv·sample when counted this interval (0 otherwise)
+	liveDen float64
+	liveStd float64 // wv·sampleStd
+}
+
+// rhoCell is one tracked pair's stitch state at one interval.
+type rhoCell struct {
+	num float64 // Σ tri·ρ over covering windows
+	den float64 // Σ tri
+}
+
+// chunkLen is the number of intervals per output chunk. Small chunks keep
+// short streams from paying for a large last chunk.
+const chunkLen = 256
+
+// Output series kinds: series kind*ne + id of a chunk holds one event's
+// values; the tracked pairs' stitched correlations follow at 4*ne + pi.
+const (
+	outCorr = iota
+	outStd
+	outRaw
+	outNaive
+	outKinds
+)
+
+// handoff carries one batch of windows to a worker and its posteriors
+// back. The engine snapshots windows into its lanes; the worker observes
+// and executes them and writes the posteriors into the same object. Every
+// slab is lane-major: event id of lane i sits at i*ne + id, tracked pair
+// pi at i*len(covPairs) + pi.
+type handoff struct {
+	first int // index of the window in lane 0
+	n     int // lanes filled
+
+	start, end []int
+	// Snapshot side (see windowJob).
+	obsMean, obsStd, disp []float64
+	observed              []bool
+	// Posterior side.
+	mean, std, rho []float64
+	iters          []int
+	converged      []bool
+}
+
+func newHandoff(ne, pairs, lanes int) *handoff {
+	return &handoff{
+		start:     make([]int, lanes),
+		end:       make([]int, lanes),
+		obsMean:   make([]float64, ne*lanes),
+		obsStd:    make([]float64, ne*lanes),
+		disp:      make([]float64, ne*lanes),
+		observed:  make([]bool, ne*lanes),
+		mean:      make([]float64, ne*lanes),
+		std:       make([]float64, ne*lanes),
+		rho:       make([]float64, pairs*lanes),
+		iters:     make([]int, lanes),
+		converged: make([]bool, lanes),
+	}
+}
+
+// lane returns lane i's snapshot slabs as a windowJob view.
+func (h *handoff) lane(i, ne int) windowJob {
+	lo, hi := i*ne, (i+1)*ne
+	return windowJob{
+		obsMean:  h.obsMean[lo:hi],
+		obsStd:   h.obsStd[lo:hi],
+		disp:     h.disp[lo:hi],
+		observed: h.observed[lo:hi],
+	}
 }
 
 // covPair is one tracked posterior-correlation pair.
@@ -280,36 +361,51 @@ type pairRef struct {
 	i, j, pi int
 }
 
+// inFlightBound is the most windows an engine keeps dispatched but not
+// yet stitched: two batches per worker, enough to keep every worker busy
+// while the engine stitches.
+func inFlightBound(cfg Config) int { return 2 * cfg.Workers * cfg.Batch }
+
+// ringIntervals is the stitch ring's capacity: a power of two no smaller
+// than the unfinalized intervals can span. The first unstitched regular
+// window starts at stitched·Hop, fewer than inFlightBound + Batch windows
+// are emitted and unstitched, and the next window to emit ends within
+// Window of the newest interval.
+func ringIntervals(cfg Config) int {
+	span := (inFlightBound(cfg)+cfg.Batch)*cfg.Hop + cfg.Window
+	n := 1
+	for n < span {
+		n *= 2
+	}
+	return n
+}
+
 // NewEngine starts a streaming engine (and its worker pool) over the
 // catalog. The factor graph is compiled once here; every worker executes
 // batches of windows against the shared plan.
 func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 	cfg = cfg.WithDefaults()
 	ne := cat.NumEvents()
+	// At most 2·Workers hand-offs are dispatched and not yet stitched (see
+	// dispatch), so neither channel ever holds more.
+	queue := 2 * cfg.Workers
 	e := &Engine{
 		cat:         cat,
 		cfg:         cfg,
 		plan:        graph.Compile(cat),
+		ne:          ne,
 		win:         NewWindow(cat, cfg.Window),
-		jobs:        make(chan []windowJob, 2*cfg.Workers),
-		results:     make(chan WindowPosterior, 4*cfg.Workers),
-		parked:      make(map[int]WindowPosterior),
-		corrNum:     make([][]float64, ne),
-		corrDen:     make([][]float64, ne),
-		stdNum:      make([][]float64, ne),
-		rawNum:      make([][]float64, ne),
-		rawDen:      make([][]float64, ne),
-		liveNum:     make([][]float64, ne),
-		liveDen:     make([][]float64, ne),
-		liveStd:     make([][]float64, ne),
-		naive:       make([][]float64, ne),
+		maxInFlight: inFlightBound(cfg),
+		jobs:        make(chan *handoff, queue),
+		results:     make(chan *handoff, queue),
+		free:        make([]*handoff, 0, queue+1),
+		waiting:     make([]*handoff, 0, queue+1),
 		lastVal:     make([]float64, ne),
 		firstT:      make([]int, ne),
 		epochMean:   make([]float64, ne),
 		epochStd:    make([]float64, ne),
 		epochObsStd: make([]float64, ne),
 		epochObsN:   make([]int, ne),
-		workerIters: make([]stats.Running, cfg.Workers),
 		converged:   true,
 		m:           newEngineMetrics(cfg.Metrics),
 		mm:          measure.NewMetrics(cfg.Metrics),
@@ -318,26 +414,16 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 	for id := range e.firstT {
 		e.firstT[id] = -1
 	}
-	if cfg.SizeHint > 0 {
-		for id := 0; id < ne; id++ {
-			for _, arr := range []*[]float64{
-				&e.corrNum[id], &e.corrDen[id], &e.stdNum[id],
-				&e.rawNum[id], &e.rawDen[id],
-				&e.liveNum[id], &e.liveDen[id], &e.liveStd[id],
-				&e.naive[id],
-			} {
-				*arr = make([]float64, 0, cfg.SizeHint)
-			}
-		}
-	}
 	e.tri = make([]float64, cfg.Window)
-	e.jobBuf = make([]windowJob, 0, cfg.Batch)
 	if cfg.Covariance {
 		e.buildCovPairs()
 	}
+	e.ringCap = ringIntervals(cfg)
+	e.ring = make([]cell, ne*e.ringCap)
+	e.rhoRing = make([]rhoCell, len(e.covPairs)*e.ringCap)
 	e.wg.Add(cfg.Workers)
 	for wi := 0; wi < cfg.Workers; wi++ {
-		go e.worker(wi)
+		go e.worker()
 	}
 	return e
 }
@@ -370,65 +456,71 @@ func (e *Engine) buildCovPairs() {
 			}
 		}
 	}
-	e.rhoNum = make([][]float64, len(e.covPairs))
-	e.rhoDen = make([][]float64, len(e.covPairs))
-	if e.cfg.SizeHint > 0 {
-		for pi := range e.rhoNum {
-			e.rhoNum[pi] = make([]float64, 0, e.cfg.SizeHint)
-			e.rhoDen[pi] = make([]float64, 0, e.cfg.SizeHint)
-		}
-	}
 }
 
 // worker is one EP engine: it owns one batch over the engine's shared
-// compiled plan, re-observes its lanes per dispatched batch of windows,
-// and executes them in a single schedule walk. The steady state allocates
-// only the posteriors it ships back.
-func (e *Engine) worker(wi int) {
+// compiled plan, re-observes its lanes per hand-off, executes them in a
+// single schedule walk, and sends the hand-off back with the posteriors.
+// The steady state allocates nothing.
+func (e *Engine) worker() {
 	defer e.wg.Done()
 	batch := e.plan.NewBatch(e.cfg.Batch)
 	batch.SetMetrics(e.gm)
 	if len(e.covPairs) > 0 {
 		batch.EnableCovariance()
 	}
-	var iters stats.Running
-	var br *graph.BatchResult // reused across batches; Window copies lanes out
-	for jobs := range e.jobs {
+	var br *graph.BatchResult // reused across batches
+	for h := range e.jobs {
 		batch.ClearObservations()
-		for lane, job := range jobs {
-			for id, ok := range job.observed {
+		for lane := 0; lane < h.n; lane++ {
+			row := lane * e.ne
+			for id, ok := range h.observed[row : row+e.ne] {
 				if ok {
-					batch.Observe(lane, uarch.EventID(id), job.obsMean[id], job.obsStd[id])
+					batch.Observe(lane, uarch.EventID(id), h.obsMean[row+id], h.obsStd[row+id])
 				}
 			}
 		}
 		sp := obs.StartSpan(e.m.stInfer)
-		br = batch.ExecuteInto(br, len(jobs), e.cfg.MaxIter, e.cfg.Tol)
+		br = batch.ExecuteInto(br, h.n, e.cfg.MaxIter, e.cfg.Tol)
 		sp.End()
-		for lane, job := range jobs {
-			res := br.Window(lane)
-			iters.Add(float64(res.Iters))
-			var rho []float64
-			if len(e.covPairs) > 0 {
-				rho = make([]float64, len(e.covPairs))
-				for pi, p := range e.covPairs {
-					rho[pi] = res.Corr(p.a, p.b)
-				}
-			}
-			e.results <- WindowPosterior{
-				Index: job.index, Start: job.start, End: job.end,
-				Mean: res.Mean, Std: res.Std,
-				ObsStd: job.obsStd, Disp: job.disp, Observed: job.observed,
-				Rho:   rho,
-				Iters: res.Iters, Converged: res.Converged,
-			}
+		e.readPosteriors(h, br)
+		e.results <- h
+	}
+}
+
+// readPosteriors copies the executed lanes out of the batch's event-major
+// result into the hand-off's lane-major slabs, with each tracked pair's
+// posterior correlation.
+//
+//bayesperf:hotpath
+func (e *Engine) readPosteriors(h *handoff, br *graph.BatchResult) {
+	n, ne := h.n, e.ne
+	for id := 0; id < ne; id++ {
+		mean := br.Mean[id*n : id*n+n]
+		std := br.Std[id*n : id*n+n]
+		for lane := range mean {
+			h.mean[lane*ne+id] = mean[lane]
+			h.std[lane*ne+id] = std[lane]
 		}
 	}
-	e.workerIters[wi] = iters
+	copy(h.iters, br.Iters[:n])
+	copy(h.converged, br.Converged[:n])
+	np := len(e.covPairs)
+	for lane := 0; lane < n; lane++ {
+		for pi, p := range e.covPairs {
+			h.rho[lane*np+pi] = br.Corr(lane, p.a, p.b)
+		}
+	}
 }
 
 // Ingest feeds one interval into the window; at hop boundaries the window
 // is snapshotted and dispatched to the pool.
+//
+// Interval t is final once both t < ingested − Window (every window not
+// yet emitted starts at or after that point) and t < stitched·Hop (the
+// first unstitched regular window starts there). Finalization runs here,
+// before the interval is added, and in Finish — never while absorbing
+// posteriors, which would put it inside every epoch's Flush.
 func (e *Engine) Ingest(s measure.IntervalSample) {
 	// Ingest is the only per-interval stage, so its latency span is sampled
 	// 1-in-16: two clock reads per interval would be the single largest
@@ -440,6 +532,8 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 	}
 	defer sp.End()
 	e.m.intervals.Inc()
+	e.finalize(min(e.ingested-e.cfg.Window, e.stitched*e.cfg.Hop))
+	firsts := false
 	for i, id := range s.Events {
 		if !finite(s.Values[i]) {
 			// Corrupted reading: keep it out of the naive series. Count the
@@ -457,29 +551,25 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 		e.lastVal[id] = s.Values[i]
 		if e.firstT[id] < 0 {
 			e.firstT[id] = e.ingested
+			firsts = true
 		}
 	}
-	for id := range e.naive {
-		e.corrNum[id] = append(e.corrNum[id], 0)
-		e.corrDen[id] = append(e.corrDen[id], 0)
-		e.stdNum[id] = append(e.stdNum[id], 0)
-		e.rawNum[id] = append(e.rawNum[id], 0)
-		e.rawDen[id] = append(e.rawDen[id], 0)
-		e.liveNum[id] = append(e.liveNum[id], 0)
-		e.liveDen[id] = append(e.liveDen[id], 0)
-		e.liveStd[id] = append(e.liveStd[id], 0)
-		e.naive[id] = append(e.naive[id], e.lastVal[id])
+	if firsts {
+		for _, id := range s.Events {
+			if e.firstT[id] == e.ingested {
+				e.backfillNaive(int(id))
+			}
+		}
 	}
-	for pi := range e.rhoNum {
-		e.rhoNum[pi] = append(e.rhoNum[pi], 0)
-		e.rhoDen[pi] = append(e.rhoDen[pi], 0)
-	}
+	t := e.ingested
+	e.openInterval(t)
 	e.win.Push(s)
 	e.ingested++
 	// Fuse the live samples at their own interval. With Gumbel rejection
 	// on, a sample the trailing window's fit flags as an outlier is not
 	// trusted at full noise precision (the window estimate, itself
 	// filtered, covers its interval instead).
+	mask := e.ringCap - 1
 	for i, id := range s.Events {
 		v := s.Values[i]
 		if !finite(v) {
@@ -497,19 +587,113 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 			sv = 1 // zero reading: unit count uncertainty
 		}
 		wv := 1 / (sv * sv)
-		t := e.ingested - 1
-		e.liveNum[id][t] = wv * v
-		e.liveDen[id][t] = wv
-		e.liveStd[id][t] = wv * sv
+		c := &e.ring[int(id)*e.ringCap+t&mask]
+		c.liveNum = wv * v
+		c.liveDen = wv
+		c.liveStd = wv * sv
 	}
 	if e.ingested >= e.cfg.Window && (e.ingested-e.cfg.Window)%e.cfg.Hop == 0 {
 		e.emit()
 	}
 }
 
-// emit snapshots the current window into the batch buffer; a full buffer
-// (cfg.Batch windows) is dispatched to the pool as one batched job.
+// backfillNaive gives the intervals before an event's first reading that
+// reading, as the naive baseline's held value. Intervals already finalized
+// take it as their windowed raw value too: no window that could touch them
+// saw the event, so raw held the naive value there.
+func (e *Engine) backfillNaive(id int) {
+	v := e.lastVal[id]
+	for t := 0; t < e.ingested; t++ {
+		chunk := e.out[t/chunkLen]
+		chunk[(outNaive*e.ne+id)*chunkLen+t%chunkLen] = v
+		if t < e.final {
+			chunk[(outRaw*e.ne+id)*chunkLen+t%chunkLen] = v
+		}
+	}
+}
+
+// openInterval readies interval t: its ring cells and its naive values.
+func (e *Engine) openInterval(t int) {
+	if t-e.final >= e.ringCap {
+		panic(fmt.Sprintf("stream: interval %d would overwrite unfinalized interval %d", t, e.final))
+	}
+	at := t & (e.ringCap - 1)
+	for id := range e.lastVal {
+		e.ring[id*e.ringCap+at] = cell{}
+	}
+	for pi := range e.covPairs {
+		e.rhoRing[pi*e.ringCap+at] = rhoCell{}
+	}
+	chunk, off := e.chunk(t/chunkLen), t%chunkLen
+	for id, v := range e.lastVal {
+		chunk[(outNaive*e.ne+id)*chunkLen+off] = v
+	}
+}
+
+// chunk returns output chunk ci, allocating it when interval ci*chunkLen
+// opens.
+func (e *Engine) chunk(ci int) []float64 {
+	if ci == len(e.out) {
+		e.out = append(e.out, make([]float64, (outKinds*e.ne+len(e.covPairs))*chunkLen))
+	}
+	return e.out[ci]
+}
+
+// finalize writes intervals [final, upTo) from the ring to the output:
+// corrected and its std and windowed raw (holding the naive sample where
+// no window saw the event) per event, and each tracked pair's stitched
+// correlation ρ̄ = Σ tri·ρ / Σ tri. Values with no weight stay 0.
+//
+//bayesperf:hotpath
+func (e *Engine) finalize(upTo int) {
+	ne, mask := e.ne, e.ringCap-1
+	for e.final < upTo {
+		t0 := e.final
+		ci := t0 / chunkLen
+		chunk := e.out[ci]
+		hi := min(upTo, (ci+1)*chunkLen)
+		off, n := t0-ci*chunkLen, hi-t0
+		for id := 0; id < ne; id++ {
+			cells := e.ring[id*e.ringCap : (id+1)*e.ringCap]
+			corr := chunk[(outCorr*ne+id)*chunkLen+off:][:n]
+			cstd := chunk[(outStd*ne+id)*chunkLen+off:][:n]
+			raw := chunk[(outRaw*ne+id)*chunkLen+off:][:n]
+			naive := chunk[(outNaive*ne+id)*chunkLen+off:][:n]
+			for i := range corr {
+				c := &cells[(t0+i)&mask]
+				if den := c.corrDen + c.liveDen; den > 0 {
+					corr[i] = (c.corrNum + c.liveNum) / den
+					cstd[i] = (c.stdNum + c.liveStd) / den
+				}
+				if den := c.rawDen + c.liveDen; den > 0 {
+					raw[i] = (c.rawNum + c.liveNum) / den
+				} else {
+					raw[i] = naive[i] // window never saw the event: hold the sample
+				}
+			}
+		}
+		for pi := range e.covPairs {
+			cells := e.rhoRing[pi*e.ringCap : (pi+1)*e.ringCap]
+			rho := chunk[(outKinds*ne+pi)*chunkLen+off:][:n]
+			for i := range rho {
+				if c := &cells[(t0+i)&mask]; c.den > 0 {
+					rho[i] = c.num / c.den
+				}
+			}
+		}
+		e.final = hi
+	}
+}
+
+// emit snapshots the current window into the next lane of the hand-off
+// being filled; a full hand-off (cfg.Batch windows) is dispatched to the
+// pool.
 func (e *Engine) emit() {
+	if e.cur == nil {
+		e.cur = e.takeHandoff()
+		e.cur.first = e.nextIdx
+	}
+	h := e.cur
 	// Per-window spans are sampled 1-in-8 like the per-interval ingest span:
 	// snapshot latency is uniform across windows and the clock reads would
 	// otherwise be the dominant cost of instrumenting this stage.
@@ -517,64 +701,98 @@ func (e *Engine) emit() {
 	if e.nextIdx&7 == 0 {
 		sp = obs.StartSpan(e.m.stSnapshot)
 	}
-	job := e.win.snapshot(e.nextIdx, e.cfg.Mux)
+	job := h.lane(h.n, e.ne)
+	e.win.snapshotInto(&job, e.cfg.Mux)
 	sp.End()
+	h.start[h.n], h.end[h.n] = job.start, job.end
+	h.n++
 	e.m.windows.Inc()
 	if job.rejected > 0 {
 		e.m.gumbel.Add(uint64(job.rejected))
 	}
+	if job.quarantined > 0 {
+		e.m.quarantined.Add(uint64(job.quarantined))
+		if !e.warnedQuarantine {
+			e.warnedQuarantine = true
+			warnf("stream: window [%d,%d) left %d overflowing observation(s) for the invariants to infer "+
+				"(further quarantines counted in bayesperf_stream_quarantined_total)",
+				job.start, job.end, job.quarantined)
+		}
+	}
 	e.stitchRaw(job)
 	e.nextIdx++
-	e.pending++
 	e.lastEmitEnd = job.end
-	e.jobBuf = append(e.jobBuf, job)
-	if len(e.jobBuf) == e.cfg.Batch {
+	if h.n == e.cfg.Batch {
 		e.dispatch()
 	}
 }
 
-// dispatch hands the buffered windows (a full or partial batch) to the
-// pool, absorbing finished posteriors whenever the job queue pushes back.
+// takeHandoff returns a recycled hand-off, or a new one while the pool is
+// still growing to its bound.
+func (e *Engine) takeHandoff() *handoff {
+	if n := len(e.free); n > 0 {
+		h := e.free[n-1]
+		e.free = e.free[:n-1]
+		h.n = 0
+		return h
+	}
+	return newHandoff(e.ne, len(e.covPairs), e.cfg.Batch)
+}
+
+// dispatch hands the hand-off being filled (a full or partial batch) to
+// the pool, absorbing finished posteriors whenever the job queue pushes
+// back, then absorbs until fewer than maxInFlight windows remain
+// unstitched. The bound keeps the stitch ring and the hand-off pool small
+// even when one worker is descheduled while the others keep returning
+// later windows.
 func (e *Engine) dispatch() {
-	if len(e.jobBuf) == 0 {
+	h := e.cur
+	if h == nil {
 		return
 	}
-	jobs := e.jobBuf
-	e.jobBuf = make([]windowJob, 0, e.cfg.Batch)
+	e.cur = nil
 	e.m.batches.Inc()
-	e.m.fillRatio.Observe(float64(len(jobs)) / float64(e.cfg.Batch))
+	e.m.fillRatio.Observe(float64(h.n) / float64(e.cfg.Batch))
 	sp := obs.StartSpan(e.m.stDispatch)
 	defer sp.End()
+send:
 	for {
 		select {
-		case e.jobs <- jobs:
-			return
+		case e.jobs <- h:
+			break send
 		case r := <-e.results:
 			e.absorb(r)
 		}
 	}
+	for e.nextIdx-e.stitched >= e.maxInFlight {
+		e.absorb(<-e.results)
+	}
 }
 
-// absorb parks one posterior and immediately stitches the contiguous
-// prefix: stitching stays in strict window-index order (deterministic for
-// any worker count) while the parked map stays O(workers) on arbitrarily
-// long streams instead of accumulating every window until Finish.
-func (e *Engine) absorb(r WindowPosterior) {
-	e.parked[r.Index] = r
-	e.pending--
-	for {
-		next, ok := e.parked[e.stitched]
-		if !ok {
-			return
+// absorb takes one returned hand-off and stitches every hand-off whose
+// windows are next in index order.
+func (e *Engine) absorb(h *handoff) {
+	e.waiting = append(e.waiting, h)
+	for i := 0; i < len(e.waiting); i++ {
+		next := e.waiting[i]
+		if next.first != e.stitched {
+			continue
 		}
-		delete(e.parked, e.stitched)
-		var sp obs.Span
-		if e.stitched&7 == 0 { // sampled 1-in-8, matching emit's snapshot span
-			sp = obs.StartSpan(e.m.stStitch)
+		last := len(e.waiting) - 1
+		e.waiting[i] = e.waiting[last]
+		e.waiting[last] = nil
+		e.waiting = e.waiting[:last]
+		for lane := 0; lane < next.n; lane++ {
+			var sp obs.Span
+			if e.stitched&7 == 0 { // sampled 1-in-8, matching emit's snapshot span
+				sp = obs.StartSpan(e.m.stStitch)
+			}
+			e.stitchCorrected(next, lane)
+			sp.End()
+			e.stitched++
 		}
-		e.stitchCorrected(next)
-		sp.End()
-		e.stitched++
+		e.free = append(e.free, next)
+		i = -1 // the hand-off after it may already be waiting
 	}
 }
 
@@ -585,7 +803,7 @@ func (e *Engine) absorb(r WindowPosterior) {
 // batch).
 func (e *Engine) Flush() {
 	e.dispatch()
-	for e.pending > 0 {
+	for e.stitched < e.nextIdx {
 		e.absorb(<-e.results)
 	}
 }
@@ -631,64 +849,71 @@ func predictivePrec(rateStd, disp float64) float64 {
 func (e *Engine) stitchRaw(job windowJob) {
 	w := float64(job.end - job.start)
 	tri := e.triKernel(job.start, job.end)
+	mask := e.ringCap - 1
 	for id, ok := range job.observed {
 		if !ok {
 			continue
 		}
 		rate := job.obsMean[id] / w
 		prec := predictivePrec(job.obsStd[id]/w, job.disp[id])
-		num := e.rawNum[id][job.start:job.end]
-		den := e.rawDen[id][job.start:job.end]
+		cells := e.ring[id*e.ringCap : (id+1)*e.ringCap]
 		for i, k := range tri {
+			c := &cells[(job.start+i)&mask]
 			wt := prec * k
-			num[i] += wt * rate
-			den[i] += wt
+			c.rawNum += wt * rate
+			c.rawDen += wt
 		}
 	}
 }
 
 // stitchCorrected folds one window's posterior into the corrected series
-// and the pooled uncertainty metric. Runs strictly in window-index order.
+// and the pooled uncertainty metrics. Runs strictly in window-index order.
 // The stitch weight is the same observation precision stitchRaw uses (the
 // posterior stds of overlapping windows are correlated, so they are
 // reported, not used as weights): raw and corrected then differ only in
 // the estimate each window contributes.
 //
 //bayesperf:hotpath
-func (e *Engine) stitchCorrected(r WindowPosterior) {
-	w := float64(r.End - r.Start)
-	e.converged = e.converged && r.Converged
-	if !r.Converged {
+func (e *Engine) stitchCorrected(h *handoff, lane int) {
+	start, end := h.start[lane], h.end[lane]
+	w := float64(end - start)
+	converged, iters := h.converged[lane], h.iters[lane]
+	e.converged = e.converged && converged
+	if !converged {
 		e.unconverged++
 	}
-	e.totalSweeps += r.Iters
-	tri := e.triKernel(r.Start, r.End)
-	for id := range r.Mean {
-		rate := r.Mean[id] / w
-		rateStd := r.Std[id] / w
+	e.totalSweeps += iters
+	e.inferIters.Add(float64(iters))
+	tri := e.triKernel(start, end)
+	mask := e.ringCap - 1
+	lo, hi := lane*e.ne, (lane+1)*e.ne
+	mean, std := h.mean[lo:hi], h.std[lo:hi]
+	obsStd, disp, observed := h.obsStd[lo:hi], h.disp[lo:hi], h.observed[lo:hi]
+	for id := range mean {
+		rate := mean[id] / w
+		rateStd := std[id] / w
 		weightStd := rateStd
-		if r.Observed[id] {
-			weightStd = r.ObsStd[id] / w
+		if observed[id] {
+			weightStd = obsStd[id] / w
 		}
-		prec := predictivePrec(weightStd, r.Disp[id])
-		num := e.corrNum[id][r.Start:r.End]
-		den := e.corrDen[id][r.Start:r.End]
-		std := e.stdNum[id][r.Start:r.End]
+		prec := predictivePrec(weightStd, disp[id])
+		cells := e.ring[id*e.ringCap : (id+1)*e.ringCap]
 		for i, k := range tri {
+			c := &cells[(start+i)&mask]
 			wt := prec * k
-			num[i] += wt * rate
-			den[i] += wt
-			std[i] += wt * rateStd
+			c.corrNum += wt * rate
+			c.corrDen += wt
+			c.stdNum += wt * rateStd
 		}
-		scale := math.Abs(r.Mean[id])
+		scale := math.Abs(mean[id])
 		if scale < 1 {
 			scale = 1
 		}
-		e.postRelStd.Add(r.Std[id] / scale)
-		e.epochMean[id] += r.Mean[id]
-		e.epochStd[id] += r.Std[id]
-		if r.Observed[id] {
-			e.epochObsStd[id] += r.ObsStd[id]
+		e.postRelStd.Add(std[id] / scale)
+		e.epochMean[id] += mean[id]
+		e.epochStd[id] += std[id]
+		if observed[id] {
+			e.epochObsStd[id] += obsStd[id]
 			e.epochObsN[id]++
 		}
 	}
@@ -697,13 +922,13 @@ func (e *Engine) stitchCorrected(r WindowPosterior) {
 	// near-identical observation precisions, so precision weighting would
 	// only re-derive the kernel. The stitched ρ̄(t) recombines with the
 	// stitched marginal stds in stitchDerived.
-	for pi := range r.Rho {
-		rho := r.Rho[pi]
-		rn := e.rhoNum[pi][r.Start:r.End]
-		rd := e.rhoDen[pi][r.Start:r.End]
+	np := len(e.covPairs)
+	for pi, rho := range h.rho[lane*np : (lane+1)*np] {
+		cells := e.rhoRing[pi*e.ringCap : (pi+1)*e.ringCap]
 		for i, k := range tri {
-			rn[i] += k * rho
-			rd[i] += k
+			c := &cells[(start+i)&mask]
+			c.num += k * rho
+			c.den += k
 		}
 	}
 	e.epochN++
@@ -738,65 +963,53 @@ func (e *Engine) EpochPosterior() (mean, std, obsStd []float64, ok bool) {
 }
 
 // Finish emits a final window over the stream's tail (so every interval is
-// covered), drains the pool, and assembles the stitched result. The engine
-// cannot be used after Finish.
+// covered), drains the pool, finalizes the remaining intervals, and
+// assembles the stitched result. The engine cannot be used after Finish.
 func (e *Engine) Finish() *Result {
 	if e.ingested > 0 && e.lastEmitEnd < e.ingested {
 		e.emit()
 	}
-	e.dispatch()
-	close(e.jobs)
 	e.Flush()
+	close(e.jobs)
 	e.wg.Wait()
 	sp := obs.StartSpan(e.m.stReport)
 	defer sp.End()
 
-	ne := e.cat.NumEvents()
+	e.finalize(e.ingested)
 	res := &Result{
 		Intervals:    e.ingested,
 		Windows:      e.nextIdx,
-		Corrected:    make([]timeseries.Series, ne),
-		CorrectedStd: make([]timeseries.Series, ne),
-		WindowedRaw:  make([]timeseries.Series, ne),
-		NaiveRaw:     make([]timeseries.Series, ne),
+		Corrected:    e.series(outCorr),
+		CorrectedStd: e.series(outStd),
+		WindowedRaw:  e.series(outRaw),
+		NaiveRaw:     e.series(outNaive),
 		PostRelStd:   e.postRelStd,
+		InferIters:   e.inferIters,
 		AllConverged: e.converged,
 		Unconverged:  e.unconverged,
 		TotalSweeps:  e.totalSweeps,
 	}
-	for _, wi := range e.workerIters {
-		res.InferIters.Merge(wi)
-	}
-	for id := 0; id < ne; id++ {
-		corr := make(timeseries.Series, e.ingested)
-		cstd := make(timeseries.Series, e.ingested)
-		raw := make(timeseries.Series, e.ingested)
-		naive := append(timeseries.Series(nil), e.naive[id]...)
-		// Backfill the naive baseline's leading intervals (before the
-		// event's group first went live) with its first reading.
-		if ft := e.firstT[id]; ft > 0 {
-			for t := 0; t < ft; t++ {
-				naive[t] = naive[ft]
-			}
-		}
-		for t := 0; t < e.ingested; t++ {
-			if den := e.corrDen[id][t] + e.liveDen[id][t]; den > 0 {
-				corr[t] = (e.corrNum[id][t] + e.liveNum[id][t]) / den
-				cstd[t] = (e.stdNum[id][t] + e.liveStd[id][t]) / den
-			}
-			if den := e.rawDen[id][t] + e.liveDen[id][t]; den > 0 {
-				raw[t] = (e.rawNum[id][t] + e.liveNum[id][t]) / den
-			} else {
-				raw[t] = naive[t] // window never saw the event: hold the sample
-			}
-		}
-		res.Corrected[id] = corr
-		res.CorrectedStd[id] = cstd
-		res.WindowedRaw[id] = raw
-		res.NaiveRaw[id] = naive
-	}
 	e.stitchDerived(res)
 	return res
+}
+
+// series concatenates one output kind's per-event series from the chunks.
+func (e *Engine) series(kind int) []timeseries.Series {
+	out := make([]timeseries.Series, e.ne)
+	for id := range out {
+		s := (kind*e.ne + id) * chunkLen
+		out[id] = make(timeseries.Series, e.ingested)
+		for ci, chunk := range e.out {
+			copy(out[id][ci*chunkLen:], chunk[s:s+chunkLen])
+		}
+	}
+	return out
+}
+
+// stitchedRho is tracked pair pi's finalized stitched correlation ρ̄ at
+// interval t (0 where no window covered the interval).
+func (e *Engine) stitchedRho(pi, t int) float64 {
+	return e.out[t/chunkLen][(outKinds*e.ne+pi)*chunkLen+t%chunkLen]
 }
 
 // stitchDerived rides the derived-event formulas on top of the stitched
@@ -814,7 +1027,6 @@ func (e *Engine) stitchDerived(res *Result) {
 	res.DerivedCorrectedStd = make([]timeseries.Series, nd)
 	res.DerivedWindowedRaw = make([]timeseries.Series, nd)
 	res.DerivedNaive = make([]timeseries.Series, nd)
-	rhoBar := e.stitchedRho()
 	for di := range e.cat.Derived {
 		d := &e.cat.Derived[di]
 		in := make([]float64, len(d.Inputs))
@@ -835,7 +1047,7 @@ func (e *Engine) stitchDerived(res *Result) {
 			}
 			corrFn = func(i, j int) float64 {
 				if pi, ok := refs[i<<16|j]; ok {
-					return rhoBar[pi][tt]
+					return e.stitchedRho(pi, tt)
 				}
 				return 0
 			}
@@ -867,26 +1079,6 @@ func (e *Engine) stitchDerivedBaselines(res *Result, di int) {
 	}
 	res.DerivedWindowedRaw[di] = timeseries.Map(d.Eval, gatherRaw...)
 	res.DerivedNaive[di] = timeseries.Map(d.Eval, gatherNaive...)
-}
-
-// stitchedRho resolves the tracked pairs' per-interval stitched
-// correlations ρ̄(t) = Σ tri·ρ / Σ tri over the covering windows (0 where
-// no window covered the interval). Returns nil when no pairs are tracked.
-func (e *Engine) stitchedRho() [][]float64 {
-	if len(e.covPairs) == 0 {
-		return nil
-	}
-	out := make([][]float64, len(e.covPairs))
-	for pi := range e.covPairs {
-		rb := make([]float64, e.ingested)
-		for t := 0; t < e.ingested; t++ {
-			if den := e.rhoDen[pi][t]; den > 0 {
-				rb[t] = e.rhoNum[pi][t] / den
-			}
-		}
-		out[pi] = rb
-	}
-	return out
 }
 
 // IntervalSource feeds the streaming engine: anything that emits a sequence
@@ -960,7 +1152,6 @@ func pooledRelStd(mean, std []float64) float64 {
 // RunTrace streams a ground-truth trace through sampler → engine end to
 // end; see Run for the feedback-loop semantics.
 func RunTrace(tr *measure.Trace, sched measure.Scheduler, cfg Config, r *rng.Rand) *Result {
-	cfg.SizeHint = tr.Intervals()
 	cfg = cfg.WithDefaults()
 	return Run(tr.Cat, measure.NewSampler(tr, cfg.Mux, sched, r), sched, cfg)
 }

@@ -42,13 +42,17 @@ func BenchmarkStreamWindow(b *testing.B) {
 }
 
 // BenchmarkStreamBatched tracks what window batching buys the streaming
-// engine end to end: the same trace and worker pool at batch widths 1, 8
-// and 32, with per-window cost emitted as ns/window so the trajectory is
-// comparable across PRs and against BenchmarkInferBatch's inference-only
-// number. The "/exact" suffix keeps the names of the committed
-// BENCH_stream.json rows, which cmd/benchjson gates regressions against.
+// engine end to end: the same pre-sampled stream and worker pool at batch
+// widths 1, 8 and 32, with per-window cost emitted as ns/window so the
+// trajectory is comparable across PRs and against BenchmarkInferBatch's
+// inference-only number. The stream is sampled once, outside the timer,
+// and replayed, so the rows time the engine (window slide, snapshot,
+// dispatch, inference, stitch, finish) and not the simulator. The "/exact"
+// suffix keeps the names of the committed BENCH_stream.json rows, which
+// cmd/benchjson gates regressions against.
 func BenchmarkStreamBatched(b *testing.B) {
 	tr := benchTrace()
+	samples := presample(tr, 2)
 	run := func(batch int, reg *obs.Registry) func(*testing.B) {
 		return func(b *testing.B) {
 			cfg := DefaultConfig()
@@ -59,7 +63,7 @@ func BenchmarkStreamBatched(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := RunTrace(tr, measure.NewRoundRobin(tr.Cat), cfg, rng.New(2))
+				res := Run(tr.Cat, &cycleSource{samples: samples, n: len(samples)}, nil, cfg)
 				if !res.AllConverged {
 					b.Fatal("window inference did not converge")
 				}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -276,72 +277,124 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 		if res.PostRelStd != base.PostRelStd {
 			t.Errorf("workers=%d: posterior-std pool diverged", workers)
 		}
+		if res.InferIters != base.InferIters || res.TotalSweeps != base.TotalSweeps ||
+			res.Unconverged != base.Unconverged {
+			t.Errorf("workers=%d: sweep accounting diverged: %v/%d/%d vs %v/%d/%d", workers,
+				res.InferIters, res.TotalSweeps, res.Unconverged,
+				base.InferIters, base.TotalSweeps, base.Unconverged)
+		}
 	}
+}
+
+// fallbackInput is a Neoverse stream whose br_pred_retired reads NaN
+// throughout: left to the invariants, some of its 8-interval windows fall
+// back to message passing, with sweep counts that differ from window to
+// window.
+func fallbackInput(t *testing.T) (*uarch.Catalog, *measure.Trace) {
+	t.Helper()
+	spec, err := uarch.LoadSpecFile(filepath.Join("..", "..", "examples", "catalogs", "neoverse.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := spec.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := measure.GroundTruth(cat, measure.DefaultWorkload(8), rng.New(5))
+	id := cat.MustEvent("br_pred_retired")
+	for ti := range tr.Series[id] {
+		tr.Series[id][ti] = math.NaN()
+	}
+	return cat, tr
 }
 
 // TestStreamDeterministicAcrossBatchSizes is the batching regression test:
 // the stitched output — every event series, the pooled uncertainty metric,
-// and the derived posterior series (covariance-aware included) — must be
-// bit-identical for any batch width × worker count. Batch lanes run
-// independent arithmetic and stitching is forced into window-index order,
-// so no grouping of windows into Execute calls may leak into the result.
+// the sweep accounting, and the derived posterior series
+// (covariance-aware included) — must be bit-identical for any batch width
+// × worker count. Batch lanes run independent arithmetic and stitching is
+// forced into window-index order, so no grouping of windows into Execute
+// calls may leak into the result. The fallback input adds windows whose
+// sweep counts differ, so InferIters depends on the order they are pooled
+// in.
 func TestStreamDeterministicAcrossBatchSizes(t *testing.T) {
-	cat := uarch.Skylake()
-	tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), rng.New(5))
-	for _, covariance := range []bool{false, true} {
-		var base *Result
-		var baseLabel string
-		for _, batch := range []int{1, 3, 8, 64} {
-			for _, workers := range []int{1, 4} {
-				cfg := testConfig(workers)
-				cfg.Batch = batch
-				cfg.Covariance = covariance
-				label := "batch=" + strconv.Itoa(batch) + " workers=" + strconv.Itoa(workers)
-				res := RunTrace(tr, measure.NewRoundRobin(cat), cfg, rng.New(6))
-				if base == nil {
-					base, baseLabel = res, label
-					continue
-				}
-				if res.Windows != base.Windows || res.Intervals != base.Intervals {
-					t.Fatalf("cov=%v %s: shape %d/%d vs %s %d/%d", covariance, label,
-						res.Windows, res.Intervals, baseLabel, base.Windows, base.Intervals)
-				}
-				for id := range base.Corrected {
-					for _, pair := range []struct {
-						name string
-						a, b timeseries.Series
-					}{
-						{"corrected", res.Corrected[id], base.Corrected[id]},
-						{"correctedStd", res.CorrectedStd[id], base.CorrectedStd[id]},
-						{"windowedRaw", res.WindowedRaw[id], base.WindowedRaw[id]},
-						{"naiveRaw", res.NaiveRaw[id], base.NaiveRaw[id]},
-					} {
-						for ti := range pair.b {
-							if pair.a[ti] != pair.b[ti] {
-								t.Fatalf("cov=%v %s: %s[%d][%d] = %v, want %v (%s)",
-									covariance, label, pair.name, id, ti, pair.a[ti], pair.b[ti], baseLabel)
+	skylake := uarch.Skylake()
+	neoverse, fallback := fallbackInput(t)
+	inputs := []struct {
+		name        string
+		cat         *uarch.Catalog
+		tr          *measure.Trace
+		window, hop int
+	}{
+		{"skylake", skylake, measure.GroundTruth(skylake, measure.DefaultWorkload(60), rng.New(5)), 24, 4},
+		{"neoverse-fallback", neoverse, fallback, 8, 3},
+	}
+	for _, in := range inputs {
+		cat, tr := in.cat, in.tr
+		for _, covariance := range []bool{false, true} {
+			var base *Result
+			var baseLabel string
+			for _, batch := range []int{1, 3, 8, 64} {
+				for _, workers := range []int{1, 4} {
+					cfg := testConfig(workers)
+					cfg.Window, cfg.Hop = in.window, in.hop
+					cfg.Batch = batch
+					cfg.Covariance = covariance
+					label := in.name + " batch=" + strconv.Itoa(batch) + " workers=" + strconv.Itoa(workers)
+					res := RunTrace(tr, measure.NewRoundRobin(cat), cfg, rng.New(6))
+					if base == nil {
+						base, baseLabel = res, label
+						if in.name == "neoverse-fallback" && res.TotalSweeps <= res.Windows {
+							t.Fatalf("%s: no fallback windows (%d sweeps over %d windows)",
+								label, res.TotalSweeps, res.Windows)
+						}
+						continue
+					}
+					if res.Windows != base.Windows || res.Intervals != base.Intervals {
+						t.Fatalf("cov=%v %s: shape %d/%d vs %s %d/%d", covariance, label,
+							res.Windows, res.Intervals, baseLabel, base.Windows, base.Intervals)
+					}
+					for id := range base.Corrected {
+						for _, pair := range []struct {
+							name string
+							a, b timeseries.Series
+						}{
+							{"corrected", res.Corrected[id], base.Corrected[id]},
+							{"correctedStd", res.CorrectedStd[id], base.CorrectedStd[id]},
+							{"windowedRaw", res.WindowedRaw[id], base.WindowedRaw[id]},
+							{"naiveRaw", res.NaiveRaw[id], base.NaiveRaw[id]},
+						} {
+							for ti := range pair.b {
+								if pair.a[ti] != pair.b[ti] {
+									t.Fatalf("cov=%v %s: %s[%d][%d] = %v, want %v (%s)",
+										covariance, label, pair.name, id, ti, pair.a[ti], pair.b[ti], baseLabel)
+								}
 							}
 						}
 					}
-				}
-				for di := range base.DerivedCorrected {
-					for _, pair := range []struct {
-						name string
-						a, b timeseries.Series
-					}{
-						{"derivedCorrected", res.DerivedCorrected[di], base.DerivedCorrected[di]},
-						{"derivedCorrectedStd", res.DerivedCorrectedStd[di], base.DerivedCorrectedStd[di]},
-					} {
-						for ti := range pair.b {
-							if pair.a[ti] != pair.b[ti] {
-								t.Fatalf("cov=%v %s: %s[%d][%d] = %v, want %v (%s)",
-									covariance, label, pair.name, di, ti, pair.a[ti], pair.b[ti], baseLabel)
+					for di := range base.DerivedCorrected {
+						for _, pair := range []struct {
+							name string
+							a, b timeseries.Series
+						}{
+							{"derivedCorrected", res.DerivedCorrected[di], base.DerivedCorrected[di]},
+							{"derivedCorrectedStd", res.DerivedCorrectedStd[di], base.DerivedCorrectedStd[di]},
+						} {
+							for ti := range pair.b {
+								if pair.a[ti] != pair.b[ti] {
+									t.Fatalf("cov=%v %s: %s[%d][%d] = %v, want %v (%s)",
+										covariance, label, pair.name, di, ti, pair.a[ti], pair.b[ti], baseLabel)
+								}
 							}
 						}
 					}
-				}
-				if res.PostRelStd != base.PostRelStd {
-					t.Errorf("cov=%v %s: posterior-std pool diverged from %s", covariance, label, baseLabel)
+					if res.PostRelStd != base.PostRelStd {
+						t.Errorf("cov=%v %s: posterior-std pool diverged from %s", covariance, label, baseLabel)
+					}
+					if res.InferIters != base.InferIters || res.TotalSweeps != base.TotalSweeps ||
+						res.Unconverged != base.Unconverged {
+						t.Errorf("cov=%v %s: sweep accounting diverged from %s", covariance, label, baseLabel)
+					}
 				}
 			}
 		}

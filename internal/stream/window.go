@@ -49,6 +49,25 @@ func (e *eventRing) pop() {
 		// Re-zero exactly so float drift cannot accumulate across an
 		// event's long absences.
 		e.sum, e.sq, e.ssd = 0, 0, 0
+	} else if !finite(e.sum) || !finite(e.sq) || !finite(e.ssd) {
+		// A finite reading whose sum or square overflowed left Inf (and,
+		// once evicted, Inf − Inf = NaN) behind; rebuild the sums from the
+		// buffer so the ring heals as soon as the reading slides out.
+		e.resum()
+	}
+}
+
+// resum recomputes the running sums from the buffered values.
+func (e *eventRing) resum() {
+	e.sum, e.sq, e.ssd = 0, 0, 0
+	for i := 0; i < e.n; i++ {
+		x := e.buf[(e.head+i)%len(e.buf)]
+		e.sum += x
+		e.sq += x * x
+		if i > 0 {
+			d := x - e.buf[(e.head+i-1)%len(e.buf)]
+			e.ssd += d * d
+		}
 	}
 }
 
@@ -154,10 +173,10 @@ func (w *Window) lastIsOutlier(id uarch.EventID, q float64) bool {
 	return last > stats.GumbelQuantile(q, mu, beta)
 }
 
-// windowJob is an immutable snapshot of one window's observations, handed
-// to a pool worker for inference.
+// windowJob is one window's lane of a hand-off: the span snapshotInto
+// covers and the observations it derives, written into slices that view
+// the hand-off's lane-major slabs.
 type windowJob struct {
-	index      int
 	start, end int
 	obsMean    []float64 // extrapolated window total per event
 	obsStd     []float64
@@ -176,25 +195,29 @@ type windowJob struct {
 	// rejected is the number of readings the Gumbel outlier filter dropped
 	// while deriving this snapshot (0 unless MuxConfig.GumbelReject).
 	rejected int
+	// quarantined is the number of events left unobserved because their
+	// window total, std or dispersion overflowed.
+	quarantined int
 }
 
-// snapshot derives each event's observation from the window's running
+// snapshotInto derives each event's observation from the window's running
 // sums, mirroring the batch simulator's §4.2 model: inverse-coverage
 // extrapolated total, Student-t std from the successive-difference spread
 // (noise-only std at full coverage), optional Gumbel outlier rejection,
-// and the same std floors. The returned job owns its slices.
-func (w *Window) snapshot(index int, mux measure.MuxConfig) windowJob {
-	ne := w.cat.NumEvents()
-	start, end := w.Span()
-	job := windowJob{
-		index:    index,
-		start:    start,
-		end:      end,
-		obsMean:  make([]float64, ne),
-		obsStd:   make([]float64, ne),
-		disp:     make([]float64, ne),
-		observed: make([]bool, ne),
-	}
+// and the same std floors. It zeroes job's slices first, so an event the
+// window never counted reads as unobserved with zero observations. An
+// event whose total, std or dispersion is not finite — finite readings
+// large enough to overflow the window sums — is quarantined: left
+// unobserved, so the invariants infer it in this window.
+//
+//bayesperf:hotpath
+func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig) {
+	job.start, job.end = w.Span()
+	job.rejected, job.quarantined = 0, 0
+	clear(job.obsMean)
+	clear(job.obsStd)
+	clear(job.disp)
+	clear(job.observed)
 	intervals := w.n
 	for id := range w.ev {
 		er := &w.ev[id]
@@ -260,10 +283,13 @@ func (w *Window) snapshot(index int, mux measure.MuxConfig) windowJob {
 		if std == 0 { //bayesvet:bitwise exact-zero sentinel for a constant window
 			std = 1 // all-zero event: unit count uncertainty
 		}
+		if !finite(total) || !finite(std) || !finite(disp) {
+			job.quarantined++
+			continue
+		}
 		job.obsMean[id] = total
 		job.obsStd[id] = std
 		job.disp[id] = disp
 		job.observed[id] = true
 	}
-	return job
 }

@@ -487,7 +487,10 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 	g := graph.Build(cat)
 	g.SetMetrics(graph.NewMetrics(s.obs))
 	for id := range est {
-		if est[id].N > 0 {
+		// Readings large enough to overflow the whole-run sums leave a
+		// non-finite estimate; like the stream engine's quarantine, leave
+		// the event unobserved so the invariants infer it.
+		if est[id].N > 0 && finite(est[id].Total) && finite(est[id].Std) {
 			g.Observe(EventID(id), est[id].Total, est[id].Std)
 		}
 	}
@@ -508,9 +511,6 @@ func (s *Session) RunStream(src Source) (*Report, error) {
 	}
 	cfg := s.cfg.WithDefaults()
 	cfg.Metrics = s.obs
-	if n, ok := src.(interface{ Intervals() int }); ok {
-		cfg.SizeHint = n.Intervals()
-	}
 	sched := sourceScheduler(src)
 	sm := s.sessionMetrics("stream")
 	sm.runs.Inc()

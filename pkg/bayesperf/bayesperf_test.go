@@ -1,6 +1,7 @@
 package bayesperf_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -508,5 +509,76 @@ func TestSessionEmptySource(t *testing.T) {
 	sess2, _ := bayesperf.New(bayesperf.WithCatalog(cat))
 	if _, err := sess2.RunStream(bayesperf.NewSimSource(cat, wl, mux, 1)); err == nil {
 		t.Error("RunStream on an empty source succeeded")
+	}
+}
+
+// overflowSource counts every catalog event each interval at 1e6, except
+// at 1.7e308 on intervals [50, 98): finite readings whose sums overflow.
+type overflowSource struct {
+	cat  *bayesperf.Catalog
+	n, t int
+}
+
+func (s *overflowSource) Catalog() *bayesperf.Catalog { return s.cat }
+
+func (s *overflowSource) Next() (bayesperf.Interval, bool) {
+	if s.t == s.n {
+		return bayesperf.Interval{}, false
+	}
+	v := 1e6
+	if s.t >= 50 && s.t < 98 {
+		v = 1.7e308
+	}
+	ne := s.cat.NumEvents()
+	iv := bayesperf.Interval{T: s.t, Group: -1, Events: make([]bayesperf.EventID, ne), Values: make([]float64, ne)}
+	for id := range iv.Events {
+		iv.Events[id] = bayesperf.EventID(id)
+		iv.Values[id] = v
+	}
+	s.t++
+	return iv, true
+}
+
+// TestSessionOverflowFailSoft: finite readings that overflow the sums must
+// not panic either run mode — the batch path used to panic in
+// graph.Observe on the caller's goroutine, the stream path in a worker.
+// Both leave the overflowing events to the invariants and report finite
+// posteriors with positive stds.
+func TestSessionOverflowFailSoft(t *testing.T) {
+	cat := uarch.Skylake()
+	for _, workers := range []int{1, 2} {
+		sess, err := bayesperf.New(bayesperf.WithCatalog(cat), bayesperf.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.RunStream(&overflowSource{cat: cat, n: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range rep.Stream.Corrected {
+			for ti, v := range rep.Stream.Corrected[id] {
+				if s := rep.Stream.CorrectedStd[id][ti]; math.IsNaN(v) || math.IsInf(v, 0) || !(s > 0) || math.IsInf(s, 0) {
+					t.Fatalf("workers=%d: event %d interval %d: corrected %v ± %v", workers, id, ti, v, s)
+				}
+			}
+		}
+	}
+	sess, err := bayesperf.New(bayesperf.WithCatalog(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.RunBatch(&overflowSource{cat: cat, n: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range rep.Events {
+		if math.IsNaN(ev.Mean) || math.IsInf(ev.Mean, 0) || !(ev.Std > 0) || math.IsInf(ev.Std, 0) {
+			t.Errorf("batch %s: posterior %v ± %v", ev.Name, ev.Mean, ev.Std)
+		}
+	}
+	for _, d := range rep.Derived {
+		if math.IsNaN(d.Mean) || math.IsInf(d.Mean, 0) || math.IsNaN(d.Std) || math.IsInf(d.Std, 0) {
+			t.Errorf("batch derived %s: posterior %v ± %v", d.Name, d.Mean, d.Std)
+		}
 	}
 }
