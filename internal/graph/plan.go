@@ -586,6 +586,26 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// NewResult returns a result with room for every lane of the batch, and
+// for its clique covariances once EnableCovariance is on, and readies the
+// batch's solve scratch: ExecuteInto on it allocates nothing from the
+// first Execute on.
+func (b *Batch) NewResult() *BatchResult {
+	b.ensureSolveScratch()
+	p := b.plan
+	res := &BatchResult{
+		plan:      p,
+		Mean:      make([]float64, p.nv*b.lanes),
+		Std:       make([]float64, p.nv*b.lanes),
+		Iters:     make([]int, b.lanes),
+		Converged: make([]bool, b.lanes),
+	}
+	if b.needCov {
+		res.cov = make([]float64, p.nCov*b.lanes)
+	}
+	return res
+}
+
 // resultInto reads the converged beliefs out of the batch into res,
 // reusing its slabs where the capacities allow.
 func (b *Batch) resultInto(res *BatchResult, n int) *BatchResult {

@@ -232,9 +232,9 @@ func (p *Plan) compileSolve() {
 	}
 }
 
-// ensureSolveScratch sizes the direct solver's slabs on first use; steady
-// state solves reuse them, which is what lets solveDirect carry the hotpath
-// annotation.
+// ensureSolveScratch sizes the direct solver's slabs on first use (or in
+// NewResult); steady state solves reuse them, which is what lets
+// solveDirect carry the hotpath annotation.
 func (b *Batch) ensureSolveScratch() {
 	p := b.plan
 	if len(b.lf) < p.solve.nSlots*b.lanes {

@@ -49,6 +49,17 @@ func (c MuxConfig) RejectQuantile() float64 {
 	return DefaultGumbelQ
 }
 
+// RejectThreshold returns the Gumbel rejection threshold at
+// RejectQuantile, for callers that test many fits under one configuration:
+// its logarithms are computed once. With GumbelReject off it returns the
+// zero threshold, which no estimator reads.
+func (c MuxConfig) RejectThreshold() stats.GumbelThreshold {
+	if !c.GumbelReject {
+		return stats.GumbelThreshold{}
+	}
+	return stats.NewGumbelThreshold(c.RejectQuantile())
+}
+
 // DefaultMuxConfig matches the noise regime of the paper's perf-stat runs.
 func DefaultMuxConfig() MuxConfig {
 	return MuxConfig{NoiseFrac: 0.01, StdFloorFrac: 1e-4, GumbelQ: DefaultGumbelQ}
@@ -213,8 +224,9 @@ func TObsStd(spread float64, n, intervals int) float64 {
 // the factor graph is observed from.
 func EstimateSamples(xss [][]float64, intervals int, cfg MuxConfig) []Sample {
 	out := make([]Sample, len(xss))
+	gumbel := cfg.RejectThreshold()
 	for id, xs := range xss {
-		out[id] = EstimateSample(xs, intervals, cfg)
+		out[id] = estimateSample(xs, intervals, cfg, gumbel)
 	}
 	return out
 }
@@ -244,6 +256,7 @@ func Multiplex(tr *Trace, cfg MuxConfig, r *rng.Rand) *MuxResult {
 	}
 
 	numGroups := len(groups)
+	gumbel := cfg.RejectThreshold()
 	for id := 0; id < cat.NumEvents(); id++ {
 		gi := groupOf[id]
 		var xs []float64
@@ -267,7 +280,7 @@ func Multiplex(tr *Trace, cfg MuxConfig, r *rng.Rand) *MuxResult {
 			}
 			xs = append(xs, noisy)
 		}
-		res.Est[id] = EstimateSample(xs, intervals, cfg)
+		res.Est[id] = estimateSample(xs, intervals, cfg, gumbel)
 	}
 	return res
 }
@@ -281,6 +294,12 @@ func Multiplex(tr *Trace, cfg MuxConfig, r *rng.Rand) *MuxResult {
 // readings; an empty xs yields the zero Sample (never counted — callers
 // must not observe it into the factor graph).
 func EstimateSample(xs []float64, intervals int, cfg MuxConfig) Sample {
+	return estimateSample(xs, intervals, cfg, cfg.RejectThreshold())
+}
+
+// estimateSample is EstimateSample with the Gumbel threshold computed once
+// by the caller for all of its events.
+func estimateSample(xs []float64, intervals int, cfg MuxConfig, gumbel stats.GumbelThreshold) Sample {
 	counted := len(xs)
 	if counted == 0 {
 		return Sample{}
@@ -289,7 +308,7 @@ func EstimateSample(xs []float64, intervals int, cfg MuxConfig) Sample {
 	if cfg.GumbelReject {
 		// xs holds only finite readings (corrupted ones were dropped at
 		// collection), so the filter always keeps at least one.
-		xs, rejected = stats.GumbelFilterMax(xs, cfg.RejectQuantile())
+		xs, rejected = gumbel.FilterMax(xs)
 	}
 	n := len(xs)
 	meanRate := stats.Mean(xs)

@@ -323,6 +323,37 @@ func GumbelQuantile(q, mu, beta float64) float64 {
 	return mu - beta*math.Log(-math.Log(q))
 }
 
+// GumbelThreshold is the Gumbel q-quantile at a fixed q. It computes the
+// constant c = ln(−ln q) once, so a caller testing many fits at one q pays
+// no logarithm per fit: Quantile(mu, beta) = mu − beta·c equals
+// GumbelQuantile(q, mu, beta) bit for bit, guards included.
+type GumbelThreshold struct {
+	q, c float64
+}
+
+// NewGumbelThreshold fixes the quantile q.
+func NewGumbelThreshold(q float64) GumbelThreshold {
+	t := GumbelThreshold{q: q}
+	if !(q <= 0 || q >= 1) { // the guards of Quantile; a NaN q passes them, as in GumbelQuantile
+		t.c = math.Log(-math.Log(q))
+	}
+	return t
+}
+
+// Q returns the fixed quantile.
+func (t GumbelThreshold) Q() float64 { return t.q }
+
+// Quantile returns the q-quantile of Gumbel(mu, beta).
+func (t GumbelThreshold) Quantile(mu, beta float64) float64 {
+	if t.q <= 0 {
+		return math.Inf(-1)
+	}
+	if t.q >= 1 {
+		return math.Inf(1)
+	}
+	return mu - beta*t.c
+}
+
 // GumbelFitFromMoments converts a sample mean and std into Gumbel
 // location/scale by the method of moments: beta = s·√6/π,
 // mu = mean − γ·beta (γ is Euler–Mascheroni). Callers that maintain
@@ -352,6 +383,11 @@ func GumbelFitMoments(xs []float64) (mu, beta float64) {
 // input slice itself is returned. Samples too small to fit (n < 4) and
 // degenerate q are passed through untouched (minus any NaNs).
 func GumbelFilterMax(xs []float64, q float64) (kept []float64, rejected int) {
+	return NewGumbelThreshold(q).FilterMax(xs)
+}
+
+// FilterMax is GumbelFilterMax at the threshold's fixed quantile.
+func (t GumbelThreshold) FilterMax(xs []float64) (kept []float64, rejected int) {
 	clean := xs
 	nan := 0
 	for _, x := range xs {
@@ -367,14 +403,14 @@ func GumbelFilterMax(xs []float64, q float64) (kept []float64, rejected int) {
 			}
 		}
 	}
-	if len(clean) < 4 || q <= 0 || q >= 1 {
+	if len(clean) < 4 || t.q <= 0 || t.q >= 1 {
 		return clean, nan
 	}
 	mu, beta := GumbelFitMoments(clean)
 	if beta <= 0 { // constant sample: nothing can be an outlier
 		return clean, nan
 	}
-	thr := GumbelQuantile(q, mu, beta)
+	thr := t.Quantile(mu, beta)
 	for _, x := range clean {
 		if x > thr {
 			rejected++

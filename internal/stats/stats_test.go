@@ -239,6 +239,26 @@ func TestGumbelQuantileCDFRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGumbelThresholdMatchesQuantile: the hoisted threshold equals
+// GumbelQuantile bit for bit over a grid of q, mu and beta, including the
+// degenerate q ≤ 0 and q ≥ 1 guards and a NaN q.
+func TestGumbelThresholdMatchesQuantile(t *testing.T) {
+	qs := []float64{math.Inf(-1), -0.5, 0, 1e-300, 1e-9, 0.05, 0.5, 0.9, 0.99, 0.995,
+		0.999999, math.Nextafter(1, 0), 1, 1.5, math.Inf(1), math.NaN()}
+	params := []float64{-1e300, -3.25, -1, 0, 1e-300, 0.5, 1, 2, 1e6, 1.7e308}
+	for _, q := range qs {
+		thr := NewGumbelThreshold(q)
+		for _, mu := range params {
+			for _, beta := range params {
+				got, want := thr.Quantile(mu, beta), GumbelQuantile(q, mu, beta)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Errorf("q=%v mu=%v beta=%v: threshold %v, GumbelQuantile %v", q, mu, beta, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestGumbelFitMoments(t *testing.T) {
 	// Sample from a known Gumbel via inverse CDF and re-fit.
 	r := rng.New(99)

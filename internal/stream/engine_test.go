@@ -25,7 +25,7 @@ func (w *Window) snapshot(_ int, mux measure.MuxConfig) windowJob {
 		disp:     make([]float64, ne),
 		observed: make([]bool, ne),
 	}
-	w.snapshotInto(&job, mux)
+	w.snapshotInto(&job, mux, mux.RejectThreshold())
 	return job
 }
 
@@ -66,25 +66,45 @@ func (s *cycleSource) Next() (measure.IntervalSample, bool) {
 }
 
 // stateBound is the engine state bound derived from the configuration
-// alone: the stitch ring never holds more than the intervals spanned by
-// the windows in flight (fewer than 2·Workers·Batch dispatched plus one
-// batch being filled) and one window, rounded up to a power of two, and at
-// most 2·Workers hand-offs are ever live.
-func stateBound(cfg Config) (ringCap, handoffs int) {
+// alone, each ring rounded up to a power of two. The interval ring never
+// holds more than the intervals spanned by the windows in flight (fewer
+// than 2·Workers·Batch dispatched plus one batch being filled) and one
+// window. The record ring holds those windows plus the ⌈Window/Hop⌉ + 1
+// stitched ones that can still cover an unfinalized interval. At most
+// 2·Workers hand-offs are ever live.
+func stateBound(cfg Config) (ringCap, recCap, handoffs int) {
 	cfg = cfg.WithDefaults()
-	need := (2*cfg.Workers*cfg.Batch+cfg.Batch)*cfg.Hop + cfg.Window
-	ringCap = 1
-	for ringCap < need {
-		ringCap *= 2
+	pow2 := func(need int) int {
+		n := 1
+		for n < need {
+			n *= 2
+		}
+		return n
 	}
-	return ringCap, 2 * cfg.Workers
+	inFlight := 2*cfg.Workers*cfg.Batch + cfg.Batch
+	ringCap = pow2(inFlight*cfg.Hop + cfg.Window)
+	recCap = pow2(inFlight + (cfg.Window+cfg.Hop-1)/cfg.Hop + 1)
+	return ringCap, recCap, 2 * cfg.Workers
 }
 
-// TestEngineStateBounded: the stitch ring and the hand-off pool stay under
-// a bound computed from Window, Hop, Workers and Batch, the same at 10³
-// and at 10⁵ intervals — including with more workers than CPUs, where one
-// descheduled worker lets the others race ahead. The unfinalized span is
-// sampled after every interval and must always fit the ring.
+// liveRecords is the number of window records the engine must keep: every
+// window from the first that still covers an unfinalized interval to the
+// last one emitted.
+func liveRecords(e *Engine) int {
+	first := 0
+	if e.final >= e.cfg.Window {
+		first = (e.final - e.cfg.Window + e.cfg.Hop) / e.cfg.Hop
+	}
+	return e.nextIdx - first
+}
+
+// TestEngineStateBounded: the interval ring, the record ring and the
+// hand-off pool stay under a bound computed from Window, Hop, Workers and
+// Batch, the same at 10³ and at 10⁵ intervals — including with more
+// workers than CPUs, where one descheduled worker lets the others race
+// ahead. The unfinalized span and the live records are sampled after
+// every interval: the span must always fit the interval ring, and the
+// live records the record ring, so no live record is ever overwritten.
 func TestEngineStateBounded(t *testing.T) {
 	cat := uarch.Skylake()
 	long := 100_000
@@ -103,11 +123,11 @@ func TestEngineStateBounded(t *testing.T) {
 	for _, c := range configs {
 		cfg := DefaultConfig()
 		c.set(&cfg)
-		ringBound, handoffBound := stateBound(cfg)
+		ringBound, recBound, handoffBound := stateBound(cfg)
 		for _, n := range []int{1_000, long} {
 			e := NewEngine(cat, cfg)
 			src := newCycleSource(cat, n)
-			span := 0
+			span, live := 0, 0
 			for {
 				s, ok := src.Next()
 				if !ok {
@@ -115,6 +135,7 @@ func TestEngineStateBounded(t *testing.T) {
 				}
 				e.Ingest(s)
 				span = max(span, e.ingested-e.final)
+				live = max(live, liveRecords(e))
 			}
 			res := e.Finish()
 			if res.Intervals != n {
@@ -122,11 +143,15 @@ func TestEngineStateBounded(t *testing.T) {
 			}
 			// Finish returned every hand-off to the free list.
 			handoffs := len(e.free)
-			t.Logf("%s n=%d: unfinalized span ≤ %d, ring %d (bound %d), hand-offs %d (bound %d)",
-				c.name, n, span, e.ringCap, ringBound, handoffs, handoffBound)
+			t.Logf("%s n=%d: unfinalized span ≤ %d, ring %d (bound %d), live records ≤ %d, record ring %d (bound %d), hand-offs %d (bound %d)",
+				c.name, n, span, e.ringCap, ringBound, live, e.recCap, recBound, handoffs, handoffBound)
 			if e.ringCap > ringBound || span > e.ringCap {
 				t.Errorf("%s n=%d: unfinalized span %d in a ring of %d, bound %d",
 					c.name, n, span, e.ringCap, ringBound)
+			}
+			if e.recCap > recBound || live > e.recCap {
+				t.Errorf("%s n=%d: %d live records in a ring of %d, bound %d",
+					c.name, n, live, e.recCap, recBound)
 			}
 			if handoffs > handoffBound {
 				t.Errorf("%s n=%d: %d hand-offs allocated, bound %d", c.name, n, handoffs, handoffBound)
@@ -160,7 +185,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		// Bring the hand-off pool to its bound, so a worker stalled by the
 		// scheduler cannot make it grow inside the measurement.
 		e.Flush()
-		_, handoffBound := stateBound(e.cfg)
+		_, _, handoffBound := stateBound(e.cfg)
 		for len(e.free) < handoffBound {
 			e.free = append(e.free, newHandoff(e.ne, len(e.covPairs), e.cfg.Batch))
 		}
@@ -170,6 +195,98 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Logf("cov=%v: %v allocs per %d intervals (%d windows)", cov, allocs, chunkLen, windows)
 		if allocs > 1 {
 			t.Errorf("cov=%v: %v allocs per %d windows; want only the one output chunk", cov, allocs, windows)
+		}
+	}
+}
+
+// TestEpochBoundaryAllocs: the epoch decision path allocates nothing once
+// warmed up. Flush runs the epoch's partial batch on the engine's own batch
+// and stitches O(events) per window, EpochPosterior returns engine-owned
+// buffers, and the adaptive scheduler's Reprioritize rebuilds its plan in
+// place. Each measured epoch holds one pool batch and one partial batch
+// (6 windows at Batch 4), and no epoch opens an output chunk.
+func TestEpochBoundaryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cat := uarch.Skylake()
+	cfg := DefaultConfig()
+	cfg.Workers, cfg.Batch = 2, 4
+	e := NewEngine(cat, cfg)
+	defer e.Finish()
+	ad := measure.NewAdaptive(cat, cfg.Window)
+	src := newCycleSource(cat, math.MaxInt)
+	ingest := func(n int) {
+		for i := 0; i < n; i++ {
+			s, _ := src.Next()
+			e.Ingest(s)
+		}
+	}
+	boundary := func() {
+		e.Flush()
+		mean, std, obsStd, ok := e.EpochPosterior()
+		if !ok {
+			t.Fatal("no windows stitched this epoch")
+		}
+		ad.Reprioritize(mean, std, obsStd)
+	}
+	epoch := ad.EpochLen()
+	// Warm up past the opening of output chunk 4, then measure the epochs
+	// that fit inside it. Each AllocsPerRun call runs two epochs: a warm-up
+	// and the measured one.
+	for e.ingested <= 4*chunkLen {
+		ingest(epoch)
+		boundary()
+	}
+	for e.ingested+2*epoch <= 5*chunkLen {
+		allocs := testing.AllocsPerRun(1, func() {
+			ingest(epoch)
+			boundary()
+		})
+		if allocs != 0 {
+			t.Errorf("epoch ending at interval %d: %v allocs, want 0", e.ingested, allocs)
+		}
+	}
+}
+
+// TestFinishAllocsFlat: Finish allocates the same number of objects at 512
+// and at 4,096 intervals — the output series and the derived pass's
+// buffers, none per interval — with covariance tracking off and on. The
+// derived pass computes gradients into reused buffers and reads tracked
+// correlations through a per-formula pair table.
+func TestFinishAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cat := uarch.Skylake()
+	finishAllocs := func(n int, cov bool) uint64 {
+		fewest := uint64(math.MaxUint64)
+		for rep := 0; rep < 3; rep++ { // the fewest of three shuts out stray runtime allocations
+			cfg := DefaultConfig()
+			cfg.Workers = 2
+			cfg.Covariance = cov
+			e := NewEngine(cat, cfg)
+			src := newCycleSource(cat, n)
+			for {
+				s, ok := src.Next()
+				if !ok {
+					break
+				}
+				e.Ingest(s)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e.Finish()
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	for _, cov := range []bool{false, true} {
+		short, long := finishAllocs(512, cov), finishAllocs(4096, cov)
+		t.Logf("cov=%v: Finish allocs %d at 512 intervals, %d at 4096", cov, short, long)
+		if short != long {
+			t.Errorf("cov=%v: Finish allocs grow with the stream: %d at 512 intervals, %d at 4096", cov, short, long)
 		}
 	}
 }

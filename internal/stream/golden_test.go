@@ -4,7 +4,6 @@ package stream
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"bayesperf/internal/measure"
@@ -36,10 +35,10 @@ var goldenShapes = []goldenShape{
 	{name: "gumbel-inf-cov", length: 150, window: 24, hop: 4, workers: 2, batch: 8, cov: true, gumbel: true},
 	{name: "adaptive", length: 150, window: 24, hop: 4, workers: 2, batch: 8, adaptive: true},
 	{name: "long", length: 303, window: 16, hop: 2, workers: 1, batch: 32},
+	// Each 24-interval epoch emits 6 windows: one full batch for the pool and
+	// a partial one that Flush executes on the calling goroutine.
+	{name: "adaptive-mixed", length: 150, window: 24, hop: 4, workers: 2, batch: 4, adaptive: true},
 }
-
-// goldenCatalogs are the two built-in catalogs and the two JSON specs.
-var goldenCatalogs = []string{"skylake", "power9", "zen.json", "neoverse.json"}
 
 // goldenHashes pins the FNV-64a hash of every Result output (see
 // hashResult) per catalog/shape.
@@ -52,6 +51,7 @@ var goldenHashes = map[string]uint64{
 	"skylake/gumbel-inf-cov":       0x0281862ac1af9a5f,
 	"skylake/adaptive":             0x3dfc637b2a771e8a,
 	"skylake/long":                 0x708217718776a47b,
+	"skylake/adaptive-mixed":       0x3dfc637b2a771e8a,
 	"power9/short":                 0x381ee4ecdf7301fb,
 	"power9/default":               0x7df3f01640c7a833,
 	"power9/tumbling":              0x88b669c3a45b1aec,
@@ -60,6 +60,7 @@ var goldenHashes = map[string]uint64{
 	"power9/gumbel-inf-cov":        0x383e86c949abb02f,
 	"power9/adaptive":              0x82b8a39fbaede641,
 	"power9/long":                  0xf5067fc44a9c4352,
+	"power9/adaptive-mixed":        0x82b8a39fbaede641,
 	"zen.json/short":               0xcbab5ebac1a7a4f5,
 	"zen.json/default":             0x6e73e09863ae4321,
 	"zen.json/tumbling":            0x37ee9e10ec56ca6b,
@@ -68,6 +69,7 @@ var goldenHashes = map[string]uint64{
 	"zen.json/gumbel-inf-cov":      0xa716e286ed5217f6,
 	"zen.json/adaptive":            0x48421dafef1c53e7,
 	"zen.json/long":                0x913eca08b0ed4fcb,
+	"zen.json/adaptive-mixed":      0x48421dafef1c53e7,
 	"neoverse.json/short":          0x21f4c3c9b687362f,
 	"neoverse.json/default":        0xc743af457f72b7f7,
 	"neoverse.json/tumbling":       0xb5bcc2758a0fe833,
@@ -76,6 +78,7 @@ var goldenHashes = map[string]uint64{
 	"neoverse.json/gumbel-inf-cov": 0x2938caab614691f6,
 	"neoverse.json/adaptive":       0x6acc5ee8c51ac792,
 	"neoverse.json/long":           0xedb88f25c977d61b,
+	"neoverse.json/adaptive-mixed": 0x6acc5ee8c51ac792,
 }
 
 // TestStreamOutputGolden pins the engine's output bit for bit across
@@ -93,8 +96,8 @@ var goldenHashes = map[string]uint64{
 // and replace goldenHashes with the logged entries, then say in the change
 // description why the output moved.
 func TestStreamOutputGolden(t *testing.T) {
-	for _, catName := range goldenCatalogs {
-		cat := goldenCatalog(t, catName)
+	for _, catName := range testCatalogs {
+		cat := testCatalog(t, catName)
 		for _, sh := range goldenShapes {
 			key := catName + "/" + sh.name
 			h := hashResult(runGolden(cat, sh))
@@ -109,25 +112,6 @@ func TestStreamOutputGolden(t *testing.T) {
 			}
 		}
 	}
-}
-
-func goldenCatalog(t *testing.T, name string) *uarch.Catalog {
-	t.Helper()
-	switch name {
-	case "skylake":
-		return uarch.Skylake()
-	case "power9":
-		return uarch.Power9()
-	}
-	spec, err := uarch.LoadSpecFile(filepath.Join("..", "..", "examples", "catalogs", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := spec.Catalog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cat
 }
 
 // runGolden builds the shape's input and streams it through RunTrace.

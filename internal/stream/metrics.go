@@ -25,8 +25,9 @@ type engineMetrics struct {
 
 	// Per-stage latency histograms along the ingest → window-snapshot →
 	// batch-dispatch → infer-sweep → stitch → report path, one observation
-	// per stage execution (per interval, window, batch, batch, window, and
-	// run respectively).
+	// per stage execution (per interval, window, pool batch, batch, window,
+	// and run respectively). Flush executes its partial batch on the
+	// calling goroutine, so dispatch times pool dispatches only.
 	stIngest   *obs.Histogram
 	stSnapshot *obs.Histogram
 	stDispatch *obs.Histogram
@@ -44,7 +45,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	}
 	stage := func(name string) *obs.Histogram {
 		return r.Histogram("bayesperf_stream_stage_seconds",
-			"Latency per pipeline stage execution (ingest=interval sampled 1-in-16, snapshot/stitch=window sampled 1-in-8, dispatch/infer=batch, report=run).",
+			"Latency per pipeline stage execution (ingest=interval sampled 1-in-16, snapshot/stitch=window sampled 1-in-8, dispatch=pool batch, infer=batch, report=run).",
 			obs.LatencyBuckets(), obs.Label{Key: "stage", Value: name})
 	}
 	return engineMetrics{
@@ -53,16 +54,16 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		windows: r.Counter("bayesperf_stream_windows_total",
 			"Sliding windows snapshotted and dispatched for inference."),
 		batches: r.Counter("bayesperf_stream_batches_total",
-			"Window batches handed to the inference worker pool."),
+			"Window batches executed: full ones by the worker pool, partial ones by Flush on the calling goroutine."),
 		fillRatio: r.Histogram("bayesperf_stream_batch_fill_ratio",
-			"Fraction of a dispatched batch's lanes actually filled with windows (partial batches come from Flush/Finish).",
+			"Fraction of an executed batch's lanes actually filled with windows (partial batches come from Flush/Finish).",
 			obs.RatioBuckets()),
 		gumbel: r.Counter("bayesperf_stream_gumbel_rejected_total",
 			"Window readings rejected by the Gumbel outlier filter at snapshot time."),
 		liveOutliers: r.Counter("bayesperf_stream_live_outliers_total",
 			"Live samples denied full noise precision by the streaming Gumbel test."),
 		quarantined: r.Counter("bayesperf_stream_quarantined_total",
-			"Window observations left for the invariants to infer because the window total, std or dispersion overflowed."),
+			"Window observations left for the invariants to infer because the window total or variance overflowed."),
 		stIngest:   stage("ingest"),
 		stSnapshot: stage("snapshot"),
 		stDispatch: stage("dispatch"),

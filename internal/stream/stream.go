@@ -8,20 +8,27 @@
 // re-derived Student-t stds) into one lane of a recycled batch hand-off,
 // and each full hand-off goes to a pool of workers, each owning one
 // reusable graph.Batch over the catalog's shared compiled plan. The worker
-// writes the posteriors back into the same hand-off; the engine re-orders
+// writes the posteriors back into the same hand-off. Flush runs the
+// epoch's partially filled hand-off on the calling goroutine instead,
+// which would otherwise only wait for a worker. The engine re-orders
 // returned hand-offs and stitches overlapping windows into one corrected
 // trace by precision weighting. The posterior uncertainty also closes the
 // measurement loop: a measure.AdaptiveScheduler fed the epoch-averaged
 // posterior (EpochPosterior) re-prioritizes the multiplexing groups each
 // epoch, replacing pure round-robin.
 //
-// Engine state is bounded by the windows in flight, not by the stream
-// length: the stitch accumulators live in a ring of per-interval cells,
-// and an interval is finalized into chunked output as soon as no window
-// can still change it. Windows emitted but not yet stitched stay below a
-// bound derived from Workers and Batch, and the steady state allocates
-// nothing per window. Only the Result, which holds every output series by
-// contract, grows with the stream.
+// Stitching is split in two. Each window records O(events) coefficients
+// twice, in window order: its observations' raw rates and stitch weights
+// when it is emitted, its posterior rates and stds when it is stitched.
+// Each interval then gathers its covering windows' records, in window
+// order, when it settles: once no window can still change it. Engine state
+// is bounded by the windows in flight, not by the stream length: the
+// records live in a ring indexed by window, the live-sample terms in a
+// ring indexed by interval, and a settled interval goes to chunked output.
+// Windows emitted but not yet stitched stay below a bound derived from
+// Workers and Batch, and the steady state allocates nothing per window.
+// Only the Result, which holds every output series by contract, grows with
+// the stream.
 package stream
 
 import (
@@ -54,7 +61,8 @@ type Config struct {
 	// per-window arithmetic, so the stitched output is bit-identical for
 	// every batch size; larger batches only amortize the schedule walk
 	// across more windows. Up to 2·Workers·Batch windows are in flight at
-	// once, which sizes the engine's stitch ring and hand-off pool.
+	// once, plus the batch being filled, which sizes the engine's window
+	// record ring, its interval ring and its hand-off pool.
 	Batch int
 	// Covariance switches the derived-event posterior std series from the
 	// diagonal delta method to clique-covariance-aware propagation: each
@@ -188,20 +196,22 @@ type Engine struct {
 	ne   int
 
 	win         *Window
+	gumbel      stats.GumbelThreshold // cfg.Mux's rejection threshold, computed once
 	ingested    int
 	lastEmitEnd int
 	nextIdx     int
 	stitched    int
 
 	// Windows travel in recycled hand-offs: cur collects snapshots until a
-	// full batch (cfg.Batch) is ready to dispatch — Flush and Finish
-	// dispatch partial batches — and a worker sends the same object back
+	// full batch (cfg.Batch) is ready to dispatch to the pool; Flush and
+	// Finish execute a partial batch on the calling goroutine, on the
+	// engine's own batch and br. A worker sends a dispatched hand-off back
 	// with the posteriors. Hand-offs that return out of order wait in
 	// waiting until every earlier window is stitched, so stitching runs in
 	// strict window-index order and the output is bit-identical for any
 	// worker count; stitched ones return to free. Each dispatch leaves
 	// fewer than maxInFlight windows unstitched, which bounds both the
-	// number of hand-offs and the stitch ring however the workers are
+	// number of hand-offs and the record ring however the workers are
 	// scheduled.
 	cur         *handoff
 	free        []*handoff
@@ -210,6 +220,8 @@ type Engine struct {
 	jobs        chan *handoff
 	results     chan *handoff
 	wg          sync.WaitGroup
+	batch       *graph.Batch
+	br          *graph.BatchResult
 
 	// Tracked posterior-correlation pairs (Config.Covariance): the derived
 	// formulas' input pairs that share a relation clique. derivedPairs maps
@@ -217,21 +229,35 @@ type Engine struct {
 	covPairs     []covPair
 	derivedPairs [][]pairRef
 
-	// The stitch ring holds intervals [final, ingested): event id's cell
-	// for interval t sits at ring[id*ringCap + t&(ringCap-1)], and tracked
-	// pair pi's at rhoRing[pi*ringCap + t&(ringCap-1)]. Interval t is
-	// finalized — written to out and its cells reused — once no window
-	// can still add to it (see Ingest). The naive baseline never changes
-	// after its interval, so it goes straight to out.
-	ring    []cell
-	rhoRing []rhoCell
+	// Window records: window j's coefficients sit in slot j&(recCap-1),
+	// event id's at id*recCap + slot and tracked pair pi's ρ at
+	// pi*recCap + slot. record files the span and, per event, whether it
+	// was observed, its raw rate and its stitch weight; stitch adds the
+	// posterior rate and rate std, the weight of unobserved events, and ρ.
+	// A record stays live until every interval its window covers is final;
+	// finalize gathers the live records through the cover scratch.
+	recCap           int
+	recStart, recEnd []int
+	recObserved      []bool
+	recRaw, recPrec  []float64
+	recRate, recStd  []float64
+	recRho           []float64
+	cover            []coverRef
+	coverOff         []int
+
+	// The interval ring holds the live-sample terms of intervals
+	// [final, ingested): event id's at interval t sit at
+	// live[id*ringCap + t&(ringCap-1)].
+	live    []liveTerm
 	ringCap int
 	final   int
 
 	// out holds the output in chunks of chunkLen intervals: series s (see
 	// outCorr) of interval t is out[t/chunkLen][s*chunkLen + t%chunkLen].
-	// Finish concatenates each series once. It is the only state that grows
-	// with the stream: the Result's series, which hold every interval by
+	// Intervals [final, ingested) are not final yet: no output but their
+	// naive values, which never change after their interval. Finish
+	// concatenates each series once. It is the only state that grows with
+	// the stream: the Result's series, which hold every interval by
 	// contract.
 	out     [][]float64
 	lastVal []float64
@@ -242,7 +268,6 @@ type Engine struct {
 	converged   bool
 	unconverged int
 	totalSweeps int
-	tri         []float64 // per-window triangular kernel scratch
 
 	// Instrumentation (all nil-safe no-ops when Config.Metrics is nil):
 	// stream-stage instruments, the shared measure-layer counters, the
@@ -264,30 +289,27 @@ type Engine struct {
 	epochObsStd []float64
 	epochObsN   []int
 	epochN      int
+	// EpochPosterior's result buffers, reused by every call.
+	postMean, postStd, postObsStd []float64
 }
 
-// cell is one event's stitch state at one interval. The stitched estimate
-// is the inverse-variance fusion of every covering window's estimate plus
-// — when the event was live that interval — the counted sample itself,
-// whose per-interval noise precision dwarfs any window's rate precision.
+// liveTerm is one event's live-sample fusion term at one interval: the
+// counted sample itself, whose per-interval noise precision dwarfs any
+// window's rate precision, fused with the covering windows' estimates.
 // Live fusion is what keeps fully counted events at sample resolution
 // instead of window resolution; it applies identically to the raw and
 // corrected series, so their difference isolates the inference layer.
-type cell struct {
-	corrNum float64 // Σ w·posteriorRate over covering windows
-	corrDen float64 // Σ w
-	stdNum  float64 // Σ w·posteriorRateStd
-	rawNum  float64 // Σ w·observedRate
-	rawDen  float64
-	liveNum float64 // wv·sample when counted this interval (0 otherwise)
-	liveDen float64
-	liveStd float64 // wv·sampleStd
+type liveTerm struct {
+	num float64 // wv·sample when counted this interval (0 otherwise)
+	den float64 // wv
+	std float64 // wv·sampleStd
 }
 
-// rhoCell is one tracked pair's stitch state at one interval.
-type rhoCell struct {
-	num float64 // Σ tri·ρ over covering windows
-	den float64 // Σ tri
+// coverRef is one window covering one settling interval: its record slot
+// and its triangular stitch weight there.
+type coverRef struct {
+	slot int
+	k    float64
 }
 
 // chunkLen is the number of intervals per output chunk. Small chunks keep
@@ -313,7 +335,6 @@ type handoff struct {
 	first int // index of the window in lane 0
 	n     int // lanes filled
 
-	start, end []int
 	// Snapshot side (see windowJob).
 	obsMean, obsStd, disp []float64
 	observed              []bool
@@ -325,8 +346,6 @@ type handoff struct {
 
 func newHandoff(ne, pairs, lanes int) *handoff {
 	return &handoff{
-		start:     make([]int, lanes),
-		end:       make([]int, lanes),
 		obsMean:   make([]float64, ne*lanes),
 		obsStd:    make([]float64, ne*lanes),
 		disp:      make([]float64, ne*lanes),
@@ -366,19 +385,37 @@ type pairRef struct {
 // while the engine stitches.
 func inFlightBound(cfg Config) int { return 2 * cfg.Workers * cfg.Batch }
 
-// ringIntervals is the stitch ring's capacity: a power of two no smaller
+// pow2 returns the smallest power of two no smaller than n.
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p *= 2
+	}
+	return p
+}
+
+// ringIntervals is the interval ring's capacity: a power of two no smaller
 // than the unfinalized intervals can span. The first unstitched regular
 // window starts at stitched·Hop, fewer than inFlightBound + Batch windows
 // are emitted and unstitched, and the next window to emit ends within
 // Window of the newest interval.
 func ringIntervals(cfg Config) int {
-	span := (inFlightBound(cfg)+cfg.Batch)*cfg.Hop + cfg.Window
-	n := 1
-	for n < span {
-		n *= 2
-	}
-	return n
+	return pow2((inFlightBound(cfg)+cfg.Batch)*cfg.Hop + cfg.Window)
 }
+
+// recordWindows is the record ring's capacity: a power of two no smaller
+// than the windows whose records can be live at once. Fewer than
+// inFlightBound + Batch windows are emitted and unstitched, and at most
+// ⌈Window/Hop⌉ + 1 stitched ones (the tail window included) still cover
+// an unfinalized interval.
+func recordWindows(cfg Config) int {
+	return pow2(inFlightBound(cfg) + cfg.Batch + (cfg.Window+cfg.Hop-1)/cfg.Hop + 1)
+}
+
+// settleSpan is the most intervals finalize gathers in one step; with at
+// most ⌈Window/Hop⌉ + 1 covering windows per interval it sizes the cover
+// scratch.
+const settleSpan = 64
 
 // NewEngine starts a streaming engine (and its worker pool) over the
 // catalog. The factor graph is compiled once here; every worker executes
@@ -395,6 +432,7 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		plan:        graph.Compile(cat),
 		ne:          ne,
 		win:         NewWindow(cat, cfg.Window),
+		gumbel:      cfg.Mux.RejectThreshold(),
 		maxInFlight: inFlightBound(cfg),
 		jobs:        make(chan *handoff, queue),
 		results:     make(chan *handoff, queue),
@@ -406,6 +444,9 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		epochStd:    make([]float64, ne),
 		epochObsStd: make([]float64, ne),
 		epochObsN:   make([]int, ne),
+		postMean:    make([]float64, ne),
+		postStd:     make([]float64, ne),
+		postObsStd:  make([]float64, ne),
 		converged:   true,
 		m:           newEngineMetrics(cfg.Metrics),
 		mm:          measure.NewMetrics(cfg.Metrics),
@@ -414,16 +455,30 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 	for id := range e.firstT {
 		e.firstT[id] = -1
 	}
-	e.tri = make([]float64, cfg.Window)
 	if cfg.Covariance {
 		e.buildCovPairs()
 	}
+	e.recCap = recordWindows(cfg)
+	e.recStart = make([]int, e.recCap)
+	e.recEnd = make([]int, e.recCap)
+	e.recObserved = make([]bool, ne*e.recCap)
+	e.recRaw = make([]float64, ne*e.recCap)
+	e.recPrec = make([]float64, ne*e.recCap)
+	e.recRate = make([]float64, ne*e.recCap)
+	e.recStd = make([]float64, ne*e.recCap)
+	e.recRho = make([]float64, len(e.covPairs)*e.recCap)
+	e.cover = make([]coverRef, settleSpan*((cfg.Window+cfg.Hop-1)/cfg.Hop+1))
+	e.coverOff = make([]int, settleSpan+1)
 	e.ringCap = ringIntervals(cfg)
-	e.ring = make([]cell, ne*e.ringCap)
-	e.rhoRing = make([]rhoCell, len(e.covPairs)*e.ringCap)
+	e.live = make([]liveTerm, ne*e.ringCap)
+	e.batch = e.newBatch()
+	e.br = e.batch.NewResult()
 	e.wg.Add(cfg.Workers)
 	for wi := 0; wi < cfg.Workers; wi++ {
-		go e.worker()
+		// Built here, not in the goroutine: a worker the scheduler starts
+		// late must not allocate in the middle of a stream.
+		batch := e.newBatch()
+		go e.worker(batch, batch.NewResult())
 	}
 	return e
 }
@@ -458,34 +513,48 @@ func (e *Engine) buildCovPairs() {
 	}
 }
 
-// worker is one EP engine: it owns one batch over the engine's shared
-// compiled plan, re-observes its lanes per hand-off, executes them in a
-// single schedule walk, and sends the hand-off back with the posteriors.
-// The steady state allocates nothing.
-func (e *Engine) worker() {
-	defer e.wg.Done()
+// newBatch returns a batch over the engine's shared plan, wired to the
+// graph metrics and to covariance read-out when pairs are tracked.
+func (e *Engine) newBatch() *graph.Batch {
 	batch := e.plan.NewBatch(e.cfg.Batch)
 	batch.SetMetrics(e.gm)
 	if len(e.covPairs) > 0 {
 		batch.EnableCovariance()
 	}
-	var br *graph.BatchResult // reused across batches
+	return batch
+}
+
+// worker is one EP engine: it owns one batch over the engine's shared
+// compiled plan, with its result, and executes every hand-off the pool
+// receives.
+func (e *Engine) worker(batch *graph.Batch, br *graph.BatchResult) {
+	defer e.wg.Done()
 	for h := range e.jobs {
-		batch.ClearObservations()
-		for lane := 0; lane < h.n; lane++ {
-			row := lane * e.ne
-			for id, ok := range h.observed[row : row+e.ne] {
-				if ok {
-					batch.Observe(lane, uarch.EventID(id), h.obsMean[row+id], h.obsStd[row+id])
-				}
-			}
-		}
-		sp := obs.StartSpan(e.m.stInfer)
-		br = batch.ExecuteInto(br, h.n, e.cfg.MaxIter, e.cfg.Tol)
-		sp.End()
-		e.readPosteriors(h, br)
+		br = e.execute(batch, br, h)
 		e.results <- h
 	}
+}
+
+// execute observes a hand-off's lanes into batch, executes them in a
+// single schedule walk, and writes the posteriors back into the hand-off,
+// reusing br. The workers run it for full batches and Flush for the
+// partial one on the engine's own batch. Batch and result are sized when
+// built, so even a worker's first batch allocates nothing.
+func (e *Engine) execute(batch *graph.Batch, br *graph.BatchResult, h *handoff) *graph.BatchResult {
+	batch.ClearObservations()
+	for lane := 0; lane < h.n; lane++ {
+		row := lane * e.ne
+		for id, ok := range h.observed[row : row+e.ne] {
+			if ok {
+				batch.Observe(lane, uarch.EventID(id), h.obsMean[row+id], h.obsStd[row+id])
+			}
+		}
+	}
+	sp := obs.StartSpan(e.m.stInfer)
+	br = batch.ExecuteInto(br, h.n, e.cfg.MaxIter, e.cfg.Tol)
+	sp.End()
+	e.readPosteriors(h, br)
+	return br
 }
 
 // readPosteriors copies the executed lanes out of the batch's event-major
@@ -513,8 +582,9 @@ func (e *Engine) readPosteriors(h *handoff, br *graph.BatchResult) {
 	}
 }
 
-// Ingest feeds one interval into the window; at hop boundaries the window
-// is snapshotted and dispatched to the pool.
+// Ingest settles every interval that has become final, then feeds one
+// interval into the window; at hop boundaries the window is snapshotted
+// into the batch being filled.
 //
 // Interval t is final once both t < ingested − Window (every window not
 // yet emitted starts at or after that point) and t < stitched·Hop (the
@@ -575,7 +645,7 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 		if !finite(v) {
 			continue // corrupted reading: no live-precision fusion either
 		}
-		if e.cfg.Mux.GumbelReject && e.win.lastIsOutlier(id, e.cfg.Mux.RejectQuantile()) {
+		if e.cfg.Mux.GumbelReject && e.win.lastIsOutlier(id, e.gumbel) {
 			e.m.liveOutliers.Inc()
 			continue
 		}
@@ -587,10 +657,7 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 			sv = 1 // zero reading: unit count uncertainty
 		}
 		wv := 1 / (sv * sv)
-		c := &e.ring[int(id)*e.ringCap+t&mask]
-		c.liveNum = wv * v
-		c.liveDen = wv
-		c.liveStd = wv * sv
+		e.live[int(id)*e.ringCap+t&mask] = liveTerm{num: wv * v, den: wv, std: wv * sv}
 	}
 	if e.ingested >= e.cfg.Window && (e.ingested-e.cfg.Window)%e.cfg.Hop == 0 {
 		e.emit()
@@ -612,17 +679,14 @@ func (e *Engine) backfillNaive(id int) {
 	}
 }
 
-// openInterval readies interval t: its ring cells and its naive values.
+// openInterval readies interval t: its live terms and its naive values.
 func (e *Engine) openInterval(t int) {
 	if t-e.final >= e.ringCap {
 		panic(fmt.Sprintf("stream: interval %d would overwrite unfinalized interval %d", t, e.final))
 	}
 	at := t & (e.ringCap - 1)
 	for id := range e.lastVal {
-		e.ring[id*e.ringCap+at] = cell{}
-	}
-	for pi := range e.covPairs {
-		e.rhoRing[pi*e.ringCap+at] = rhoCell{}
+		e.live[id*e.ringCap+at] = liveTerm{}
 	}
 	chunk, off := e.chunk(t/chunkLen), t%chunkLen
 	for id, v := range e.lastVal {
@@ -639,45 +703,77 @@ func (e *Engine) chunk(ci int) []float64 {
 	return e.out[ci]
 }
 
-// finalize writes intervals [final, upTo) from the ring to the output:
-// corrected and its std and windowed raw (holding the naive sample where
-// no window saw the event) per event, and each tracked pair's stitched
-// correlation ρ̄ = Σ tri·ρ / Σ tri. Values with no weight stay 0.
+// finalize settles intervals [final, upTo): each interval gathers the
+// records of its covering windows, in window order, into the corrected
+// series and its std, the windowed raw series (holding the naive sample
+// where no window observed the event) and each tracked pair's stitched
+// correlation ρ̄ = Σ tri·ρ / Σ tri. The stitched estimate is the
+// inverse-variance fusion of every covering window's estimate plus the
+// interval's live sample, if any. Values with no weight stay 0. The loops
+// run event-outer, so each event's output row is written contiguously.
 //
 //bayesperf:hotpath
 func (e *Engine) finalize(upTo int) {
-	ne, mask := e.ne, e.ringCap-1
+	ne, rc, mask := e.ne, e.recCap, e.ringCap-1
 	for e.final < upTo {
 		t0 := e.final
 		ci := t0 / chunkLen
 		chunk := e.out[ci]
-		hi := min(upTo, (ci+1)*chunkLen)
+		hi := min(upTo, (ci+1)*chunkLen, t0+settleSpan)
 		off, n := t0-ci*chunkLen, hi-t0
+		e.covers(t0, hi)
+		cover, coverOff := e.cover, e.coverOff
 		for id := 0; id < ne; id++ {
-			cells := e.ring[id*e.ringCap : (id+1)*e.ringCap]
+			observed := e.recObserved[id*rc : (id+1)*rc]
+			prec := e.recPrec[id*rc : (id+1)*rc]
+			rawRate := e.recRaw[id*rc : (id+1)*rc]
+			rate := e.recRate[id*rc : (id+1)*rc]
+			rateStd := e.recStd[id*rc : (id+1)*rc]
+			live := e.live[id*e.ringCap : (id+1)*e.ringCap]
 			corr := chunk[(outCorr*ne+id)*chunkLen+off:][:n]
 			cstd := chunk[(outStd*ne+id)*chunkLen+off:][:n]
 			raw := chunk[(outRaw*ne+id)*chunkLen+off:][:n]
 			naive := chunk[(outNaive*ne+id)*chunkLen+off:][:n]
 			for i := range corr {
-				c := &cells[(t0+i)&mask]
-				if den := c.corrDen + c.liveDen; den > 0 {
-					corr[i] = (c.corrNum + c.liveNum) / den
-					cstd[i] = (c.stdNum + c.liveStd) / den
+				var corrNum, corrDen, stdNum, rawNum, rawDen float64
+				for _, c := range cover[coverOff[i]:coverOff[i+1]] {
+					wt := prec[c.slot] * c.k
+					if observed[c.slot] {
+						rawNum += wt * rawRate[c.slot]
+						rawDen += wt
+					}
+					corrNum += wt * rate[c.slot]
+					corrDen += wt
+					stdNum += wt * rateStd[c.slot]
 				}
-				if den := c.rawDen + c.liveDen; den > 0 {
-					raw[i] = (c.rawNum + c.liveNum) / den
+				l := &live[(t0+i)&mask]
+				if den := corrDen + l.den; den > 0 {
+					corr[i] = (corrNum + l.num) / den
+					cstd[i] = (stdNum + l.std) / den
+				}
+				if den := rawDen + l.den; den > 0 {
+					raw[i] = (rawNum + l.num) / den
 				} else {
 					raw[i] = naive[i] // window never saw the event: hold the sample
 				}
 			}
 		}
+		// Stitch the tracked clique correlations with the triangular kernel
+		// alone: ρ is dimensionless and the windows covering an interval see
+		// near-identical observation precisions, so precision weighting would
+		// only re-derive the kernel. The stitched ρ̄(t) recombines with the
+		// stitched marginal stds in stitchDerived.
 		for pi := range e.covPairs {
-			cells := e.rhoRing[pi*e.ringCap : (pi+1)*e.ringCap]
+			rhos := e.recRho[pi*rc : (pi+1)*rc]
 			rho := chunk[(outKinds*ne+pi)*chunkLen+off:][:n]
 			for i := range rho {
-				if c := &cells[(t0+i)&mask]; c.den > 0 {
-					rho[i] = c.num / c.den
+				var num, den float64
+				for _, c := range cover[coverOff[i]:coverOff[i+1]] {
+					num += c.k * rhos[c.slot]
+					den += c.k
+				}
+				if den > 0 {
+					rho[i] = num / den
 				}
 			}
 		}
@@ -685,9 +781,44 @@ func (e *Engine) finalize(upTo int) {
 	}
 }
 
+// covers lists, for each interval t of [t0, hi), the windows covering it
+// in window order: their record slots and triangular weights sit at
+// cover[coverOff[t-t0]:coverOff[t-t0+1]]. Window starts and ends both rise
+// with the window index, so each interval's covering windows are a
+// contiguous run that slides forward with t. Regular window j spans
+// [j·Hop, j·Hop+Window), so the first that can cover t0 is
+// ⌈(t0 − Window + 1)/Hop⌉; Finish's tail window, last in index order, may
+// start anywhere after the last regular one.
+//
+//bayesperf:hotpath
+func (e *Engine) covers(t0, hi int) {
+	mask := e.recCap - 1
+	first := 0
+	if t0 >= e.cfg.Window {
+		first = (t0 - e.cfg.Window + e.cfg.Hop) / e.cfg.Hop
+	}
+	n := 0
+	for t := t0; t < hi; t++ {
+		e.coverOff[t-t0] = n
+		for first < e.nextIdx && e.recEnd[first&mask] <= t {
+			first++
+		}
+		for j := first; j < e.nextIdx; j++ {
+			slot := j & mask
+			start := e.recStart[slot]
+			if start > t {
+				break
+			}
+			e.cover[n] = coverRef{slot: slot, k: triWeight(t, start, e.recEnd[slot])}
+			n++
+		}
+	}
+	e.coverOff[hi-t0] = n
+}
+
 // emit snapshots the current window into the next lane of the hand-off
-// being filled; a full hand-off (cfg.Batch windows) is dispatched to the
-// pool.
+// being filled and records its emit-time coefficients; a full hand-off
+// (cfg.Batch windows) is dispatched to the pool.
 func (e *Engine) emit() {
 	if e.cur == nil {
 		e.cur = e.takeHandoff()
@@ -702,9 +833,8 @@ func (e *Engine) emit() {
 		sp = obs.StartSpan(e.m.stSnapshot)
 	}
 	job := h.lane(h.n, e.ne)
-	e.win.snapshotInto(&job, e.cfg.Mux)
+	e.win.snapshotInto(&job, e.cfg.Mux, e.gumbel)
 	sp.End()
-	h.start[h.n], h.end[h.n] = job.start, job.end
 	h.n++
 	e.m.windows.Inc()
 	if job.rejected > 0 {
@@ -719,11 +849,38 @@ func (e *Engine) emit() {
 				job.start, job.end, job.quarantined)
 		}
 	}
-	e.stitchRaw(job)
+	e.record(job)
 	e.nextIdx++
-	e.lastEmitEnd = job.end
+	e.lastEmitEnd = e.ingested
 	if h.n == e.cfg.Batch {
 		e.dispatch()
+	}
+}
+
+// record files window nextIdx's emit-time coefficients in its record slot:
+// the span it covers, numbered by the engine's own interval count, and per
+// event whether it was observed, its raw rate and its stitch weight — the
+// predictive precision of the observation, which the corrected series
+// reuses.
+//
+//bayesperf:hotpath
+func (e *Engine) record(job windowJob) {
+	slot := e.nextIdx & (e.recCap - 1)
+	if e.recEnd[slot] > e.final {
+		panic(fmt.Sprintf("stream: window %d would overwrite the record of a window covering unfinalized interval %d",
+			e.nextIdx, e.final))
+	}
+	start, end := e.ingested-e.win.Len(), e.ingested
+	e.recStart[slot], e.recEnd[slot] = start, end
+	w := float64(end - start)
+	rc := e.recCap
+	for id, ok := range job.observed {
+		at := id*rc + slot
+		e.recObserved[at] = ok
+		if ok {
+			e.recRaw[at] = job.obsMean[id] / w
+			e.recPrec[at] = predictivePrec(job.obsStd[id]/w, job.disp[id])
+		}
 	}
 }
 
@@ -739,17 +896,13 @@ func (e *Engine) takeHandoff() *handoff {
 	return newHandoff(e.ne, len(e.covPairs), e.cfg.Batch)
 }
 
-// dispatch hands the hand-off being filled (a full or partial batch) to
-// the pool, absorbing finished posteriors whenever the job queue pushes
-// back, then absorbs until fewer than maxInFlight windows remain
-// unstitched. The bound keeps the stitch ring and the hand-off pool small
-// even when one worker is descheduled while the others keep returning
-// later windows.
+// dispatch hands the full hand-off being filled to the pool, absorbing
+// finished posteriors whenever the job queue pushes back, then absorbs
+// until fewer than maxInFlight windows remain unstitched. The bound keeps
+// the record ring and the hand-off pool small even when one worker is
+// descheduled while the others keep returning later windows.
 func (e *Engine) dispatch() {
 	h := e.cur
-	if h == nil {
-		return
-	}
 	e.cur = nil
 	e.m.batches.Inc()
 	e.m.fillRatio.Observe(float64(h.n) / float64(e.cfg.Batch))
@@ -787,7 +940,7 @@ func (e *Engine) absorb(h *handoff) {
 			if e.stitched&7 == 0 { // sampled 1-in-8, matching emit's snapshot span
 				sp = obs.StartSpan(e.m.stStitch)
 			}
-			e.stitchCorrected(next, lane)
+			e.stitch(next, lane)
 			sp.End()
 			e.stitched++
 		}
@@ -796,13 +949,21 @@ func (e *Engine) absorb(h *handoff) {
 	}
 }
 
-// Flush dispatches any partially filled batch and blocks until every
+// Flush executes any partially filled batch on the calling goroutine —
+// which would otherwise only wait for a worker — and blocks until every
 // emitted window's posterior has been stitched. Call it at epoch
 // boundaries before reading EpochPosterior, so the scheduler feedback does
 // not depend on worker timing (or on where the epoch falls within a
-// batch).
+// batch). Flush stitches O(events) per window and settles no interval;
+// the intervals it makes final are gathered by the next Ingest.
 func (e *Engine) Flush() {
-	e.dispatch()
+	if h := e.cur; h != nil {
+		e.cur = nil
+		e.m.batches.Inc()
+		e.m.fillRatio.Observe(float64(h.n) / float64(e.cfg.Batch))
+		e.br = e.execute(e.batch, e.br, h)
+		e.absorb(h)
+	}
 	for e.stitched < e.nextIdx {
 		e.absorb(<-e.results)
 	}
@@ -819,21 +980,6 @@ func triWeight(t, start, end int) float64 {
 	return 1 - math.Abs(float64(t)-center)/((span+1)/2)
 }
 
-// triKernel fills e.tri with the window's triangular weights so the
-// per-event stitch loops do one multiply per point instead of recomputing
-// the kernel event-by-event.
-func (e *Engine) triKernel(start, end int) []float64 {
-	w := end - start
-	if cap(e.tri) < w {
-		e.tri = make([]float64, w)
-	}
-	tri := e.tri[:w]
-	for i := range tri {
-		tri[i] = triWeight(start+i, start, end)
-	}
-	return tri
-}
-
 // predictivePrec is the weight of a window's estimate when predicting one
 // interval's value: the inverse of (mean-estimate variance + within-window
 // dispersion²), per the law of total variance. Dispersion is what keeps a
@@ -842,41 +988,18 @@ func predictivePrec(rateStd, disp float64) float64 {
 	return 1 / math.Max(rateStd*rateStd+disp*disp, 1e-300)
 }
 
-// stitchRaw folds one window's uncorrected observations into the windowed
-// raw baseline, weighted by predictive precision.
+// stitch files one window's posterior in its record and folds it into the
+// pooled uncertainty metrics and the epoch sums. Runs strictly in
+// window-index order. The stitch weight of an observed event is the
+// observation precision record already filed (the posterior stds of
+// overlapping windows are correlated, so they are reported, not used as
+// weights): raw and corrected then differ only in the estimate each window
+// contributes. An unobserved event is weighted by its posterior rate std.
 //
 //bayesperf:hotpath
-func (e *Engine) stitchRaw(job windowJob) {
-	w := float64(job.end - job.start)
-	tri := e.triKernel(job.start, job.end)
-	mask := e.ringCap - 1
-	for id, ok := range job.observed {
-		if !ok {
-			continue
-		}
-		rate := job.obsMean[id] / w
-		prec := predictivePrec(job.obsStd[id]/w, job.disp[id])
-		cells := e.ring[id*e.ringCap : (id+1)*e.ringCap]
-		for i, k := range tri {
-			c := &cells[(job.start+i)&mask]
-			wt := prec * k
-			c.rawNum += wt * rate
-			c.rawDen += wt
-		}
-	}
-}
-
-// stitchCorrected folds one window's posterior into the corrected series
-// and the pooled uncertainty metrics. Runs strictly in window-index order.
-// The stitch weight is the same observation precision stitchRaw uses (the
-// posterior stds of overlapping windows are correlated, so they are
-// reported, not used as weights): raw and corrected then differ only in
-// the estimate each window contributes.
-//
-//bayesperf:hotpath
-func (e *Engine) stitchCorrected(h *handoff, lane int) {
-	start, end := h.start[lane], h.end[lane]
-	w := float64(end - start)
+func (e *Engine) stitch(h *handoff, lane int) {
+	slot := e.stitched & (e.recCap - 1)
+	w := float64(e.recEnd[slot] - e.recStart[slot])
 	converged, iters := h.converged[lane], h.iters[lane]
 	e.converged = e.converged && converged
 	if !converged {
@@ -884,26 +1007,17 @@ func (e *Engine) stitchCorrected(h *handoff, lane int) {
 	}
 	e.totalSweeps += iters
 	e.inferIters.Add(float64(iters))
-	tri := e.triKernel(start, end)
-	mask := e.ringCap - 1
+	rc := e.recCap
 	lo, hi := lane*e.ne, (lane+1)*e.ne
 	mean, std := h.mean[lo:hi], h.std[lo:hi]
 	obsStd, disp, observed := h.obsStd[lo:hi], h.disp[lo:hi], h.observed[lo:hi]
 	for id := range mean {
-		rate := mean[id] / w
+		at := id*rc + slot
 		rateStd := std[id] / w
-		weightStd := rateStd
-		if observed[id] {
-			weightStd = obsStd[id] / w
-		}
-		prec := predictivePrec(weightStd, disp[id])
-		cells := e.ring[id*e.ringCap : (id+1)*e.ringCap]
-		for i, k := range tri {
-			c := &cells[(start+i)&mask]
-			wt := prec * k
-			c.corrNum += wt * rate
-			c.corrDen += wt
-			c.stdNum += wt * rateStd
+		e.recRate[at] = mean[id] / w
+		e.recStd[at] = rateStd
+		if !observed[id] {
+			e.recPrec[at] = predictivePrec(rateStd, disp[id])
 		}
 		scale := math.Abs(mean[id])
 		if scale < 1 {
@@ -917,19 +1031,9 @@ func (e *Engine) stitchCorrected(h *handoff, lane int) {
 			e.epochObsN[id]++
 		}
 	}
-	// Stitch the tracked clique correlations with the triangular kernel
-	// alone: ρ is dimensionless and the windows covering an interval see
-	// near-identical observation precisions, so precision weighting would
-	// only re-derive the kernel. The stitched ρ̄(t) recombines with the
-	// stitched marginal stds in stitchDerived.
 	np := len(e.covPairs)
 	for pi, rho := range h.rho[lane*np : (lane+1)*np] {
-		cells := e.rhoRing[pi*e.ringCap : (pi+1)*e.ringCap]
-		for i, k := range tri {
-			c := &cells[(start+i)&mask]
-			c.num += k * rho
-			c.den += k
-		}
+		e.recRho[pi*rc+slot] = rho
 	}
 	e.epochN++
 }
@@ -938,18 +1042,18 @@ func (e *Engine) stitchCorrected(h *handoff, lane int) {
 // std averaged over the windows stitched since the previous call (valid
 // after a Flush; obsStd is 0 where the event went unobserved all epoch),
 // and resets the accumulator — the feedback signal for
-// measure.(*AdaptiveScheduler).Reprioritize.
+// measure.(*AdaptiveScheduler).Reprioritize. The slices are engine-owned
+// buffers, overwritten by the next call.
 func (e *Engine) EpochPosterior() (mean, std, obsStd []float64, ok bool) {
 	if e.epochN == 0 {
 		return nil, nil, nil, false
 	}
 	n := float64(e.epochN)
-	mean = make([]float64, len(e.epochMean))
-	std = make([]float64, len(e.epochStd))
-	obsStd = make([]float64, len(e.epochObsStd))
+	mean, std, obsStd = e.postMean, e.postStd, e.postObsStd
 	for id := range mean {
 		mean[id] = e.epochMean[id] / n
 		std[id] = e.epochStd[id] / n
+		obsStd[id] = 0
 		if e.epochObsN[id] > 0 {
 			obsStd[id] = e.epochObsStd[id] / float64(e.epochObsN[id])
 		}
@@ -963,8 +1067,9 @@ func (e *Engine) EpochPosterior() (mean, std, obsStd []float64, ok bool) {
 }
 
 // Finish emits a final window over the stream's tail (so every interval is
-// covered), drains the pool, finalizes the remaining intervals, and
-// assembles the stitched result. The engine cannot be used after Finish.
+// covered), executes it with any partial batch and drains the pool,
+// finalizes the remaining intervals, and assembles the stitched result.
+// The engine cannot be used after Finish.
 func (e *Engine) Finish() *Result {
 	if e.ingested > 0 && e.lastEmitEnd < e.ingested {
 		e.emit()
@@ -1027,43 +1132,52 @@ func (e *Engine) stitchDerived(res *Result) {
 	res.DerivedCorrectedStd = make([]timeseries.Series, nd)
 	res.DerivedWindowedRaw = make([]timeseries.Series, nd)
 	res.DerivedNaive = make([]timeseries.Series, nd)
+	k := 0
 	for di := range e.cat.Derived {
-		d := &e.cat.Derived[di]
-		in := make([]float64, len(d.Inputs))
-		sd := make([]float64, len(d.Inputs))
-		corr := make(timeseries.Series, e.ingested)
-		cstd := make(timeseries.Series, e.ingested)
-		// Covariance-aware propagation: resolve this formula's tracked
-		// pairs once, then hand PropagateStdCov a lookup over the current
-		// interval's stitched correlations. A formula with no coupled
-		// pairs keeps corrFn nil, which PropagateStdCov reduces to the
-		// diagonal PropagateStd bit for bit.
-		var corrFn func(i, j int) float64
-		tt := 0 // the interval corrFn reads; advanced by the loop below
-		if len(e.derivedPairs) > 0 && len(e.derivedPairs[di]) > 0 {
-			refs := make(map[int]int, len(e.derivedPairs[di]))
-			for _, pr := range e.derivedPairs[di] {
-				refs[pr.i<<16|pr.j] = pr.pi
-			}
-			corrFn = func(i, j int) float64 {
-				if pi, ok := refs[i<<16|j]; ok {
-					return e.stitchedRho(pi, tt)
-				}
-				return 0
-			}
+		k = max(k, len(e.cat.Derived[di].Inputs))
+	}
+	scratch := make([]float64, 4*k+k*k)
+	for di := range e.cat.Derived {
+		var pairs []pairRef
+		if len(e.derivedPairs) > 0 {
+			pairs = e.derivedPairs[di]
 		}
-		for t := 0; t < e.ingested; t++ {
-			for i, id := range d.Inputs {
-				in[i] = res.Corrected[id][t]
-				sd[i] = res.CorrectedStd[id][t]
-			}
-			tt = t
-			corr[t] = d.Eval(in)
-			cstd[t] = d.PropagateStdCov(in, sd, corrFn)
-		}
-		res.DerivedCorrected[di] = corr
-		res.DerivedCorrectedStd[di] = cstd
+		mean := make(timeseries.Series, e.ingested)
+		std := make(timeseries.Series, e.ingested)
+		e.derivedPosterior(&e.cat.Derived[di], pairs, res, mean, std, scratch)
+		res.DerivedCorrected[di] = mean
+		res.DerivedCorrectedStd[di] = std
 		e.stitchDerivedBaselines(res, di)
+	}
+}
+
+// derivedPosterior evaluates formula d at each interval's stitched
+// posterior into mean and its delta-method std into std. The gradient,
+// inputs and the correlation matrix of the formula's tracked pairs live in
+// scratch (4·k + k² values for k inputs), so no interval allocates. A
+// formula with no tracked pairs passes a nil matrix: the diagonal delta
+// method.
+//
+//bayesperf:hotpath
+func (e *Engine) derivedPosterior(d *uarch.Derived, pairs []pairRef, res *Result, mean, std timeseries.Series, scratch []float64) {
+	n := len(d.Inputs)
+	in, sd, g, x := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n]
+	var rho []float64
+	if len(pairs) > 0 {
+		rho = scratch[4*n : 4*n+n*n]
+		clear(rho)
+	}
+	for t := range mean {
+		for i, id := range d.Inputs {
+			in[i] = res.Corrected[id][t]
+			sd[i] = res.CorrectedStd[id][t]
+		}
+		for _, pr := range pairs {
+			rho[pr.i*n+pr.j] = e.stitchedRho(pr.pi, t)
+		}
+		mean[t] = d.Eval(in)
+		d.GradientInto(g, x, in)
+		std[t] = uarch.DeltaStd(g, sd, rho)
 	}
 }
 
@@ -1133,7 +1247,7 @@ func Run(cat *uarch.Catalog, src IntervalSource, sched measure.Scheduler, cfg Co
 // pooledRelStd pools a posterior's per-event relative std (std over
 // |mean|, floored at 1 so near-zero events don't dominate) into one
 // scheduler-facing uncertainty number — the same normalization
-// stitchCorrected feeds Result.PostRelStd.
+// stitch feeds Result.PostRelStd.
 func pooledRelStd(mean, std []float64) float64 {
 	if len(mean) == 0 {
 		return 0

@@ -154,13 +154,13 @@ func (w *Window) Push(s measure.IntervalSample) {
 }
 
 // lastIsOutlier reports whether the most recently pushed value of the
-// event sits above the Gumbel q-quantile fitted (by moments, from the
+// event sits above the Gumbel threshold fitted (by moments, from the
 // ring's running sums) to the event's current in-window samples — the O(1)
 // streaming form of stats.GumbelFilterMax's test, used to decide whether a
 // live sample deserves full noise precision in the stitched trace.
-func (w *Window) lastIsOutlier(id uarch.EventID, q float64) bool {
+func (w *Window) lastIsOutlier(id uarch.EventID, gumbel stats.GumbelThreshold) bool {
 	er := &w.ev[id]
-	if er.n < 4 || q <= 0 || q >= 1 {
+	if q := gumbel.Q(); er.n < 4 || q <= 0 || q >= 1 {
 		return false
 	}
 	n := float64(er.n)
@@ -170,7 +170,7 @@ func (w *Window) lastIsOutlier(id uarch.EventID, q float64) bool {
 	}
 	mu, beta := stats.GumbelFitFromMoments(er.sum/n, math.Sqrt(variance))
 	last := er.buf[(er.head+er.n-1)%len(er.buf)]
-	return last > stats.GumbelQuantile(q, mu, beta)
+	return last > gumbel.Quantile(mu, beta)
 }
 
 // windowJob is one window's lane of a hand-off: the span snapshotInto
@@ -196,7 +196,7 @@ type windowJob struct {
 	// while deriving this snapshot (0 unless MuxConfig.GumbelReject).
 	rejected int
 	// quarantined is the number of events left unobserved because their
-	// window total, std or dispersion overflowed.
+	// window total or variance overflowed.
 	quarantined int
 }
 
@@ -204,14 +204,17 @@ type windowJob struct {
 // sums, mirroring the batch simulator's §4.2 model: inverse-coverage
 // extrapolated total, Student-t std from the successive-difference spread
 // (noise-only std at full coverage), optional Gumbel outlier rejection,
-// and the same std floors. It zeroes job's slices first, so an event the
+// and the same std floors; gumbel is mux's rejection threshold
+// (MuxConfig.RejectThreshold). It zeroes job's slices first, so an event the
 // window never counted reads as unobserved with zero observations. An
-// event whose total, std or dispersion is not finite — finite readings
-// large enough to overflow the window sums — is quarantined: left
-// unobserved, so the invariants infer it in this window.
+// event whose total or variance std² + disp² is not finite — finite
+// readings large enough to overflow the window sums, or a lone reading
+// whose square overflows — is quarantined: left unobserved, so the
+// invariants infer it in this window. Its precision would underflow to
+// zero, so as an observation it would carry no stitch weight at all.
 //
 //bayesperf:hotpath
-func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig) {
+func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig, gumbel stats.GumbelThreshold) {
 	job.start, job.end = w.Span()
 	job.rejected, job.quarantined = 0, 0
 	clear(job.obsMean)
@@ -231,7 +234,7 @@ func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig) {
 		if mux.GumbelReject {
 			// The rings hold only finite values, so the filter always
 			// keeps at least one reading.
-			kept, rejected := stats.GumbelFilterMax(er.ordered(w.scratch), mux.RejectQuantile())
+			kept, rejected := gumbel.FilterMax(er.ordered(w.scratch))
 			job.rejected += rejected
 			if rejected > 0 {
 				n, sum, sq, ssd = len(kept), 0, 0, 0
@@ -283,7 +286,7 @@ func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig) {
 		if std == 0 { //bayesvet:bitwise exact-zero sentinel for a constant window
 			std = 1 // all-zero event: unit count uncertainty
 		}
-		if !finite(total) || !finite(std) || !finite(disp) {
+		if !finite(total) || !finite(std*std+disp*disp) {
 			job.quarantined++
 			continue
 		}

@@ -91,7 +91,7 @@ func (r Relation) Magnitude(vals []float64) float64 {
 // catalogs round-trip through JSON without losing their derived events.
 const (
 	// KindRatio is Scale·in[0]/in[1] with safeDiv's zero-denominator guard
-	// and the analytic ratioGrad gradient.
+	// and its analytic gradient (see Derived.GradientInto).
 	KindRatio = "ratio"
 	// KindLinearRatio is ΣNum[i]·in[i] / ΣDen[i]·in[i] (safeDiv-guarded),
 	// with no analytic gradient: uncertainty propagation exercises the
@@ -107,9 +107,10 @@ type Derived struct {
 	// Eval computes the derived value from the input event values, in
 	// Inputs order.
 	Eval func(in []float64) float64
-	// Grad, when declared, returns ∂Eval/∂inᵢ at in, in Inputs order.
-	// Formulas without an analytic gradient fall back to a central finite
-	// difference in Gradient.
+	// Grad, when declared on a hand-written formula (empty Kind), returns
+	// ∂Eval/∂inᵢ at in, in Inputs order. KindRatio formulas carry their
+	// analytic gradient in Kind and Scale; all others fall back to a
+	// central finite difference in Gradient.
 	Grad func(in []float64) []float64
 	// Kind, Scale, Num and Den are the data form of the formula (KindRatio
 	// or KindLinearRatio): the serialization metadata from which Eval/Grad
@@ -121,16 +122,15 @@ type Derived struct {
 	Desc     string
 }
 
-// newRatioDerived builds the KindRatio formula scale·num/den with its
-// analytic gradient. Both the catalog builders and the Spec loader construct
-// ratios through here, so a spec-loaded catalog's formulas are bit-identical
-// to the builder's.
+// newRatioDerived builds the KindRatio formula scale·num/den; Gradient
+// derives its analytic gradient from Kind and Scale. Both the catalog
+// builders and the Spec loader construct ratios through here, so a
+// spec-loaded catalog's formulas are bit-identical to the builder's.
 func newRatioDerived(name, desc string, num, den EventID, scale float64) Derived {
 	return Derived{
 		Name:   name,
 		Inputs: []EventID{num, den},
 		Eval:   func(in []float64) float64 { return safeDiv(scale*in[0], in[1]) },
-		Grad:   ratioGrad(scale),
 		Kind:   KindRatio,
 		Scale:  scale,
 		Desc:   desc,
@@ -162,59 +162,88 @@ func newLinearRatioDerived(name, desc string, inputs []EventID, num, den []float
 	}
 }
 
-// Gradient returns ∂Eval/∂inᵢ at in (Inputs order): the declared analytic
-// gradient when present, otherwise a central finite difference with a
-// per-coordinate step h = ε·max(|inᵢ|, 1). The fallback is exact for the
-// linear-fractional formulas used in the catalogs up to O(h²).
+// Gradient returns ∂Eval/∂inᵢ at in (Inputs order) in a new slice; see
+// GradientInto.
 func (d *Derived) Gradient(in []float64) []float64 {
-	if d.Grad != nil {
-		return d.Grad(in)
-	}
-	const eps = 1e-6
 	g := make([]float64, len(in))
-	x := append([]float64(nil), in...)
-	for i := range x {
-		h := eps * math.Max(math.Abs(x[i]), 1)
-		orig := x[i]
-		x[i] = orig + h
-		fp := d.Eval(x)
-		x[i] = orig - h
-		fm := d.Eval(x)
-		x[i] = orig
-		g[i] = (fp - fm) / (2 * h)
-	}
+	d.GradientInto(g, make([]float64, len(in)), in)
 	return g
+}
+
+// GradientInto writes ∂Eval/∂inᵢ at in (Inputs order) into g. A KindRatio
+// formula k·a/b has the analytic gradient (k/b, −k·a/b²) under safeDiv's
+// zero-denominator guard, and the guard's flat (0, 0) at b = 0: a zero
+// denominator carries no first-order information. A hand-written formula
+// uses its Grad hook when it declares one. Every other formula takes a
+// central finite difference with a per-coordinate step
+// h = ε·max(|inᵢ|, 1), evaluated at the scratch point x; it is exact for
+// the linear-fractional formulas used in the catalogs up to O(h²). g and x
+// must have len(in). Only a Grad hook allocates.
+func (d *Derived) GradientInto(g, x, in []float64) {
+	switch {
+	case d.Kind == KindRatio:
+		k, a, b := d.Scale, in[0], in[1]
+		if b == 0 { //bayesvet:bitwise guard against exact-zero denominator
+			g[0], g[1] = 0, 0
+			return
+		}
+		g[0], g[1] = k/b, -k*a/(b*b)
+	case d.Grad != nil:
+		copy(g, d.Grad(in))
+	default:
+		const eps = 1e-6
+		copy(x, in)
+		for i := range x {
+			h := eps * math.Max(math.Abs(x[i]), 1)
+			orig := x[i]
+			x[i] = orig + h
+			fp := d.Eval(x)
+			x[i] = orig - h
+			fm := d.Eval(x)
+			x[i] = orig
+			g[i] = (fp - fm) / (2 * h)
+		}
+	}
 }
 
 // PropagateStd applies the first-order delta method at the point in: the
 // std of Eval given per-input stds, treating the inputs as independent
 // (the factor graph exposes marginals only, so cross-covariances are not
 // available; the diagonal approximation is conservative for the
-// negatively-correlated ratio formulas here). Non-finite gradient
-// components — e.g. a finite difference straddling safeDiv's zero-
-// denominator guard — contribute nothing instead of poisoning the result.
+// negatively-correlated ratio formulas here).
 func (d *Derived) PropagateStd(in, std []float64) float64 {
-	g := d.Gradient(in)
-	var v float64
-	for i, gi := range g {
-		if math.IsNaN(gi) || math.IsInf(gi, 0) {
-			continue
-		}
-		t := gi * std[i]
-		v += t * t
-	}
-	return math.Sqrt(v)
+	return DeltaStd(d.Gradient(in), std, nil)
 }
 
-// PropagateStdCov is the covariance-aware delta method: like PropagateStd,
-// but cross-input coupling enters through corr(i, j) — the posterior
-// correlation of inputs i and j (positions in Inputs order), as extracted
-// per relation clique by the factor graph. A nil corr, or one returning 0
-// for every pair, reproduces the diagonal PropagateStd bit for bit.
-// Correlations are clamped to [−1, 1] and the accumulated variance floored
-// at 0, so an inconsistent covariance model can never yield a NaN std.
+// PropagateStdCov is the covariance-aware delta method at the point in:
+// like PropagateStd, but cross-input coupling enters through corr(i, j) —
+// the posterior correlation of inputs i < j (positions in Inputs order),
+// as extracted per relation clique by the factor graph. A nil corr, or one
+// returning 0 for every pair, reproduces PropagateStd bit for bit.
 func (d *Derived) PropagateStdCov(in, std []float64, corr func(i, j int) float64) float64 {
-	g := d.Gradient(in)
+	var rho []float64
+	if corr != nil {
+		k := len(in)
+		rho = make([]float64, k*k)
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				rho[i*k+j] = corr(i, j)
+			}
+		}
+	}
+	return DeltaStd(d.Gradient(in), std, rho)
+}
+
+// DeltaStd is the first-order delta method given a formula's gradient g
+// at the point (GradientInto) and per-input stds: the std of the formula.
+// rho holds the inputs' correlations row-major: rho[i*len(g)+j] couples
+// inputs i < j, and only that upper triangle is read. A nil rho, or a zero
+// entry, leaves a pair independent. Non-finite gradient components — e.g.
+// a finite difference straddling safeDiv's zero-denominator guard —
+// contribute nothing instead of poisoning the result. Correlations are
+// clamped to [−1, 1] and the accumulated variance floored at 0, so an
+// inconsistent covariance model can never yield a NaN std.
+func DeltaStd(g, std, rho []float64) float64 {
 	var v float64
 	for i, gi := range g {
 		if math.IsNaN(gi) || math.IsInf(gi, 0) {
@@ -223,26 +252,27 @@ func (d *Derived) PropagateStdCov(in, std []float64, corr func(i, j int) float64
 		t := gi * std[i]
 		v += t * t
 	}
-	if corr != nil {
+	if rho != nil {
+		k := len(g)
 		for i, gi := range g {
 			if math.IsNaN(gi) || math.IsInf(gi, 0) {
 				continue
 			}
-			for j := i + 1; j < len(g); j++ {
+			for j := i + 1; j < k; j++ {
 				gj := g[j]
 				if math.IsNaN(gj) || math.IsInf(gj, 0) {
 					continue
 				}
-				rho := corr(i, j)
-				if rho == 0 || math.IsNaN(rho) { //bayesvet:bitwise corrFn returns exact 0 for untracked pairs; skip the term
+				r := rho[i*k+j]
+				if r == 0 || math.IsNaN(r) { //bayesvet:bitwise untracked pairs hold exact 0; skip the term
 					continue
 				}
-				if rho > 1 {
-					rho = 1
-				} else if rho < -1 {
-					rho = -1
+				if r > 1 {
+					r = 1
+				} else if r < -1 {
+					r = -1
 				}
-				v += 2 * (gi * std[i]) * (gj * std[j]) * rho
+				v += 2 * (gi * std[i]) * (gj * std[j]) * r
 			}
 		}
 	}
@@ -525,18 +555,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// ratioGrad returns the analytic gradient of the scaled ratio
-// f(a, b) = k·a/b under safeDiv's zero-denominator guard: (k/b, −k·a/b²),
-// and the guard's flat (0, 0) at b = 0 — a zero denominator carries no
-// first-order information.
-func ratioGrad(k float64) func(in []float64) []float64 {
-	return func(in []float64) []float64 {
-		a, b := in[0], in[1]
-		if b == 0 { //bayesvet:bitwise guard against exact-zero denominator
-			return []float64{0, 0}
-		}
-		return []float64{k / b, -k * a / (b * b)}
-	}
 }

@@ -354,6 +354,99 @@ func TestGradientAnalyticMatchesFallback(t *testing.T) {
 	}
 }
 
+// referenceGradient is the allocating gradient the derived pass used
+// before GradientInto: a fresh (k/b, −k·a/(b·b)) for ratios and a central
+// difference over a copy of in for everything else.
+func referenceGradient(d *Derived, in []float64) []float64 {
+	if d.Kind == KindRatio {
+		k, a, b := d.Scale, in[0], in[1]
+		if b == 0 { //bayesvet:bitwise reference of the exact-zero denominator guard
+			return []float64{0, 0}
+		}
+		return []float64{k / b, -k * a / (b * b)}
+	}
+	const eps = 1e-6
+	g := make([]float64, len(in))
+	x := append([]float64(nil), in...)
+	for i := range x {
+		h := eps * math.Max(math.Abs(x[i]), 1)
+		orig := x[i]
+		x[i] = orig + h
+		fp := d.Eval(x)
+		x[i] = orig - h
+		fm := d.Eval(x)
+		x[i] = orig
+		g[i] = (fp - fm) / (2 * h)
+	}
+	return g
+}
+
+// TestGradientIntoMatchesReference: on every formula of all four catalogs
+// (both builders and both example specs), at random points, points with a
+// zero input and points of extreme magnitude, the buffered gradient equals
+// the reference gradient and Gradient bit for bit, whatever the scratch
+// buffers held before.
+func TestGradientIntoMatchesReference(t *testing.T) {
+	cats := []*Catalog{Skylake(), Power9()}
+	for _, name := range []string{"zen.json", "neoverse.json"} {
+		spec, err := LoadSpecFile("../../examples/catalogs/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := spec.Catalog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cats = append(cats, cat)
+	}
+	seed := uint64(1)
+	next := func() float64 { // deterministic xorshift draws in [0, 1)
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return float64(seed>>11) / (1 << 53)
+	}
+	for _, cat := range cats {
+		for di := range cat.Derived {
+			d := &cat.Derived[di]
+			n := len(d.Inputs)
+			g, x := make([]float64, n), make([]float64, n)
+			for trial := 0; trial < 200; trial++ {
+				in := make([]float64, n)
+				for i := range in {
+					switch trial % 4 {
+					case 0:
+						in[i] = 1e9 * next()
+					case 1:
+						in[i] = math.Exp(700 * (2*next() - 1))
+					case 2:
+						in[i] = 1e3 * (2*next() - 1)
+					default:
+						if next() < 0.5 {
+							in[i] = 0
+						} else {
+							in[i] = 1e6 * next()
+						}
+					}
+				}
+				for i := range g {
+					g[i], x[i] = math.NaN(), next()
+				}
+				d.GradientInto(g, x, in)
+				want := referenceGradient(d, in)
+				got := d.Gradient(in)
+				for i := range want {
+					if math.Float64bits(g[i]) != math.Float64bits(want[i]) ||
+						math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s/%s at %v: GradientInto[%d] = %v, Gradient %v, reference %v",
+							cat.Arch, d.Name, in, i, g[i], got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPropagateStdGoldenIPC is the golden delta-method check: for
 // IPC = I/C with I = 1e9 ± 1e7 and C = 8e8 ± 4e6, the propagated std must
 // equal the hand-computed √((σ_I/C)² + (I·σ_C/C²)²).

@@ -411,6 +411,47 @@ func sourceScheduler(src Source) Scheduler {
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// checkInterval validates the n-th interval (from 0) a source emitted:
+// one value per event and every event inside the catalog. The Session
+// checks here, at its boundary, so neither mode indexes past a catalog.
+func checkInterval(cat *Catalog, iv Interval, n int) error {
+	if len(iv.Values) != len(iv.Events) {
+		return fmt.Errorf("bayesperf: source interval %d has %d values for %d events",
+			n, len(iv.Values), len(iv.Events))
+	}
+	for _, id := range iv.Events {
+		if id < 0 || int(id) >= cat.NumEvents() {
+			return fmt.Errorf("bayesperf: source interval %d emitted event %d outside catalog %s", n, id, cat.Arch)
+		}
+	}
+	return nil
+}
+
+// checkedSource feeds the stream engine from a Source until the first
+// malformed interval, keeping its error: the engine then finishes
+// normally, so its workers exit before RunStream reports the error.
+type checkedSource struct {
+	src Source
+	cat *Catalog
+	n   int
+	err error
+}
+
+func (c *checkedSource) Next() (Interval, bool) {
+	if c.err != nil {
+		return Interval{}, false
+	}
+	iv, ok := c.src.Next()
+	if !ok {
+		return Interval{}, false
+	}
+	if c.err = checkInterval(c.cat, iv, c.n); c.err != nil {
+		return Interval{}, false
+	}
+	c.n++
+	return iv, true
+}
+
 // sessionMetrics is the session layer's instrument set for one run mode.
 // The zero value (no registry) is a free no-op set.
 type sessionMetrics struct {
@@ -440,7 +481,8 @@ func (s *Session) sessionMetrics(mode string) sessionMetrics {
 // extrapolated estimates from the counted intervals, one factor-graph
 // inference over them, and derived-event posteriors. Sources exposing
 // ground truth (SimSource, Sampler) additionally get raw/corrected error
-// columns in the report.
+// columns in the report. A malformed interval ends the run with an error,
+// as in RunStream.
 func (s *Session) RunBatch(src Source) (*Report, error) {
 	cat, err := s.prepare(src)
 	if err != nil {
@@ -459,10 +501,10 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 		if !ok {
 			break
 		}
+		if err := checkInterval(cat, iv, intervals); err != nil {
+			return nil, err
+		}
 		for i, id := range iv.Events {
-			if id < 0 || int(id) >= len(xs) {
-				return nil, fmt.Errorf("bayesperf: source emitted event %d outside catalog %s", id, cat.Arch)
-			}
 			if v := iv.Values[i]; finite(v) {
 				xs[id] = append(xs[id], v)
 			} else {
@@ -503,7 +545,8 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 // and returns the stitched per-interval posterior series (Report.Stream)
 // plus, for truth-exposing sources, the DTW-aligned error of the three
 // estimators. With an Adaptive scheduler the epoch feedback loop closes
-// automatically.
+// automatically. A malformed interval (an event outside the catalog, or
+// values not matching events one to one) ends the run with an error.
 func (s *Session) RunStream(src Source) (*Report, error) {
 	cat, err := s.prepare(src)
 	if err != nil {
@@ -516,8 +559,12 @@ func (s *Session) RunStream(src Source) (*Report, error) {
 	sm.runs.Inc()
 
 	start := time.Now()
-	res := stream.Run(cat, src, sched, cfg)
+	in := &checkedSource{src: src, cat: cat}
+	res := stream.Run(cat, in, sched, cfg)
 	dur := time.Since(start)
+	if in.err != nil {
+		return nil, in.err
+	}
 	if res.Intervals == 0 {
 		return nil, fmt.Errorf("bayesperf: source produced no intervals")
 	}

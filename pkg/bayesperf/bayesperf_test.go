@@ -1,9 +1,12 @@
 package bayesperf_test
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"bayesperf/internal/measure"
 	"bayesperf/internal/rng"
@@ -579,6 +582,91 @@ func TestSessionOverflowFailSoft(t *testing.T) {
 	for _, d := range rep.Derived {
 		if math.IsNaN(d.Mean) || math.IsInf(d.Mean, 0) || math.IsNaN(d.Std) || math.IsInf(d.Std, 0) {
 			t.Errorf("batch derived %s: posterior %v ± %v", d.Name, d.Mean, d.Std)
+		}
+	}
+}
+
+// malformedSource emits n Skylake intervals that count every event at 1e6,
+// except interval bad, which carries the given events and values.
+type malformedSource struct {
+	cat    *bayesperf.Catalog
+	n, t   int
+	bad    int
+	events []bayesperf.EventID
+	values []float64
+}
+
+func (s *malformedSource) Catalog() *bayesperf.Catalog { return s.cat }
+
+func (s *malformedSource) Next() (bayesperf.Interval, bool) {
+	if s.t == s.n {
+		return bayesperf.Interval{}, false
+	}
+	iv := bayesperf.Interval{T: s.t, Group: -1, Events: s.events, Values: s.values}
+	if s.t != s.bad {
+		ne := s.cat.NumEvents()
+		iv.Events, iv.Values = make([]bayesperf.EventID, ne), make([]float64, ne)
+		for id := range iv.Events {
+			iv.Events[id] = bayesperf.EventID(id)
+			iv.Values[id] = 1e6
+		}
+	}
+	s.t++
+	return iv, true
+}
+
+// TestSessionRejectsMalformedInterval: an interval naming an event outside
+// the catalog, or with values not one to one with its events, ends either
+// run mode with an error naming the interval and the event, never a panic.
+// The stream run still finishes its engine, so every worker goroutine it
+// started exits.
+func TestSessionRejectsMalformedInterval(t *testing.T) {
+	cat := uarch.Skylake()
+	const bad = 30
+	shapes := []struct {
+		name   string
+		events []bayesperf.EventID
+		values []float64
+		want   string
+	}{
+		{"event past catalog", []bayesperf.EventID{0, 99}, []float64{1e6, 1e6}, "event 99 outside catalog"},
+		{"negative event", []bayesperf.EventID{0, -1}, []float64{1e6, 1e6}, "event -1 outside catalog"},
+		{"short values", []bayesperf.EventID{0, 1}, []float64{1e6}, "1 values for 2 events"},
+	}
+	for _, sh := range shapes {
+		for _, mode := range []string{"batch", "stream"} {
+			sess, err := bayesperf.New(bayesperf.WithCatalog(cat), bayesperf.WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &malformedSource{cat: cat, n: 40, bad: bad, events: sh.events, values: sh.values}
+			before := runtime.NumGoroutine()
+			err = func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				if mode == "batch" {
+					_, err = sess.RunBatch(src)
+				} else {
+					_, err = sess.RunStream(src)
+				}
+				return err
+			}()
+			label := mode + "/" + sh.name
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("interval %d", bad)) ||
+				!strings.Contains(err.Error(), sh.want) || strings.HasPrefix(err.Error(), "panic") {
+				t.Errorf("%s: error %v, want one naming interval %d and %q", label, err, bad, sh.want)
+			}
+			// A worker that has signalled the engine may not have exited yet.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s: %d goroutines after the run, %d before", label, n, before)
+			}
 		}
 	}
 }
