@@ -252,8 +252,11 @@ func TestEpochBoundaryAllocs(t *testing.T) {
 // TestFinishAllocsFlat: Finish allocates the same number of objects at 512
 // and at 4,096 intervals — the output series and the derived pass's
 // buffers, none per interval — with covariance tracking off and on. The
-// derived pass computes gradients into reused buffers and reads tracked
-// correlations through a per-formula pair table.
+// derived pass computes gradients into per-goroutine scratch and reads
+// tracked correlations through a per-formula pair table. The fan-out over
+// the drained pool's workers adds one object per run, its shared task
+// state, whatever the stream length. It starts no goroutine, so no runtime
+// goroutine record enters the count.
 func TestFinishAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

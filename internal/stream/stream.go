@@ -28,7 +28,10 @@
 // Windows emitted but not yet stitched stay below a bound derived from
 // Workers and Batch, and the steady state allocates nothing per window.
 // Only the Result, which holds every output series by contract, grows with
-// the stream.
+// the stream. Finish assembles it once the pool is drained, on the calling
+// goroutine plus the pool's Workers goroutines: first every event series
+// from the chunked output, then every derived formula's posterior and
+// baselines.
 package stream
 
 import (
@@ -36,6 +39,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"bayesperf/internal/graph"
 	"bayesperf/internal/measure"
@@ -54,7 +58,9 @@ type Config struct {
 	// makes the windows overlap and the stitched trace smoother.
 	Hop int
 	// Workers is the number of parallel EP engines (0 = all cores, capped
-	// at 8 — windows are small, so more engines stop paying off).
+	// at 8 — windows are small, so more engines stop paying off). It also
+	// sets Finish's width: once the pool is drained, its Workers goroutines
+	// help the caller assemble the Result's series, then exit.
 	Workers int
 	// Batch is the number of windows fused into one compiled-plan Execute
 	// call per worker (0 = default 8). Each batch lane runs the identical
@@ -222,6 +228,7 @@ type Engine struct {
 	wg          sync.WaitGroup
 	batch       *graph.Batch
 	br          *graph.BatchResult
+	asm         *assembly // Finish's shared state, published by closing jobs
 
 	// Tracked posterior-correlation pairs (Config.Covariance): the derived
 	// formulas' input pairs that share a relation clique. derivedPairs maps
@@ -478,7 +485,7 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		// Built here, not in the goroutine: a worker the scheduler starts
 		// late must not allocate in the middle of a stream.
 		batch := e.newBatch()
-		go e.worker(batch, batch.NewResult())
+		go e.worker(wi+1, batch, batch.NewResult())
 	}
 	return e
 }
@@ -524,15 +531,17 @@ func (e *Engine) newBatch() *graph.Batch {
 	return batch
 }
 
-// worker is one EP engine: it owns one batch over the engine's shared
-// compiled plan, with its result, and executes every hand-off the pool
-// receives.
-func (e *Engine) worker(batch *graph.Batch, br *graph.BatchResult) {
+// worker g (1…Workers) is one EP engine: it owns one batch over the
+// engine's shared compiled plan, with its result, and executes every
+// hand-off the pool receives. Once Finish closes the job queue it helps
+// assemble the Result, then exits.
+func (e *Engine) worker(g int, batch *graph.Batch, br *graph.BatchResult) {
 	defer e.wg.Done()
 	for h := range e.jobs {
 		br = e.execute(batch, br, h)
 		e.results <- h
 	}
+	e.assemble(g)
 }
 
 // execute observes a hand-off's lanes into batch, executes them in a
@@ -1068,45 +1077,94 @@ func (e *Engine) EpochPosterior() (mean, std, obsStd []float64, ok bool) {
 
 // Finish emits a final window over the stream's tail (so every interval is
 // covered), executes it with any partial batch and drains the pool,
-// finalizes the remaining intervals, and assembles the stitched result.
-// The engine cannot be used after Finish.
+// finalizes the remaining intervals, and assembles the stitched result on
+// the calling goroutine plus the pool's Workers goroutines, which exit
+// once it is done. The engine cannot be used after Finish.
 func (e *Engine) Finish() *Result {
 	if e.ingested > 0 && e.lastEmitEnd < e.ingested {
 		e.emit()
 	}
 	e.Flush()
-	close(e.jobs)
-	e.wg.Wait()
 	sp := obs.StartSpan(e.m.stReport)
 	defer sp.End()
 
 	e.finalize(e.ingested)
+	ne, nd := e.ne, len(e.cat.Derived)
 	res := &Result{
-		Intervals:    e.ingested,
-		Windows:      e.nextIdx,
-		Corrected:    e.series(outCorr),
-		CorrectedStd: e.series(outStd),
-		WindowedRaw:  e.series(outRaw),
-		NaiveRaw:     e.series(outNaive),
-		PostRelStd:   e.postRelStd,
-		InferIters:   e.inferIters,
-		AllConverged: e.converged,
-		Unconverged:  e.unconverged,
-		TotalSweeps:  e.totalSweeps,
+		Intervals:           e.ingested,
+		Windows:             e.nextIdx,
+		Corrected:           make([]timeseries.Series, ne),
+		CorrectedStd:        make([]timeseries.Series, ne),
+		WindowedRaw:         make([]timeseries.Series, ne),
+		NaiveRaw:            make([]timeseries.Series, ne),
+		DerivedCorrected:    make([]timeseries.Series, nd),
+		DerivedCorrectedStd: make([]timeseries.Series, nd),
+		DerivedWindowedRaw:  make([]timeseries.Series, nd),
+		DerivedNaive:        make([]timeseries.Series, nd),
+		PostRelStd:          e.postRelStd,
+		InferIters:          e.inferIters,
+		AllConverged:        e.converged,
+		Unconverged:         e.unconverged,
+		TotalSweeps:         e.totalSweeps,
 	}
-	e.stitchDerived(res)
+	k := 0
+	for di := range e.cat.Derived {
+		k = max(k, len(e.cat.Derived[di].Inputs))
+	}
+	span := 4*k + k*k
+	a := &assembly{
+		res:     res,
+		events:  [outKinds][]timeseries.Series{res.Corrected, res.CorrectedStd, res.WindowedRaw, res.NaiveRaw},
+		scratch: make([]float64, (e.cfg.Workers+1)*span),
+		span:    span,
+	}
+	a.phase1.Add(e.cfg.Workers + 1)
+	e.asm = a
+	close(e.jobs) // every hand-off is back, so the idle workers turn to the assembly
+	e.assemble(0)
+	e.wg.Wait()
 	return res
 }
 
-// series concatenates one output kind's per-event series from the chunks.
-func (e *Engine) series(kind int) []timeseries.Series {
-	out := make([]timeseries.Series, e.ne)
-	for id := range out {
-		s := (kind*e.ne + id) * chunkLen
-		out[id] = make(timeseries.Series, e.ingested)
-		for ci, chunk := range e.out {
-			copy(out[id][ci*chunkLen:], chunk[s:s+chunkLen])
-		}
+// assembly is the state Finish shares with the workers while they fill the
+// Result. Tasks hand out by index from one counter per phase; each fills
+// its own series, so the Result is the same for any width and any order
+// the tasks run in.
+type assembly struct {
+	res     *Result
+	events  [outKinds][]timeseries.Series // the Result's event series, by output kind
+	next    [2]atomic.Int64               // the next task of each phase
+	phase1  sync.WaitGroup                // phase 2 reads the series phase 1 fills
+	scratch []float64                     // span values per goroutine for derived posteriors
+	span    int
+}
+
+// take hands out the next task index of phase p.
+func (a *assembly) take(p int) int { return int(a.next[p].Add(1) - 1) }
+
+// assemble runs Finish's tasks on goroutine g: 0 is Finish's caller,
+// 1…Workers the pool's workers, once the job queue is closed. Phase 1 has
+// one task per event series (output series s of the chunks); phase 2,
+// which starts once every goroutine is done with phase 1, has three per
+// derived formula (see derivedSeries).
+func (e *Engine) assemble(g int) {
+	a, ne := e.asm, e.ne
+	for s := a.take(0); s < outKinds*ne; s = a.take(0) {
+		a.events[s/ne][s%ne] = e.series(s)
+	}
+	a.phase1.Done()
+	a.phase1.Wait()
+	scratch := a.scratch[g*a.span : (g+1)*a.span]
+	for i := a.take(1); i < 3*len(e.cat.Derived); i = a.take(1) {
+		e.derivedSeries(a.res, i/3, i%3, scratch)
+	}
+}
+
+// series concatenates output series s (see outCorr) from the chunks.
+func (e *Engine) series(s int) timeseries.Series {
+	out := make(timeseries.Series, e.ingested)
+	for ci, chunk := range e.out {
+		copy(out[ci*chunkLen:], chunk[s*chunkLen:(s+1)*chunkLen])
 	}
 	return out
 }
@@ -1117,37 +1175,33 @@ func (e *Engine) stitchedRho(pi, t int) float64 {
 	return e.out[t/chunkLen][(outKinds*e.ne+pi)*chunkLen+t%chunkLen]
 }
 
-// stitchDerived rides the derived-event formulas on top of the stitched
-// per-event series: the corrected posterior (mean via the formula at the
-// posterior mean, std via the delta method over the stitched posterior
-// stds) plus the windowed-raw and naive baselines through the same
-// formulas. With Config.Covariance the delta method additionally receives
-// each input pair's stitched clique correlation ρ̄(t), so e.g. a ratio
-// whose numerator and denominator share an invariant stops counting their
-// coupling as independent noise. Runs once at Finish; derived ratios are
-// scale-free, so per-interval rates feed them directly.
-func (e *Engine) stitchDerived(res *Result) {
-	nd := len(e.cat.Derived)
-	res.DerivedCorrected = make([]timeseries.Series, nd)
-	res.DerivedCorrectedStd = make([]timeseries.Series, nd)
-	res.DerivedWindowedRaw = make([]timeseries.Series, nd)
-	res.DerivedNaive = make([]timeseries.Series, nd)
-	k := 0
-	for di := range e.cat.Derived {
-		k = max(k, len(e.cat.Derived[di].Inputs))
-	}
-	scratch := make([]float64, 4*k+k*k)
-	for di := range e.cat.Derived {
+// derivedSeries rides derived formula di on top of the stitched per-event
+// series, filling one of its outputs. Part 0 is the corrected posterior:
+// the formula at the posterior mean, and the delta method over the
+// stitched posterior stds, computed in scratch (see derivedPosterior).
+// With Config.Covariance the delta method also receives each input pair's
+// stitched clique correlation ρ̄(t), so e.g. a ratio whose numerator and
+// denominator share an invariant stops counting their coupling as
+// independent noise. Parts 1 and 2 push the windowed-raw and naive
+// baselines through the same formula. Derived ratios are scale-free, so
+// per-interval rates feed them directly.
+func (e *Engine) derivedSeries(res *Result, di, part int, scratch []float64) {
+	d := &e.cat.Derived[di]
+	switch part {
+	case 0:
 		var pairs []pairRef
 		if len(e.derivedPairs) > 0 {
 			pairs = e.derivedPairs[di]
 		}
 		mean := make(timeseries.Series, e.ingested)
 		std := make(timeseries.Series, e.ingested)
-		e.derivedPosterior(&e.cat.Derived[di], pairs, res, mean, std, scratch)
+		e.derivedPosterior(d, pairs, res, mean, std, scratch)
 		res.DerivedCorrected[di] = mean
 		res.DerivedCorrectedStd[di] = std
-		e.stitchDerivedBaselines(res, di)
+	case 1:
+		res.DerivedWindowedRaw[di] = derivedBaseline(d, res.WindowedRaw)
+	case 2:
+		res.DerivedNaive[di] = derivedBaseline(d, res.NaiveRaw)
 	}
 }
 
@@ -1181,18 +1235,13 @@ func (e *Engine) derivedPosterior(d *uarch.Derived, pairs []pairRef, res *Result
 	}
 }
 
-// stitchDerivedBaselines pushes the windowed-raw and naive baselines
-// through one derived formula.
-func (e *Engine) stitchDerivedBaselines(res *Result, di int) {
-	d := &e.cat.Derived[di]
-	gatherRaw := make([]timeseries.Series, len(d.Inputs))
-	gatherNaive := make([]timeseries.Series, len(d.Inputs))
+// derivedBaseline pushes one baseline's per-event series through formula d.
+func derivedBaseline(d *uarch.Derived, events []timeseries.Series) timeseries.Series {
+	in := make([]timeseries.Series, len(d.Inputs))
 	for i, id := range d.Inputs {
-		gatherRaw[i] = res.WindowedRaw[id]
-		gatherNaive[i] = res.NaiveRaw[id]
+		in[i] = events[id]
 	}
-	res.DerivedWindowedRaw[di] = timeseries.Map(d.Eval, gatherRaw...)
-	res.DerivedNaive[di] = timeseries.Map(d.Eval, gatherNaive...)
+	return timeseries.Map(d.Eval, in...)
 }
 
 // IntervalSource feeds the streaming engine: anything that emits a sequence

@@ -22,13 +22,23 @@ type eventRing struct {
 	ssd  float64
 }
 
+// wrap reduces a ring position i < 2n into [0, n). Ring positions are a
+// head below the length plus a count no larger than it, so one compare
+// replaces the integer division of i % n on every reading.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 //bayesperf:hotpath
 func (e *eventRing) push(x float64) {
 	if e.n > 0 {
-		d := x - e.buf[(e.head+e.n-1)%len(e.buf)]
+		d := x - e.buf[wrap(e.head+e.n-1, len(e.buf))]
 		e.ssd += d * d
 	}
-	e.buf[(e.head+e.n)%len(e.buf)] = x
+	e.buf[wrap(e.head+e.n, len(e.buf))] = x
 	e.n++
 	e.sum += x
 	e.sq += x * x
@@ -38,10 +48,10 @@ func (e *eventRing) push(x float64) {
 func (e *eventRing) pop() {
 	first := e.buf[e.head]
 	if e.n > 1 {
-		d := e.buf[(e.head+1)%len(e.buf)] - first
+		d := e.buf[wrap(e.head+1, len(e.buf))] - first
 		e.ssd -= d * d
 	}
-	e.head = (e.head + 1) % len(e.buf)
+	e.head = wrap(e.head+1, len(e.buf))
 	e.n--
 	e.sum -= first
 	e.sq -= first * first
@@ -61,11 +71,11 @@ func (e *eventRing) pop() {
 func (e *eventRing) resum() {
 	e.sum, e.sq, e.ssd = 0, 0, 0
 	for i := 0; i < e.n; i++ {
-		x := e.buf[(e.head+i)%len(e.buf)]
+		x := e.buf[wrap(e.head+i, len(e.buf))]
 		e.sum += x
 		e.sq += x * x
 		if i > 0 {
-			d := x - e.buf[(e.head+i-1)%len(e.buf)]
+			d := x - e.buf[wrap(e.head+i-1, len(e.buf))]
 			e.ssd += d * d
 		}
 	}
@@ -75,7 +85,7 @@ func (e *eventRing) resum() {
 func (e *eventRing) ordered(dst []float64) []float64 {
 	dst = dst[:0]
 	for i := 0; i < e.n; i++ {
-		dst = append(dst, e.buf[(e.head+i)%len(e.buf)])
+		dst = append(dst, e.buf[wrap(e.head+i, len(e.buf))])
 	}
 	return dst
 }
@@ -130,7 +140,9 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // never enter the rings: a single NaN — or an Inf, whose eviction leaves
 // Inf − Inf = NaN behind — would permanently poison the running sums long
 // after the reading itself slid out of the window. The skip is mirrored
-// on the eviction side so push/pop stay symmetric.
+// on the eviction side so push/pop stay symmetric. Each event may appear
+// at most once per interval, so no ring holds more readings than the
+// window has intervals.
 //
 //bayesperf:hotpath
 func (w *Window) Push(s measure.IntervalSample) {
@@ -141,10 +153,10 @@ func (w *Window) Push(s measure.IntervalSample) {
 				w.ev[id].pop()
 			}
 		}
-		w.head = (w.head + 1) % w.size
+		w.head = wrap(w.head+1, w.size)
 		w.n--
 	}
-	w.samples[(w.head+w.n)%w.size] = s
+	w.samples[wrap(w.head+w.n, w.size)] = s
 	w.n++
 	for i, id := range s.Events {
 		if finite(s.Values[i]) {
@@ -169,7 +181,7 @@ func (w *Window) lastIsOutlier(id uarch.EventID, gumbel stats.GumbelThreshold) b
 		return false
 	}
 	mu, beta := stats.GumbelFitFromMoments(er.sum/n, math.Sqrt(variance))
-	last := er.buf[(er.head+er.n-1)%len(er.buf)]
+	last := er.buf[wrap(er.head+er.n-1, len(er.buf))]
 	return last > gumbel.Quantile(mu, beta)
 }
 

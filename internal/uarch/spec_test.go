@@ -149,62 +149,68 @@ func TestSpecRoundTripPosteriorsBitIdentical(t *testing.T) {
 	}
 }
 
+// malformedSpecs are single edits of the Skylake spec that Catalog must
+// reject, each with a phrase its error must contain.
+var malformedSpecs = []struct {
+	name   string
+	mutate func(*uarch.Spec)
+	want   string
+}{
+	{"unknown relation event", func(s *uarch.Spec) {
+		s.Relations[0].Terms[0].Event = "NO_SUCH_EVENT"
+	}, "unknown event"},
+	{"unknown derived input", func(s *uarch.Spec) {
+		s.Derived[0].Inputs[0] = "NO_SUCH_EVENT"
+	}, "unknown event"},
+	{"unknown derived kind", func(s *uarch.Spec) {
+		s.Derived[0].Kind = "polynomial"
+	}, "unknown kind"},
+	{"ratio arity", func(s *uarch.Spec) {
+		s.Derived[0].Inputs = append(s.Derived[0].Inputs, s.Events[0].Name)
+	}, "needs 2 inputs"},
+	{"linear_ratio coefficient lengths", func(s *uarch.Spec) {
+		for i := range s.Derived {
+			if s.Derived[i].Kind == uarch.KindLinearRatio {
+				s.Derived[i].Num = s.Derived[i].Num[:1]
+			}
+		}
+	}, "do not match"},
+	{"duplicate event", func(s *uarch.Spec) {
+		s.Events = append(s.Events, s.Events[3])
+	}, "duplicate event"},
+	{"counter out of mask range", func(s *uarch.Spec) {
+		s.Events[3].Counters = []int{99}
+	}, "out of range"},
+	{"counter beyond the catalog's counters", func(s *uarch.Spec) {
+		s.Events[3].Counters = []int{5}
+	}, "exceeds"},
+	{"invalid relation tolerance", func(s *uarch.Spec) {
+		s.Relations[0].RelTol = 0
+	}, "non-positive tolerance"},
+	{"slot on a programmable event", func(s *uarch.Spec) {
+		s.Events[3].Slot = 1 // forgot "fixed": true
+	}, "not fixed"},
+	{"counters on a fixed event", func(s *uarch.Spec) {
+		s.Events[0].Counters = []int{0}
+	}, "cannot declare programmable counters"},
+}
+
+// skylakeSpec is the Skylake builder catalog's spec.
+func skylakeSpec(tb testing.TB) uarch.Spec {
+	tb.Helper()
+	s, err := uarch.Skylake().Spec()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 // TestSpecCatalogErrors: malformed specs fail with descriptive errors
 // instead of building broken catalogs.
 func TestSpecCatalogErrors(t *testing.T) {
-	base := func() uarch.Spec {
-		s, err := uarch.Skylake().Spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	cases := []struct {
-		name   string
-		mutate func(*uarch.Spec)
-		want   string
-	}{
-		{"unknown relation event", func(s *uarch.Spec) {
-			s.Relations[0].Terms[0].Event = "NO_SUCH_EVENT"
-		}, "unknown event"},
-		{"unknown derived input", func(s *uarch.Spec) {
-			s.Derived[0].Inputs[0] = "NO_SUCH_EVENT"
-		}, "unknown event"},
-		{"unknown derived kind", func(s *uarch.Spec) {
-			s.Derived[0].Kind = "polynomial"
-		}, "unknown kind"},
-		{"ratio arity", func(s *uarch.Spec) {
-			s.Derived[0].Inputs = append(s.Derived[0].Inputs, s.Events[0].Name)
-		}, "needs 2 inputs"},
-		{"linear_ratio coefficient lengths", func(s *uarch.Spec) {
-			for i := range s.Derived {
-				if s.Derived[i].Kind == uarch.KindLinearRatio {
-					s.Derived[i].Num = s.Derived[i].Num[:1]
-				}
-			}
-		}, "do not match"},
-		{"duplicate event", func(s *uarch.Spec) {
-			s.Events = append(s.Events, s.Events[3])
-		}, "duplicate event"},
-		{"counter out of mask range", func(s *uarch.Spec) {
-			s.Events[3].Counters = []int{99}
-		}, "out of range"},
-		{"counter beyond the catalog's counters", func(s *uarch.Spec) {
-			s.Events[3].Counters = []int{5}
-		}, "exceeds"},
-		{"invalid relation tolerance", func(s *uarch.Spec) {
-			s.Relations[0].RelTol = 0
-		}, "non-positive tolerance"},
-		{"slot on a programmable event", func(s *uarch.Spec) {
-			s.Events[3].Slot = 1 // forgot "fixed": true
-		}, "not fixed"},
-		{"counters on a fixed event", func(s *uarch.Spec) {
-			s.Events[0].Counters = []int{0}
-		}, "cannot declare programmable counters"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedSpecs {
 		t.Run(tc.name, func(t *testing.T) {
-			s := base()
+			s := skylakeSpec(t)
 			tc.mutate(&s)
 			_, err := s.Catalog()
 			if err == nil {

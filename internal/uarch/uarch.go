@@ -105,7 +105,8 @@ type Derived struct {
 	Name   string
 	Inputs []EventID
 	// Eval computes the derived value from the input event values, in
-	// Inputs order.
+	// Inputs order. It must be safe for concurrent use: the stream engine
+	// evaluates one formula's series on several goroutines at once.
 	Eval func(in []float64) float64
 	// Grad, when declared on a hand-written formula (empty Kind), returns
 	// ∂Eval/∂inᵢ at in, in Inputs order. KindRatio formulas carry their

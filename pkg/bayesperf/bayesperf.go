@@ -412,16 +412,23 @@ func sourceScheduler(src Source) Scheduler {
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkInterval validates the n-th interval (from 0) a source emitted:
-// one value per event and every event inside the catalog. The Session
-// checks here, at its boundary, so neither mode indexes past a catalog.
+// one value per event, every event inside the catalog and none twice. The
+// Session checks here, at its boundary, so neither mode indexes past a
+// catalog, and the stream engine's per-event window rings never hold more
+// readings than the window has intervals.
 func checkInterval(cat *Catalog, iv Interval, n int) error {
 	if len(iv.Values) != len(iv.Events) {
 		return fmt.Errorf("bayesperf: source interval %d has %d values for %d events",
 			n, len(iv.Values), len(iv.Events))
 	}
-	for _, id := range iv.Events {
+	for i, id := range iv.Events {
 		if id < 0 || int(id) >= cat.NumEvents() {
 			return fmt.Errorf("bayesperf: source interval %d emitted event %d outside catalog %s", n, id, cat.Arch)
+		}
+		for _, prev := range iv.Events[:i] {
+			if prev == id {
+				return fmt.Errorf("bayesperf: source interval %d emitted event %d twice", n, id)
+			}
 		}
 	}
 	return nil

@@ -616,10 +616,10 @@ func (s *malformedSource) Next() (bayesperf.Interval, bool) {
 }
 
 // TestSessionRejectsMalformedInterval: an interval naming an event outside
-// the catalog, or with values not one to one with its events, ends either
-// run mode with an error naming the interval and the event, never a panic.
-// The stream run still finishes its engine, so every worker goroutine it
-// started exits.
+// the catalog or twice, or with values not one to one with its events,
+// ends either run mode with an error naming the interval and the event,
+// never a panic. The stream run still finishes its engine, so every worker
+// goroutine it started exits.
 func TestSessionRejectsMalformedInterval(t *testing.T) {
 	cat := uarch.Skylake()
 	const bad = 30
@@ -632,6 +632,7 @@ func TestSessionRejectsMalformedInterval(t *testing.T) {
 		{"event past catalog", []bayesperf.EventID{0, 99}, []float64{1e6, 1e6}, "event 99 outside catalog"},
 		{"negative event", []bayesperf.EventID{0, -1}, []float64{1e6, 1e6}, "event -1 outside catalog"},
 		{"short values", []bayesperf.EventID{0, 1}, []float64{1e6}, "1 values for 2 events"},
+		{"repeated event", []bayesperf.EventID{0, 1, 0}, []float64{1e6, 1e6, 1e6}, "event 0 twice"},
 	}
 	for _, sh := range shapes {
 		for _, mode := range []string{"batch", "stream"} {

@@ -12,9 +12,10 @@ import (
 // third implementation of this interface, not a rewrite of the pipeline.
 //
 // Next returns one interval's counted events and values, then false at end
-// of stream. Values index-parallel Events; non-finite values are treated as
-// corrupted readings and dropped by the consumers. Catalog reports the
-// catalog whose EventIDs the intervals are expressed in.
+// of stream. Values index-parallel Events, which name each event at most
+// once; non-finite values are treated as corrupted readings and dropped by
+// the consumers. Catalog reports the catalog whose EventIDs the intervals
+// are expressed in.
 type Source interface {
 	Catalog() *Catalog
 	Next() (Interval, bool)
