@@ -226,7 +226,7 @@ func EstimateSamples(xss [][]float64, intervals int, cfg MuxConfig) []Sample {
 	out := make([]Sample, len(xss))
 	gumbel := cfg.RejectThreshold()
 	for id, xs := range xss {
-		out[id] = estimateSample(xs, intervals, cfg, gumbel)
+		out[id] = estimateSample(xs, nil, intervals, cfg, gumbel)
 	}
 	return out
 }
@@ -280,7 +280,7 @@ func Multiplex(tr *Trace, cfg MuxConfig, r *rng.Rand) *MuxResult {
 			}
 			xs = append(xs, noisy)
 		}
-		res.Est[id] = estimateSample(xs, intervals, cfg, gumbel)
+		res.Est[id] = estimateSample(xs, xs[:0], intervals, cfg, gumbel)
 	}
 	return res
 }
@@ -294,12 +294,14 @@ func Multiplex(tr *Trace, cfg MuxConfig, r *rng.Rand) *MuxResult {
 // readings; an empty xs yields the zero Sample (never counted — callers
 // must not observe it into the factor graph).
 func EstimateSample(xs []float64, intervals int, cfg MuxConfig) Sample {
-	return estimateSample(xs, intervals, cfg, cfg.RejectThreshold())
+	return estimateSample(xs, nil, intervals, cfg, cfg.RejectThreshold())
 }
 
 // estimateSample is EstimateSample with the Gumbel threshold computed once
-// by the caller for all of its events.
-func estimateSample(xs []float64, intervals int, cfg MuxConfig, gumbel stats.GumbelThreshold) Sample {
+// by the caller for all of its events. The Gumbel filter's survivors go to
+// buf (see stats.GumbelThreshold.FilterMax): a caller that owns xs passes
+// xs[:0] to filter it in place; nil leaves xs untouched.
+func estimateSample(xs, buf []float64, intervals int, cfg MuxConfig, gumbel stats.GumbelThreshold) Sample {
 	counted := len(xs)
 	if counted == 0 {
 		return Sample{}
@@ -308,7 +310,7 @@ func estimateSample(xs []float64, intervals int, cfg MuxConfig, gumbel stats.Gum
 	if cfg.GumbelReject {
 		// xs holds only finite readings (corrupted ones were dropped at
 		// collection), so the filter always keeps at least one.
-		xs, rejected = gumbel.FilterMax(xs)
+		xs, rejected = gumbel.FilterMax(xs, buf)
 	}
 	n := len(xs)
 	meanRate := stats.Mean(xs)

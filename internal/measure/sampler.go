@@ -14,7 +14,9 @@ import (
 // groups whose events the posterior is least certain about.
 type Scheduler interface {
 	// Groups returns the scheduled event groups. The slice is owned by the
-	// scheduler and must not be mutated.
+	// scheduler and must not be mutated. The group list is fixed for the
+	// scheduler's lifetime (both in-tree schedulers build it once), so a
+	// Sampler may cache per-group state by group index.
 	Groups() [][]uarch.EventID
 	// NextGroup returns the group live in the next interval and advances
 	// the schedule.
@@ -280,7 +282,9 @@ func interleave(slots []int, plan []int) []int {
 
 // IntervalSample is one sampling interval's live counter readings: the
 // events that were actually counted (fixed counters plus the live group)
-// and their noisy per-interval values, parallel slices.
+// and their noisy per-interval values, parallel slices. Events may be
+// shared between intervals (a Sampler hands out one slice per group) and
+// must not be mutated; Values is the interval's own.
 type IntervalSample struct {
 	T      int
 	Group  int // index into the scheduler's Groups; -1 if no group was live
@@ -299,7 +303,11 @@ type Sampler struct {
 	sched Scheduler
 	r     *rng.Rand
 	fixed []uarch.EventID
-	t     int
+	// live[g] is the event list of an interval in which group g is live:
+	// the fixed events, then the group's. Each is built on first use and
+	// shared by every such interval.
+	live [][]uarch.EventID
+	t    int
 }
 
 // NewSampler builds a sampler over the trace driven by the scheduler.
@@ -333,7 +341,13 @@ func (s *Sampler) Next() (sample IntervalSample, ok bool) {
 	}
 	live := s.fixed
 	if gi >= 0 {
-		live = append(append(make([]uarch.EventID, 0, len(s.fixed)+len(groups[gi])), s.fixed...), groups[gi]...)
+		if s.live == nil {
+			s.live = make([][]uarch.EventID, len(groups))
+		}
+		if s.live[gi] == nil {
+			s.live[gi] = append(append(make([]uarch.EventID, 0, len(s.fixed)+len(groups[gi])), s.fixed...), groups[gi]...)
+		}
+		live = s.live[gi]
 	}
 	sample = IntervalSample{
 		T:      s.t,

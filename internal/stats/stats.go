@@ -108,13 +108,17 @@ func Variance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	return sumSqDev(xs, Mean(xs)) / float64(len(xs)-1)
+}
+
+// sumSqDev returns Σ(x − m)² over xs, summed in order.
+func sumSqDev(xs []float64, m float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
 		s += d * d
 	}
-	return s / float64(len(xs)-1)
+	return s
 }
 
 // Std returns the unbiased sample standard deviation of xs.
@@ -366,9 +370,15 @@ func GumbelFitFromMoments(mean, std float64) (mu, beta float64) {
 }
 
 // GumbelFitMoments fits Gumbel location/scale from a sample via the method
-// of moments.
+// of moments. It computes the mean once and is bit-identical to
+// GumbelFitFromMoments(Mean(xs), Std(xs)).
 func GumbelFitMoments(xs []float64) (mu, beta float64) {
-	return GumbelFitFromMoments(Mean(xs), Std(xs))
+	m := Mean(xs)
+	var std float64
+	if len(xs) >= 2 {
+		std = math.Sqrt(sumSqDev(xs, m) / float64(len(xs)-1))
+	}
+	return GumbelFitFromMoments(m, std)
 }
 
 // GumbelFilterMax applies CounterMiner's high-side outlier test to a sample
@@ -381,13 +391,19 @@ func GumbelFitMoments(xs []float64) (mu, beta float64) {
 // keeping the whole sample. It returns the surviving readings in their
 // original order and the number rejected; when nothing is rejected, the
 // input slice itself is returned. Samples too small to fit (n < 4) and
-// degenerate q are passed through untouched (minus any NaNs).
+// degenerate q are passed through untouched (minus any NaNs). xs is never
+// modified: survivors that differ from xs go to a new slice.
 func GumbelFilterMax(xs []float64, q float64) (kept []float64, rejected int) {
-	return NewGumbelThreshold(q).FilterMax(xs)
+	return NewGumbelThreshold(q).FilterMax(xs, nil)
 }
 
-// FilterMax is GumbelFilterMax at the threshold's fixed quantile.
-func (t GumbelThreshold) FilterMax(xs []float64) (kept []float64, rejected int) {
+// FilterMax is GumbelFilterMax at the threshold's fixed quantile, writing
+// the survivors into buf[:0] whenever it must copy them, so a caller that
+// passes a buffer of cap(buf) ≥ len(xs) allocates nothing. buf may alias
+// xs (buf = xs[:0] filters xs in place): each pass only writes behind the
+// position it reads. When nothing is rejected, xs itself is returned and
+// buf is untouched.
+func (t GumbelThreshold) FilterMax(xs, buf []float64) (kept []float64, rejected int) {
 	clean := xs
 	nan := 0
 	for _, x := range xs {
@@ -396,7 +412,7 @@ func (t GumbelThreshold) FilterMax(xs []float64) (kept []float64, rejected int) 
 		}
 	}
 	if nan > 0 {
-		clean = make([]float64, 0, len(xs)-nan)
+		clean = buf[:0]
 		for _, x := range xs {
 			if !math.IsNaN(x) {
 				clean = append(clean, x)
@@ -419,7 +435,7 @@ func (t GumbelThreshold) FilterMax(xs []float64) (kept []float64, rejected int) 
 	if rejected == 0 || rejected == len(clean) {
 		return clean, nan
 	}
-	kept = make([]float64, 0, len(clean)-rejected)
+	kept = buf[:0]
 	for _, x := range clean {
 		if x <= thr {
 			kept = append(kept, x)

@@ -43,15 +43,15 @@ var goldenShapes = []goldenShape{
 // goldenHashes pins the FNV-64a hash of every Result output (see
 // hashResult) per catalog/shape.
 var goldenHashes = map[string]uint64{
-	"skylake/short":                0x680c752597a468dd,
-	"skylake/default":              0x5b1f365e7c451fe5,
-	"skylake/tumbling":             0xab1cbb0d68146cde,
-	"skylake/hop1-wide":            0xe1efb99f881c077a,
-	"skylake/late-cov":             0x32eebc9f37487948,
-	"skylake/gumbel-inf-cov":       0x0281862ac1af9a5f,
-	"skylake/adaptive":             0x3dfc637b2a771e8a,
-	"skylake/long":                 0x708217718776a47b,
-	"skylake/adaptive-mixed":       0x3dfc637b2a771e8a,
+	"skylake/short":                0xa50b7f5752984b81,
+	"skylake/default":              0xad8279887f228a14,
+	"skylake/tumbling":             0x9ed1c30b0de245a3,
+	"skylake/hop1-wide":            0xb663eff5d0596fb7,
+	"skylake/late-cov":             0x6ec03be829ef1e3d,
+	"skylake/gumbel-inf-cov":       0xb5e2242ccfa06a7a,
+	"skylake/adaptive":             0x04013af91b56763c,
+	"skylake/long":                 0x965b218eb37f4534,
+	"skylake/adaptive-mixed":       0x04013af91b56763c,
 	"power9/short":                 0x381ee4ecdf7301fb,
 	"power9/default":               0x7df3f01640c7a833,
 	"power9/tumbling":              0x88b669c3a45b1aec,
@@ -61,24 +61,24 @@ var goldenHashes = map[string]uint64{
 	"power9/adaptive":              0x82b8a39fbaede641,
 	"power9/long":                  0xf5067fc44a9c4352,
 	"power9/adaptive-mixed":        0x82b8a39fbaede641,
-	"zen.json/short":               0xcbab5ebac1a7a4f5,
-	"zen.json/default":             0x6e73e09863ae4321,
-	"zen.json/tumbling":            0x37ee9e10ec56ca6b,
-	"zen.json/hop1-wide":           0x1617394508305421,
-	"zen.json/late-cov":            0x18c154e2ec0a0354,
-	"zen.json/gumbel-inf-cov":      0xa716e286ed5217f6,
-	"zen.json/adaptive":            0x48421dafef1c53e7,
-	"zen.json/long":                0x913eca08b0ed4fcb,
-	"zen.json/adaptive-mixed":      0x48421dafef1c53e7,
-	"neoverse.json/short":          0x21f4c3c9b687362f,
-	"neoverse.json/default":        0xc743af457f72b7f7,
-	"neoverse.json/tumbling":       0xb5bcc2758a0fe833,
-	"neoverse.json/hop1-wide":      0x6e2f7ee656cee4c8,
-	"neoverse.json/late-cov":       0xee186a0019ba79f6,
-	"neoverse.json/gumbel-inf-cov": 0x2938caab614691f6,
-	"neoverse.json/adaptive":       0x6acc5ee8c51ac792,
-	"neoverse.json/long":           0xedb88f25c977d61b,
-	"neoverse.json/adaptive-mixed": 0x6acc5ee8c51ac792,
+	"zen.json/short":               0xc5816b5b5571f153,
+	"zen.json/default":             0x24e098fa95c7b5cb,
+	"zen.json/tumbling":            0x7b78788f31a5e71f,
+	"zen.json/hop1-wide":           0x070bbced8f88db6f,
+	"zen.json/late-cov":            0x7fe029d19033b487,
+	"zen.json/gumbel-inf-cov":      0xb1acdb6574a0a0d2,
+	"zen.json/adaptive":            0x2b4ac042489a04ee,
+	"zen.json/long":                0x568fca9f3d2fa235,
+	"zen.json/adaptive-mixed":      0x2b4ac042489a04ee,
+	"neoverse.json/short":          0xa0a657d82f4e206d,
+	"neoverse.json/default":        0x1f3211b996aaf669,
+	"neoverse.json/tumbling":       0xa94177f248845187,
+	"neoverse.json/hop1-wide":      0x4365de84202514b0,
+	"neoverse.json/late-cov":       0xa84f3f4fecf1b175,
+	"neoverse.json/gumbel-inf-cov": 0xa3e0cdd1ef95d054,
+	"neoverse.json/adaptive":       0x14dc6baca3606599,
+	"neoverse.json/long":           0xa37561f910e5b40e,
+	"neoverse.json/adaptive-mixed": 0x14dc6baca3606599,
 }
 
 // TestStreamOutputGolden pins the engine's output bit for bit across
@@ -153,4 +153,79 @@ func runGolden(cat *uarch.Catalog, sh goldenShape) *Result {
 		sched = measure.NewAdaptive(cat, cfg.Window)
 	}
 	return RunTrace(tr, sched, cfg, rng.New(12))
+}
+
+// TestDerivedStdMatchesReference recomputes every DerivedCorrectedStd of
+// the golden matrix's non-covariance shapes from the Result's stitched
+// Corrected and CorrectedStd series, independently of the engine's
+// per-kind loops: the delta method (uarch.DeltaStd) over the reference
+// ratio gradient (k/b, −k·a/(b·b)), and over a central difference for
+// linear ratios. Ratio stds must match bit for bit; a linear ratio's exact
+// gradient must agree with the central difference within 1e-6 relative.
+// Every derived value must equal Eval at the stitched means bit for bit.
+func TestDerivedStdMatchesReference(t *testing.T) {
+	for _, catName := range testCatalogs {
+		cat := testCatalog(t, catName)
+		worst := 0.0
+		for _, sh := range goldenShapes {
+			if sh.cov {
+				continue
+			}
+			res := runGolden(cat, sh)
+			for di := range cat.Derived {
+				d := &cat.Derived[di]
+				in, sd := make([]float64, len(d.Inputs)), make([]float64, len(d.Inputs))
+				for ti := 0; ti < res.Intervals; ti++ {
+					for i, id := range d.Inputs {
+						in[i], sd[i] = res.Corrected[id][ti], res.CorrectedStd[id][ti]
+					}
+					if got, want := res.DerivedCorrected[di][ti], d.Eval(in); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s/%s/%s interval %d: value %v, Eval %v", catName, sh.name, d.Name, ti, got, want)
+					}
+					got := res.DerivedCorrectedStd[di][ti]
+					switch d.Kind {
+					case uarch.KindRatio:
+						k, a, b := d.Scale, in[0], in[1]
+						g := []float64{0, 0}
+						if b != 0 { //bayesvet:bitwise reference of the exact-zero denominator guard
+							g = []float64{k / b, -k * a / (b * b)}
+						}
+						if want := uarch.DeltaStd(g, sd, nil); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s/%s/%s interval %d: std %v, reference %v", catName, sh.name, d.Name, ti, got, want)
+						}
+					case uarch.KindLinearRatio:
+						want := uarch.DeltaStd(centralDifference(d, in), sd, nil)
+						rel := math.Abs(got-want) / math.Abs(want)
+						if got == want { //bayesvet:bitwise equal stds, zeros included, differ by nothing
+							rel = 0
+						}
+						if !(rel <= 1e-6) {
+							t.Fatalf("%s/%s/%s interval %d: std %v, central-difference reference %v", catName, sh.name, d.Name, ti, got, want)
+						}
+						worst = max(worst, rel)
+					default:
+						t.Fatalf("%s: unknown kind %q", d.Name, d.Kind)
+					}
+				}
+			}
+		}
+		t.Logf("%s: largest linear-ratio std difference from the central difference: %.3g relative", catName, worst)
+	}
+}
+
+// centralDifference is the gradient of d's Eval at in by a central finite
+// difference with the per-coordinate step h = 1e-6·max(|inᵢ|, 1).
+func centralDifference(d *uarch.Derived, in []float64) []float64 {
+	g := make([]float64, len(in))
+	x := append([]float64(nil), in...)
+	for i := range x {
+		h := 1e-6 * math.Max(math.Abs(x[i]), 1)
+		x[i] = in[i] + h
+		fp := d.Eval(x)
+		x[i] = in[i] - h
+		fm := d.Eval(x)
+		x[i] = in[i]
+		g[i] = (fp - fm) / (2 * h)
+	}
+	return g
 }

@@ -31,7 +31,9 @@
 // the stream. Finish assembles it once the pool is drained, on the calling
 // goroutine plus the pool's Workers goroutines: first every event series
 // from the chunked output, then every derived formula's posterior and
-// baselines.
+// baselines. Each derived formula runs through the loop of its kind, which
+// reads the stitched series directly and computes every interval's value,
+// exact gradient and delta-method std with uarch's per-kind arithmetic.
 package stream
 
 import (
@@ -163,7 +165,7 @@ type Result struct {
 	// indexed like the catalog's Derived slice. DerivedCorrected evaluates
 	// each formula at the stitched posterior mean per interval;
 	// DerivedCorrectedStd is the first-order delta-method std propagated
-	// from CorrectedStd through the formula's gradient at that point.
+	// from CorrectedStd through the formula's exact gradient at that point.
 	// DerivedWindowedRaw and DerivedNaive push the two baselines through
 	// the same formulas, so the three estimators stay comparable.
 	DerivedCorrected    []timeseries.Series
@@ -1111,12 +1113,11 @@ func (e *Engine) Finish() *Result {
 	for di := range e.cat.Derived {
 		k = max(k, len(e.cat.Derived[di].Inputs))
 	}
-	span := 4*k + k*k
 	a := &assembly{
-		res:     res,
-		events:  [outKinds][]timeseries.Series{res.Corrected, res.CorrectedStd, res.WindowedRaw, res.NaiveRaw},
-		scratch: make([]float64, (e.cfg.Workers+1)*span),
-		span:    span,
+		res:    res,
+		events: [outKinds][]timeseries.Series{res.Corrected, res.CorrectedStd, res.WindowedRaw, res.NaiveRaw},
+		grad:   make([]float64, (e.cfg.Workers+1)*k),
+		k:      k,
 	}
 	a.phase1.Add(e.cfg.Workers + 1)
 	e.asm = a
@@ -1131,12 +1132,12 @@ func (e *Engine) Finish() *Result {
 // its own series, so the Result is the same for any width and any order
 // the tasks run in.
 type assembly struct {
-	res     *Result
-	events  [outKinds][]timeseries.Series // the Result's event series, by output kind
-	next    [2]atomic.Int64               // the next task of each phase
-	phase1  sync.WaitGroup                // phase 2 reads the series phase 1 fills
-	scratch []float64                     // span values per goroutine for derived posteriors
-	span    int
+	res    *Result
+	events [outKinds][]timeseries.Series // the Result's event series, by output kind
+	next   [2]atomic.Int64               // the next task of each phase
+	phase1 sync.WaitGroup                // phase 2 reads the series phase 1 fills
+	grad   []float64                     // k gradient values per goroutine for derived posteriors
+	k      int                           // the most inputs of any derived formula
 }
 
 // take hands out the next task index of phase p.
@@ -1154,9 +1155,9 @@ func (e *Engine) assemble(g int) {
 	}
 	a.phase1.Done()
 	a.phase1.Wait()
-	scratch := a.scratch[g*a.span : (g+1)*a.span]
+	grad := a.grad[g*a.k : (g+1)*a.k]
 	for i := a.take(1); i < 3*len(e.cat.Derived); i = a.take(1) {
-		e.derivedSeries(a.res, i/3, i%3, scratch)
+		e.derivedSeries(a.res, i/3, i%3, grad)
 	}
 }
 
@@ -1178,14 +1179,15 @@ func (e *Engine) stitchedRho(pi, t int) float64 {
 // derivedSeries rides derived formula di on top of the stitched per-event
 // series, filling one of its outputs. Part 0 is the corrected posterior:
 // the formula at the posterior mean, and the delta method over the
-// stitched posterior stds, computed in scratch (see derivedPosterior).
-// With Config.Covariance the delta method also receives each input pair's
+// stitched posterior stds, through the loop of the formula's kind. With
+// Config.Covariance the delta method also receives each input pair's
 // stitched clique correlation ρ̄(t), so e.g. a ratio whose numerator and
 // denominator share an invariant stops counting their coupling as
 // independent noise. Parts 1 and 2 push the windowed-raw and naive
-// baselines through the same formula. Derived ratios are scale-free, so
-// per-interval rates feed them directly.
-func (e *Engine) derivedSeries(res *Result, di, part int, scratch []float64) {
+// baselines through the same formula (DerivedSeries). Derived ratios are
+// scale-free, so per-interval rates feed them directly. grad is the
+// calling goroutine's gradient scratch (see derivedPosterior).
+func (e *Engine) derivedSeries(res *Result, di, part int, grad []float64) {
 	d := &e.cat.Derived[di]
 	switch part {
 	case 0:
@@ -1195,53 +1197,114 @@ func (e *Engine) derivedSeries(res *Result, di, part int, scratch []float64) {
 		}
 		mean := make(timeseries.Series, e.ingested)
 		std := make(timeseries.Series, e.ingested)
-		e.derivedPosterior(d, pairs, res, mean, std, scratch)
+		e.derivedPosterior(d, pairs, res, mean, std, grad)
 		res.DerivedCorrected[di] = mean
 		res.DerivedCorrectedStd[di] = std
 	case 1:
-		res.DerivedWindowedRaw[di] = derivedBaseline(d, res.WindowedRaw)
+		res.DerivedWindowedRaw[di] = DerivedSeries(d, res.WindowedRaw)
 	case 2:
-		res.DerivedNaive[di] = derivedBaseline(d, res.NaiveRaw)
+		res.DerivedNaive[di] = DerivedSeries(d, res.NaiveRaw)
 	}
 }
 
-// derivedPosterior evaluates formula d at each interval's stitched
-// posterior into mean and its delta-method std into std. The gradient,
-// inputs and the correlation matrix of the formula's tracked pairs live in
-// scratch (4·k + k² values for k inputs), so no interval allocates. A
-// formula with no tracked pairs passes a nil matrix: the diagonal delta
-// method.
+// derivedPosterior runs the posterior loop of formula d's kind: per
+// interval, read straight from the stitched series, the value, the exact
+// gradient and the delta-method std, with the tracked pairs' cross terms in
+// the order uarch.DeltaStd adds them. A ratio has at most one tracked pair,
+// its two inputs; a linear ratio keeps its gradient in grad for the cross
+// terms. A formula that fails Validate gets NaN values, as Eval gives.
 //
 //bayesperf:hotpath
-func (e *Engine) derivedPosterior(d *uarch.Derived, pairs []pairRef, res *Result, mean, std timeseries.Series, scratch []float64) {
-	n := len(d.Inputs)
-	in, sd, g, x := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n]
-	var rho []float64
-	if len(pairs) > 0 {
-		rho = scratch[4*n : 4*n+n*n]
-		clear(rho)
-	}
-	for t := range mean {
-		for i, id := range d.Inputs {
-			in[i] = res.Corrected[id][t]
-			sd[i] = res.CorrectedStd[id][t]
+func (e *Engine) derivedPosterior(d *uarch.Derived, pairs []pairRef, res *Result, mean, std timeseries.Series, grad []float64) {
+	n := len(mean)
+	std = std[:n]
+	switch d.Kind {
+	case uarch.KindRatio:
+		scale := d.Scale
+		a, b := res.Corrected[d.Inputs[0]][:n], res.Corrected[d.Inputs[1]][:n]
+		sa, sb := res.CorrectedStd[d.Inputs[0]][:n], res.CorrectedStd[d.Inputs[1]][:n]
+		for t := range mean {
+			x, y := a[t], b[t]
+			mean[t] = uarch.RatioValue(scale, x, y)
+			ga, gb := uarch.RatioGradient(scale, x, y)
+			v := uarch.DeltaTerm(uarch.DeltaTerm(0, ga, sa[t]), gb, sb[t])
+			for _, pr := range pairs {
+				v = uarch.DeltaCross(v, ga, sa[t], gb, sb[t], e.stitchedRho(pr.pi, t))
+			}
+			std[t] = uarch.DeltaRoot(v)
 		}
-		for _, pr := range pairs {
-			rho[pr.i*n+pr.j] = e.stitchedRho(pr.pi, t)
+	case uarch.KindLinearRatio:
+		k := len(d.Inputs)
+		grad, num, den := grad[:k], d.Num[:k], d.Den[:k]
+		corr, cstd := res.Corrected, res.CorrectedStd
+		for t := range mean {
+			var nsum, dsum float64
+			for i, id := range d.Inputs {
+				nsum, dsum = uarch.LinearTerm(nsum, dsum, num[i], den[i], corr[id][t])
+			}
+			f := uarch.LinearValue(nsum, dsum)
+			mean[t] = f
+			var v float64
+			for i, id := range d.Inputs {
+				grad[i] = uarch.LinearGradient(num[i], den[i], f, dsum)
+				v = uarch.DeltaTerm(v, grad[i], cstd[id][t])
+			}
+			for _, pr := range pairs {
+				v = uarch.DeltaCross(v, grad[pr.i], cstd[d.Inputs[pr.i]][t], grad[pr.j], cstd[d.Inputs[pr.j]][t],
+					e.stitchedRho(pr.pi, t))
+			}
+			std[t] = uarch.DeltaRoot(v)
 		}
-		mean[t] = d.Eval(in)
-		d.GradientInto(g, x, in)
-		std[t] = uarch.DeltaStd(g, sd, rho)
+	default:
+		for t := range mean {
+			mean[t] = math.NaN()
+		}
 	}
 }
 
-// derivedBaseline pushes one baseline's per-event series through formula d.
-func derivedBaseline(d *uarch.Derived, events []timeseries.Series) timeseries.Series {
-	in := make([]timeseries.Series, len(d.Inputs))
-	for i, id := range d.Inputs {
-		in[i] = events[id]
+// DerivedSeries evaluates formula d at every interval of the per-event
+// series events (indexed by EventID), over the intervals all of its inputs
+// cover. Finish pushes both baselines through it.
+func DerivedSeries(d *uarch.Derived, events []timeseries.Series) timeseries.Series {
+	if len(d.Inputs) == 0 {
+		return nil
 	}
-	return timeseries.Map(d.Eval, in...)
+	n := len(events[d.Inputs[0]])
+	for _, id := range d.Inputs[1:] {
+		n = min(n, len(events[id]))
+	}
+	out := make(timeseries.Series, n)
+	derivedValues(d, events, out)
+	return out
+}
+
+// derivedValues writes formula d at every interval of out through the value
+// loop of its kind; a formula that fails Validate gets NaN values, as Eval
+// gives.
+//
+//bayesperf:hotpath
+func derivedValues(d *uarch.Derived, events []timeseries.Series, out timeseries.Series) {
+	n := len(out)
+	switch d.Kind {
+	case uarch.KindRatio:
+		scale, a, b := d.Scale, events[d.Inputs[0]][:n], events[d.Inputs[1]][:n]
+		for t := range out {
+			out[t] = uarch.RatioValue(scale, a[t], b[t])
+		}
+	case uarch.KindLinearRatio:
+		num, den := d.Num[:len(d.Inputs)], d.Den[:len(d.Inputs)]
+		for t := range out {
+			var nsum, dsum float64
+			for i, id := range d.Inputs {
+				nsum, dsum = uarch.LinearTerm(nsum, dsum, num[i], den[i], events[id][t])
+			}
+			out[t] = uarch.LinearValue(nsum, dsum)
+		}
+	default:
+		for t := range out {
+			out[t] = math.NaN()
+		}
+	}
 }
 
 // IntervalSource feeds the streaming engine: anything that emits a sequence

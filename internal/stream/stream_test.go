@@ -516,11 +516,49 @@ func TestStreamCorrectsLiveTrace(t *testing.T) {
 // derivedTruth evaluates one derived formula over the ground-truth trace's
 // per-interval rates.
 func derivedTruth(tr *measure.Trace, d *uarch.Derived) timeseries.Series {
-	gather := make([]timeseries.Series, len(d.Inputs))
-	for i, id := range d.Inputs {
-		gather[i] = tr.Series[id]
+	return DerivedSeries(d, tr.Series)
+}
+
+// TestDerivedSeries checks DerivedSeries against Eval at every interval for
+// both formula kinds, over series of unequal length: the result covers the
+// intervals every input covers. A formula with no inputs has no series,
+// and one whose kind fails Validate evaluates to NaN.
+func TestDerivedSeries(t *testing.T) {
+	events := []timeseries.Series{
+		{10, 20, 30, 40, 50},
+		{2, 4, 0, 8},
+		{1, 2, 3, 4, 5, 6},
 	}
-	return timeseries.Map(d.Eval, gather...)
+	formulas := []uarch.Derived{
+		{Name: "ratio", Inputs: []uarch.EventID{0, 1}, Kind: uarch.KindRatio, Scale: 1000},
+		{Name: "linear", Inputs: []uarch.EventID{0, 2, 1}, Kind: uarch.KindLinearRatio,
+			Num: []float64{1, 3, 0}, Den: []float64{0, 1, 2}},
+	}
+	for i := range formulas {
+		d := &formulas[i]
+		got := DerivedSeries(d, events)
+		if len(got) != 4 {
+			t.Fatalf("%s: %d intervals, want the 4 every input covers", d.Name, len(got))
+		}
+		for ti, v := range got {
+			in := make([]float64, len(d.Inputs))
+			for j, id := range d.Inputs {
+				in[j] = events[id][ti]
+			}
+			if want := d.Eval(in); math.Float64bits(v) != math.Float64bits(want) {
+				t.Errorf("%s interval %d: %v, Eval %v", d.Name, ti, v, want)
+			}
+		}
+	}
+	if got := DerivedSeries(&uarch.Derived{Kind: uarch.KindLinearRatio}, events); got != nil {
+		t.Errorf("formula without inputs: %v, want nil", got)
+	}
+	bad := &uarch.Derived{Inputs: []uarch.EventID{0, 1}, Kind: "polynomial"}
+	for ti, v := range DerivedSeries(bad, events) {
+		if !math.IsNaN(v) {
+			t.Errorf("unknown kind, interval %d: %v, want NaN", ti, v)
+		}
+	}
 }
 
 // TestStreamDerivedSeries is the tentpole's §6.2 result at the stream

@@ -90,6 +90,30 @@ func (e *eventRing) ordered(dst []float64) []float64 {
 	return dst
 }
 
+// filteredSums applies the Gumbel outlier filter to the ring's readings,
+// compacting the survivors in place over their ordered copy in scratch,
+// and returns the survivors' count and sums with the number rejected. The
+// ring holds only finite values, so the filter always keeps at least one
+// reading; with none rejected the ring's own running sums come back.
+//
+//bayesperf:hotpath
+func (e *eventRing) filteredSums(gumbel stats.GumbelThreshold, scratch []float64) (n int, sum, sq, ssd float64, rejected int) {
+	xs := e.ordered(scratch)
+	kept, rejected := gumbel.FilterMax(xs, xs[:0])
+	if rejected == 0 {
+		return e.n, e.sum, e.sq, e.ssd, 0
+	}
+	for i, x := range kept {
+		sum += x
+		sq += x * x
+		if i > 0 {
+			d := x - kept[i-1]
+			ssd += d * d
+		}
+	}
+	return len(kept), sum, sq, ssd, rejected
+}
+
 // Window is the sliding accumulator of the streaming engine: it ingests the
 // last size intervals' multiplexed samples and derives, per event, the
 // scaled window total and its Student-t observation std incrementally —
@@ -244,21 +268,9 @@ func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig, gumbel stat
 		}
 		n, sum, sq, ssd := er.n, er.sum, er.sq, er.ssd
 		if mux.GumbelReject {
-			// The rings hold only finite values, so the filter always
-			// keeps at least one reading.
-			kept, rejected := gumbel.FilterMax(er.ordered(w.scratch))
+			var rejected int
+			n, sum, sq, ssd, rejected = er.filteredSums(gumbel, w.scratch)
 			job.rejected += rejected
-			if rejected > 0 {
-				n, sum, sq, ssd = len(kept), 0, 0, 0
-				for i, x := range kept {
-					sum += x
-					sq += x * x
-					if i > 0 {
-						d := x - kept[i-1]
-						ssd += d * d
-					}
-				}
-			}
 		}
 		mean := sum / float64(n)
 		total := mean * float64(intervals)

@@ -64,32 +64,6 @@ func (s Series) Downsample(width int) Series {
 	return out
 }
 
-// Map evaluates fn pointwise across the input series — the shape of a
-// derived-event formula applied to per-interval event rates — producing a
-// series of the common (minimum) length. The input slice passed to fn is
-// reused between calls; fn must not retain it. Map with no series returns
-// nil.
-func Map(fn func(in []float64) float64, series ...Series) Series {
-	if len(series) == 0 {
-		return nil
-	}
-	n := len(series[0])
-	for _, s := range series[1:] {
-		if len(s) < n {
-			n = len(s)
-		}
-	}
-	out := make(Series, n)
-	in := make([]float64, len(series))
-	for t := 0; t < n; t++ {
-		for i, s := range series {
-			in[i] = s[t]
-		}
-		out[t] = fn(in)
-	}
-	return out
-}
-
 // ErrDTWEmpty is returned when either input series is empty.
 var ErrDTWEmpty = errors.New("timeseries: DTW on empty series")
 

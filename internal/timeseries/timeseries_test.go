@@ -47,29 +47,6 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	a := Series{10, 20, 30, 40}
-	b := Series{2, 4, 5} // shorter: result is clipped to the common length
-	ratio := Map(func(in []float64) float64 { return in[0] / in[1] }, a, b)
-	want := Series{5, 5, 6}
-	if len(ratio) != len(want) {
-		t.Fatalf("Map length %d, want %d", len(ratio), len(want))
-	}
-	for i := range want {
-		if ratio[i] != want[i] {
-			t.Errorf("Map[%d] = %v, want %v", i, ratio[i], want[i])
-		}
-	}
-	// Single series and empty inputs.
-	double := Map(func(in []float64) float64 { return 2 * in[0] }, b)
-	if len(double) != 3 || double[2] != 10 {
-		t.Errorf("Map over one series = %v", double)
-	}
-	if got := Map(func([]float64) float64 { return 1 }); got != nil {
-		t.Errorf("Map with no series = %v, want nil", got)
-	}
-}
-
 func TestDTWIdenticalIsZero(t *testing.T) {
 	s := Series{1, 5, 2, 8, 3}
 	cost, path, err := DTW(s, s, 0)

@@ -64,12 +64,11 @@ func Skylake() *Catalog {
 		"OFFCORE demand-read L3 misses = retired load L3 misses",
 		Term{offL3Miss, 1}, Term{l3Miss, -1})
 
-	// Derived events (§2 "Errors in Derived Events", §6.2). The ratios
-	// declare analytic gradients so posterior uncertainty propagates
-	// through the delta method exactly; Backend_Bound deliberately stays a
-	// KindLinearRatio without Grad and exercises the central-difference
-	// fallback in production. Idealized latency weights: L2 12c, L3 44c,
-	// DRAM 200c, over 4-wide issue slots.
+	// Derived events (§2 "Errors in Derived Events", §6.2). Every kind has
+	// an exact gradient, so posterior uncertainty propagates through the
+	// delta method without finite differences. Backend_Bound is a
+	// KindLinearRatio with idealized latency weights: L2 12c, L3 44c, DRAM
+	// 200c, over 4-wide issue slots.
 	cyc := c.MustEvent("CPU_CLK_UNHALTED.THREAD")
 	c.derivedRatio("IPC", "instructions per core cycle", inst, cyc, 1)
 	c.derivedRatio("L3_MPKI", "L3 misses per kilo-instruction", l3Miss, inst, 1000)

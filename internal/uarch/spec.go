@@ -171,9 +171,8 @@ func (s Spec) MustCatalog() *Catalog {
 	return c
 }
 
-// Spec converts the catalog back to its data form. It fails only on derived
-// events declared as hand-written closures (empty Kind), which have no data
-// representation.
+// Spec converts the catalog back to its data form. Every derived formula is
+// data, so the conversion cannot fail; the error result is always nil.
 func (c *Catalog) Spec() (Spec, error) {
 	s := Spec{
 		Arch:          c.Arch,
@@ -211,9 +210,6 @@ func (c *Catalog) Spec() (Spec, error) {
 	}
 	for i := range c.Derived {
 		d := &c.Derived[i]
-		if d.Kind == "" {
-			return Spec{}, fmt.Errorf("uarch: %s: derived %s is a hand-written closure and cannot be expressed as a spec", c.Arch, d.Name)
-		}
 		ds := DerivedSpec{Name: d.Name, Kind: d.Kind, Scale: d.Scale, Desc: d.Desc}
 		if d.Kind == KindRatio && ds.Scale == 1 { //bayesvet:bitwise scale 1 is the canonical no-op, stored exactly; omit from JSON
 			ds.Scale = 0 // omitted in JSON; Catalog() defaults it back to 1

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bayesperf/internal/graph"
@@ -374,23 +375,28 @@ func TestValidateModelsErrorIsDeterministic(t *testing.T) {
 	}
 }
 
+// registryRuns numbers the runs of TestRegistryConcurrentAccess.
+var registryRuns atomic.Int64
+
 // TestRegistryConcurrentAccess is the regression test for the registry's
 // locking: it used to embed sync.RWMutex in the (copyable) registry struct,
 // which bayesvet's locksafe copylock check now forbids — the lock is a
 // named field. Hammering Register/Lookup/Names concurrently keeps the
-// discipline honest under -race.
+// discipline honest under -race. Each run registers fresh names, since the
+// registry outlives a run under -count.
 func TestRegistryConcurrentAccess(t *testing.T) {
 	base, ok := uarch.Lookup("skylake")
 	if !ok {
 		t.Fatal("Lookup(skylake) failed")
 	}
+	run := registryRuns.Add(1)
 	var wg sync.WaitGroup
 	wg.Add(8)
 	for i := 0; i < 8; i++ {
 		i := i
 		go func() {
 			defer wg.Done()
-			name := fmt.Sprintf("concurrent-%d", i)
+			name := fmt.Sprintf("concurrent-%d-%d", run, i)
 			if err := uarch.Register(name, base); err != nil {
 				t.Errorf("Register(%s): %v", name, err)
 			}

@@ -86,52 +86,42 @@ func (r Relation) Magnitude(vals []float64) float64 {
 	return s / 2
 }
 
-// Expression kinds a Derived formula can be declared as when the catalog is
-// expressed as data (see Spec). Every built-in formula is one of these, so
-// catalogs round-trip through JSON without losing their derived events.
+// Expression kinds a Derived formula is declared as. Every formula is one
+// of these, so a formula is pure data: catalogs round-trip through JSON
+// without losing their derived events, and Eval and GradientInto read the
+// kind's coefficients directly.
 const (
-	// KindRatio is Scale·in[0]/in[1] with safeDiv's zero-denominator guard
-	// and its analytic gradient (see Derived.GradientInto).
+	// KindRatio is Scale·in[0]/in[1] under the zero-denominator guard (see
+	// RatioValue and RatioGradient).
 	KindRatio = "ratio"
-	// KindLinearRatio is ΣNum[i]·in[i] / ΣDen[i]·in[i] (safeDiv-guarded),
-	// with no analytic gradient: uncertainty propagation exercises the
-	// central-difference fallback, exactly as the builder catalogs do.
+	// KindLinearRatio is N/D with N = ΣNum[i]·in[i] and D = ΣDen[i]·in[i],
+	// under the same guard (see LinearTerm, LinearValue and
+	// LinearGradient).
 	KindLinearRatio = "linear_ratio"
 )
 
 // Derived is a derived event (§2 "Errors in Derived Events"): a mathematical
-// combination of individual HPC values, e.g. IPC or Backend_Bound.
+// combination of individual HPC values, e.g. IPC or Backend_Bound. It is
+// data: Kind selects the expression and Scale (KindRatio) or Num and Den
+// (KindLinearRatio) hold its coefficients, in Inputs order. A Derived is
+// never mutated after its catalog is built, so any number of goroutines may
+// evaluate it at once.
 type Derived struct {
-	Name   string
-	Inputs []EventID
-	// Eval computes the derived value from the input event values, in
-	// Inputs order. It must be safe for concurrent use: the stream engine
-	// evaluates one formula's series on several goroutines at once.
-	Eval func(in []float64) float64
-	// Grad, when declared on a hand-written formula (empty Kind), returns
-	// ∂Eval/∂inᵢ at in, in Inputs order. KindRatio formulas carry their
-	// analytic gradient in Kind and Scale; all others fall back to a
-	// central finite difference in Gradient.
-	Grad func(in []float64) []float64
-	// Kind, Scale, Num and Den are the data form of the formula (KindRatio
-	// or KindLinearRatio): the serialization metadata from which Eval/Grad
-	// were built. Empty Kind marks a hand-written closure that cannot be
-	// expressed as a Spec.
+	Name     string
+	Inputs   []EventID
 	Kind     string
 	Scale    float64
 	Num, Den []float64
 	Desc     string
 }
 
-// newRatioDerived builds the KindRatio formula scale·num/den; Gradient
-// derives its analytic gradient from Kind and Scale. Both the catalog
-// builders and the Spec loader construct ratios through here, so a
-// spec-loaded catalog's formulas are bit-identical to the builder's.
+// newRatioDerived builds the KindRatio formula scale·num/den. Both the
+// catalog builders and the Spec loader construct ratios through here, so a
+// spec-loaded catalog's formulas are identical to the builder's.
 func newRatioDerived(name, desc string, num, den EventID, scale float64) Derived {
 	return Derived{
 		Name:   name,
 		Inputs: []EventID{num, den},
-		Eval:   func(in []float64) float64 { return safeDiv(scale*in[0], in[1]) },
 		Kind:   KindRatio,
 		Scale:  scale,
 		Desc:   desc,
@@ -139,70 +129,150 @@ func newRatioDerived(name, desc string, num, den EventID, scale float64) Derived
 }
 
 // newLinearRatioDerived builds the KindLinearRatio formula
-// Σ num[i]·in[i] / Σ den[i]·in[i]. Grad stays nil on purpose: the builder
-// catalogs leave their weighted-sum ratios on the central-difference
-// fallback, and the spec loader must reproduce that bit for bit.
+// Σ num[i]·in[i] / Σ den[i]·in[i] over private copies of its coefficients.
 func newLinearRatioDerived(name, desc string, inputs []EventID, num, den []float64) Derived {
-	num = append([]float64(nil), num...)
-	den = append([]float64(nil), den...)
 	return Derived{
 		Name:   name,
 		Inputs: append([]EventID(nil), inputs...),
-		Eval: func(in []float64) float64 {
-			var n, d float64
-			for i := range in {
-				n += num[i] * in[i]
-				d += den[i] * in[i]
-			}
-			return safeDiv(n, d)
-		},
-		Kind: KindLinearRatio,
-		Num:  num,
-		Den:  den,
-		Desc: desc,
+		Kind:   KindLinearRatio,
+		Num:    append([]float64(nil), num...),
+		Den:    append([]float64(nil), den...),
+		Desc:   desc,
 	}
+}
+
+// The helpers below are the only implementation of each kind's value and
+// gradient and of the delta method's terms. Eval, GradientInto and DeltaStd
+// call them, and so do the stream engine's per-kind series loops, so every
+// caller computes the same bits. Each is small enough to inline.
+
+// RatioValue is the KindRatio formula scale·a/b; 0 when b = 0.
+func RatioValue(scale, a, b float64) float64 {
+	return safeDiv(scale*a, b)
+}
+
+// RatioGradient is the gradient of scale·a/b with respect to (a, b):
+// (scale/b, −scale·a/b²). At b = 0 it is the guard's flat (0, 0): a zero
+// denominator carries no first-order information.
+func RatioGradient(scale, a, b float64) (ga, gb float64) {
+	if b == 0 { //bayesvet:bitwise guard against exact-zero denominator
+		return 0, 0
+	}
+	return scale / b, -scale * a / (b * b)
+}
+
+// LinearTerm adds input x, with numerator and denominator coefficients num
+// and den, to a KindLinearRatio formula's running sums n and d. Folding the
+// inputs in Inputs order from zero gives the formula's N and D.
+func LinearTerm(n, d, num, den, x float64) (float64, float64) {
+	return n + num*x, d + den*x
+}
+
+// LinearValue is the KindLinearRatio value f = n/d from its sums; 0 when
+// d = 0.
+func LinearValue(n, d float64) float64 { return safeDiv(n, d) }
+
+// LinearGradient is ∂f/∂xᵢ of a KindLinearRatio formula at f = N/D for the
+// input with coefficients num and den: (num − f·den)/D. The form divides by
+// D once, where the quotient rule's (num·D − N·den)/D² overflows once |D|
+// passes ~1e154. An input absent from D contributes num/D, which stays
+// finite even where f itself overflowed. At D = 0 the gradient is the
+// guard's flat 0, like RatioGradient.
+func LinearGradient(num, den, f, d float64) float64 {
+	if d == 0 { //bayesvet:bitwise guard against exact-zero denominator
+		return 0
+	}
+	if den == 0 { //bayesvet:bitwise an exactly-zero coefficient drops the f·den term
+		return num / d
+	}
+	return (num - f*den) / d
+}
+
+// DeltaTerm adds input i's diagonal delta-method term (gᵢ·σᵢ)² to the
+// variance v. A non-finite gradient component adds nothing instead of
+// poisoning the result.
+func DeltaTerm(v, g, s float64) float64 {
+	if !finite(g) {
+		return v
+	}
+	t := g * s
+	return v + t*t
+}
+
+// DeltaCross adds the cross term 2·(gᵢσᵢ)·(gⱼσⱼ)·ρ of inputs i < j with
+// correlation r to the variance v. A zero or NaN r leaves the pair
+// independent, r is clamped to [−1, 1], and a non-finite gradient component
+// adds nothing.
+func DeltaCross(v, gi, si, gj, sj, r float64) float64 {
+	// Untracked pairs hold an exact 0 r; a NaN r fails the test too.
+	if !finite(gi) || !finite(gj) || !(r > 0 || r < 0) {
+		return v
+	}
+	return v + 2*(gi*si)*(gj*sj)*min(max(r, -1), 1)
+}
+
+// DeltaRoot turns an accumulated delta-method variance into the std,
+// flooring it at 0 so an inconsistent covariance model can never yield a
+// NaN std.
+func DeltaRoot(v float64) float64 {
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v)
+}
+
+// finite reports whether x is neither NaN nor ±Inf: x−x is exactly 0 for
+// every finite x and NaN otherwise. It is the cheapest form of the test,
+// which keeps the delta-method helpers within the inlining budget.
+func finite(x float64) bool {
+	return x-x == 0 //bayesvet:bitwise x−x is exactly 0 for finite x, NaN otherwise
+}
+
+// Eval computes the formula's value at the input values in (Inputs order).
+// A formula whose Kind fails Validate evaluates to NaN.
+func (d *Derived) Eval(in []float64) float64 {
+	switch d.Kind {
+	case KindRatio:
+		return RatioValue(d.Scale, in[0], in[1])
+	case KindLinearRatio:
+		var n, den float64
+		for i, x := range in {
+			n, den = LinearTerm(n, den, d.Num[i], d.Den[i], x)
+		}
+		return LinearValue(n, den)
+	}
+	return math.NaN()
 }
 
 // Gradient returns ∂Eval/∂inᵢ at in (Inputs order) in a new slice; see
 // GradientInto.
 func (d *Derived) Gradient(in []float64) []float64 {
 	g := make([]float64, len(in))
-	d.GradientInto(g, make([]float64, len(in)), in)
+	d.GradientInto(g, in)
 	return g
 }
 
-// GradientInto writes ∂Eval/∂inᵢ at in (Inputs order) into g. A KindRatio
-// formula k·a/b has the analytic gradient (k/b, −k·a/b²) under safeDiv's
-// zero-denominator guard, and the guard's flat (0, 0) at b = 0: a zero
-// denominator carries no first-order information. A hand-written formula
-// uses its Grad hook when it declares one. Every other formula takes a
-// central finite difference with a per-coordinate step
-// h = ε·max(|inᵢ|, 1), evaluated at the scratch point x; it is exact for
-// the linear-fractional formulas used in the catalogs up to O(h²). g and x
-// must have len(in). Only a Grad hook allocates.
-func (d *Derived) GradientInto(g, x, in []float64) {
-	switch {
-	case d.Kind == KindRatio:
-		k, a, b := d.Scale, in[0], in[1]
-		if b == 0 { //bayesvet:bitwise guard against exact-zero denominator
-			g[0], g[1] = 0, 0
-			return
+// GradientInto writes the exact gradient ∂Eval/∂inᵢ at in (Inputs order)
+// into g, which must have len(in): RatioGradient for a ratio, and
+// LinearGradient at each input for a linear ratio. Both are flat at a zero
+// denominator. A formula whose Kind fails Validate gets a NaN gradient,
+// which DeltaStd ignores.
+func (d *Derived) GradientInto(g, in []float64) {
+	switch d.Kind {
+	case KindRatio:
+		g[0], g[1] = RatioGradient(d.Scale, in[0], in[1])
+	case KindLinearRatio:
+		var n, den float64
+		for i, x := range in {
+			n, den = LinearTerm(n, den, d.Num[i], d.Den[i], x)
 		}
-		g[0], g[1] = k/b, -k*a/(b*b)
-	case d.Grad != nil:
-		copy(g, d.Grad(in))
+		f := LinearValue(n, den)
+		for i := range g {
+			g[i] = LinearGradient(d.Num[i], d.Den[i], f, den)
+		}
 	default:
-		const eps = 1e-6
-		copy(x, in)
-		for i := range x {
-			h := eps * math.Max(math.Abs(x[i]), 1)
-			orig := x[i]
-			x[i] = orig + h
-			fp := d.Eval(x)
-			x[i] = orig - h
-			fm := d.Eval(x)
-			x[i] = orig
-			g[i] = (fp - fm) / (2 * h)
+		for i := range g {
+			g[i] = math.NaN()
 		}
 	}
 }
@@ -236,51 +306,26 @@ func (d *Derived) PropagateStdCov(in, std []float64, corr func(i, j int) float64
 }
 
 // DeltaStd is the first-order delta method given a formula's gradient g
-// at the point (GradientInto) and per-input stds: the std of the formula.
-// rho holds the inputs' correlations row-major: rho[i*len(g)+j] couples
-// inputs i < j, and only that upper triangle is read. A nil rho, or a zero
-// entry, leaves a pair independent. Non-finite gradient components — e.g.
-// a finite difference straddling safeDiv's zero-denominator guard —
-// contribute nothing instead of poisoning the result. Correlations are
-// clamped to [−1, 1] and the accumulated variance floored at 0, so an
-// inconsistent covariance model can never yield a NaN std.
+// at the point (GradientInto) and per-input stds: the std of the formula,
+// accumulated as every diagonal DeltaTerm in input order, then every
+// DeltaCross in (i, j) order, through DeltaRoot. rho holds the inputs'
+// correlations row-major: rho[i*len(g)+j] couples inputs i < j, and only
+// that upper triangle is read. A nil rho, or a zero entry, leaves a pair
+// independent.
 func DeltaStd(g, std, rho []float64) float64 {
 	var v float64
 	for i, gi := range g {
-		if math.IsNaN(gi) || math.IsInf(gi, 0) {
-			continue
-		}
-		t := gi * std[i]
-		v += t * t
+		v = DeltaTerm(v, gi, std[i])
 	}
 	if rho != nil {
 		k := len(g)
 		for i, gi := range g {
-			if math.IsNaN(gi) || math.IsInf(gi, 0) {
-				continue
-			}
 			for j := i + 1; j < k; j++ {
-				gj := g[j]
-				if math.IsNaN(gj) || math.IsInf(gj, 0) {
-					continue
-				}
-				r := rho[i*k+j]
-				if r == 0 || math.IsNaN(r) { //bayesvet:bitwise untracked pairs hold exact 0; skip the term
-					continue
-				}
-				if r > 1 {
-					r = 1
-				} else if r < -1 {
-					r = -1
-				}
-				v += 2 * (gi * std[i]) * (gj * std[j]) * r
+				v = DeltaCross(v, gi, std[i], g[j], std[j], rho[i*k+j])
 			}
 		}
 	}
-	if v < 0 {
-		v = 0 // clamped correlations keep this near-impossible for k=2; guard k>2
-	}
-	return math.Sqrt(v)
+	return DeltaRoot(v)
 }
 
 // Catalog is the complete event model for one CPU architecture.
@@ -338,18 +383,13 @@ func (c *Catalog) relation(name string, relTol float64, desc string, terms ...Te
 	c.Rels = append(c.Rels, Relation{Name: name, Terms: terms, RelTol: relTol, Desc: desc})
 }
 
-func (c *Catalog) derived(name, desc string, inputs []EventID, eval func([]float64) float64) {
-	c.Derived = append(c.Derived, Derived{Name: name, Inputs: inputs, Eval: eval, Desc: desc})
-}
-
-// derivedRatio registers a scale·num/den ratio formula (KindRatio) with its
-// analytic gradient.
+// derivedRatio registers a scale·num/den ratio formula (KindRatio).
 func (c *Catalog) derivedRatio(name, desc string, num, den EventID, scale float64) {
 	c.Derived = append(c.Derived, newRatioDerived(name, desc, num, den, scale))
 }
 
 // derivedLinear registers a weighted-sum-over-weighted-sum formula
-// (KindLinearRatio); gradient comes from the central-difference fallback.
+// (KindLinearRatio).
 func (c *Catalog) derivedLinear(name, desc string, inputs []EventID, num, den []float64) {
 	c.Derived = append(c.Derived, newLinearRatioDerived(name, desc, inputs, num, den))
 }
@@ -487,16 +527,14 @@ func (c *Catalog) Validate() error {
 		}
 	}
 	for _, d := range c.Derived {
-		if d.Eval == nil {
-			return fmt.Errorf("uarch: %s: derived %s has no formula", c.Arch, d.Name)
-		}
 		for _, in := range d.Inputs {
 			if in < 0 || int(in) >= len(c.Events) {
 				return fmt.Errorf("uarch: %s: derived %s references unknown event %d", c.Arch, d.Name, in)
 			}
 		}
 		switch d.Kind {
-		case "": // hand-written closure: nothing more to check
+		case "":
+			return fmt.Errorf("uarch: %s: derived %s has no formula: empty kind", c.Arch, d.Name)
 		case KindRatio:
 			if len(d.Inputs) != 2 {
 				return fmt.Errorf("uarch: %s: ratio derived %s needs 2 inputs, has %d", c.Arch, d.Name, len(d.Inputs))

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"math"
+	"math/big"
 	"math/bits"
 	"strings"
 	"testing"
@@ -76,15 +77,20 @@ func TestValidateErrorPaths(t *testing.T) {
 			"zero coefficient",
 		},
 		{
-			"derived without formula",
-			func(c *Catalog) { c.Derived = append(c.Derived, Derived{Name: "d"}) },
+			"derived without formula", // an empty Kind
+			func(c *Catalog) { c.Derived = append(c.Derived, Derived{Name: "d", Inputs: []EventID{0, 1}}) },
 			"no formula",
 		},
 		{
-			"derived with unknown input",
+			"derived with unknown kind",
 			func(c *Catalog) {
-				c.derived("d", "", []EventID{42}, func(in []float64) float64 { return 0 })
+				c.Derived = append(c.Derived, Derived{Name: "d", Inputs: []EventID{0, 1}, Kind: "polynomial"})
 			},
+			"unknown kind",
+		},
+		{
+			"derived with unknown input",
+			func(c *Catalog) { c.derivedRatio("d", "", 0, 42, 1) },
 			"unknown event",
 		},
 	}
@@ -313,81 +319,15 @@ func TestEvalDerived(t *testing.T) {
 	}
 }
 
-// TestGradientAnalyticMatchesFallback checks, for every derived event in
-// both catalogs, that the declared analytic gradient agrees with the
-// central-difference fallback at a consistent operating point — and that
-// formulas without a declared gradient (Backend_Bound) produce a finite
-// fallback gradient.
-func TestGradientAnalyticMatchesFallback(t *testing.T) {
-	for _, tc := range []struct {
-		cat  *Catalog
-		vals []float64
-	}{
-		{Skylake(), nil}, {Power9(), nil},
-	} {
-		if tc.cat.Arch == "x86_64-skylake" {
-			tc.vals = consistentSkylake(tc.cat)
-		} else {
-			tc.vals = consistentPower9(tc.cat)
-		}
-		for di := range tc.cat.Derived {
-			d := &tc.cat.Derived[di]
-			in := make([]float64, len(d.Inputs))
-			for i, id := range d.Inputs {
-				in[i] = tc.vals[id]
-			}
-			got := d.Gradient(in)
-			// Strip the analytic gradient and re-derive numerically.
-			numeric := Derived{Name: d.Name, Inputs: d.Inputs, Eval: d.Eval}
-			want := numeric.Gradient(in)
-			for i := range got {
-				if math.IsNaN(got[i]) || math.IsInf(got[i], 0) {
-					t.Errorf("%s/%s: gradient[%d] = %v", tc.cat.Arch, d.Name, i, got[i])
-				}
-				tol := 1e-4 * math.Max(math.Abs(want[i]), 1e-300)
-				if math.Abs(got[i]-want[i]) > tol {
-					t.Errorf("%s/%s: gradient[%d] = %g, central difference %g",
-						tc.cat.Arch, d.Name, i, got[i], want[i])
-				}
-			}
-		}
+// allCatalogs returns every registered catalog and both example specs'
+// catalogs.
+func allCatalogs(t *testing.T) []*Catalog {
+	t.Helper()
+	var cats []*Catalog
+	for _, name := range Names() {
+		spec, _ := Lookup(name)
+		cats = append(cats, spec.MustCatalog())
 	}
-}
-
-// referenceGradient is the allocating gradient the derived pass used
-// before GradientInto: a fresh (k/b, −k·a/(b·b)) for ratios and a central
-// difference over a copy of in for everything else.
-func referenceGradient(d *Derived, in []float64) []float64 {
-	if d.Kind == KindRatio {
-		k, a, b := d.Scale, in[0], in[1]
-		if b == 0 { //bayesvet:bitwise reference of the exact-zero denominator guard
-			return []float64{0, 0}
-		}
-		return []float64{k / b, -k * a / (b * b)}
-	}
-	const eps = 1e-6
-	g := make([]float64, len(in))
-	x := append([]float64(nil), in...)
-	for i := range x {
-		h := eps * math.Max(math.Abs(x[i]), 1)
-		orig := x[i]
-		x[i] = orig + h
-		fp := d.Eval(x)
-		x[i] = orig - h
-		fm := d.Eval(x)
-		x[i] = orig
-		g[i] = (fp - fm) / (2 * h)
-	}
-	return g
-}
-
-// TestGradientIntoMatchesReference: on every formula of all four catalogs
-// (both builders and both example specs), at random points, points with a
-// zero input and points of extreme magnitude, the buffered gradient equals
-// the reference gradient and Gradient bit for bit, whatever the scratch
-// buffers held before.
-func TestGradientIntoMatchesReference(t *testing.T) {
-	cats := []*Catalog{Skylake(), Power9()}
 	for _, name := range []string{"zen.json", "neoverse.json"} {
 		spec, err := LoadSpecFile("../../examples/catalogs/" + name)
 		if err != nil {
@@ -399,18 +339,152 @@ func TestGradientIntoMatchesReference(t *testing.T) {
 		}
 		cats = append(cats, cat)
 	}
-	seed := uint64(1)
-	next := func() float64 { // deterministic xorshift draws in [0, 1)
+	return cats
+}
+
+// xorshift returns a deterministic generator of draws in [0, 1).
+func xorshift(seed uint64) func() float64 {
+	return func() float64 {
 		seed ^= seed << 13
 		seed ^= seed >> 7
 		seed ^= seed << 17
 		return float64(seed>>11) / (1 << 53)
 	}
-	for _, cat := range cats {
+}
+
+// centralDifference is the test's independent gradient: a central finite
+// difference of Eval with the per-coordinate step h = 1e-6·max(|inᵢ|, 1).
+func centralDifference(d *Derived, in []float64) []float64 {
+	g := make([]float64, len(in))
+	x := append([]float64(nil), in...)
+	for i := range x {
+		h := 1e-6 * math.Max(math.Abs(x[i]), 1)
+		x[i] = in[i] + h
+		fp := d.Eval(x)
+		x[i] = in[i] - h
+		fm := d.Eval(x)
+		x[i] = in[i]
+		g[i] = (fp - fm) / (2 * h)
+	}
+	return g
+}
+
+// denominator returns the formula's denominator at in and how far the
+// central-difference stencil can move it: Σ|∂D/∂inᵢ|·hᵢ.
+func denominator(d *Derived, in []float64) (den, reach float64) {
+	for i, x := range in {
+		c := 1.0 // a ratio's denominator is its second input
+		switch d.Kind {
+		case KindRatio:
+			if i == 0 {
+				c = 0
+			}
+		case KindLinearRatio:
+			c = d.Den[i]
+		}
+		den += c * x
+		reach += math.Abs(c) * 1e-6 * math.Max(math.Abs(x), 1)
+	}
+	return den, reach
+}
+
+// TestGradientAnalyticMatchesFallback checks the exact gradient of every
+// registered formula and every example-spec formula against the test's
+// own central difference, within 1e-6 relative. The points are count-like
+// (positive, 1 to 1e12, with some inputs at zero). A coordinate is
+// compared only where its difference is well conditioned: the stencil
+// moves the denominator by less than a thousandth of its value, and the
+// difference's rounding error, about 3ε·|f|/hᵢ, is below 1e-8 of it.
+func TestGradientAnalyticMatchesFallback(t *testing.T) {
+	next := xorshift(3)
+	for _, cat := range allCatalogs(t) {
+		for di := range cat.Derived {
+			d := &cat.Derived[di]
+			checked := make([]int, len(d.Inputs))
+			for trial := 0; trial < 100; trial++ {
+				in := make([]float64, len(d.Inputs))
+				for i := range in {
+					in[i] = math.Pow(10, 12*next())
+					if trial%3 == 2 && next() < 0.3 {
+						in[i] = 0
+					}
+				}
+				if den, reach := denominator(d, in); !(math.Abs(den) > 1e3*reach) {
+					continue
+				}
+				f := math.Abs(d.Eval(in))
+				got, want := d.Gradient(in), centralDifference(d, in)
+				for i := range got {
+					h := 1e-6 * math.Max(math.Abs(in[i]), 1)
+					if 3*0x1p-52*f/h > 1e-8*math.Abs(want[i]) {
+						continue
+					}
+					checked[i]++
+					if !finite(got[i]) || math.Abs(got[i]-want[i]) > 1e-6*math.Abs(want[i]) {
+						t.Fatalf("%s/%s at %v: gradient[%d] = %g, central difference %g",
+							cat.Arch, d.Name, in, i, got[i], want[i])
+					}
+				}
+			}
+			for i, n := range checked {
+				if n < 10 {
+					t.Errorf("%s/%s: input %d well conditioned at only %d of 100 points", cat.Arch, d.Name, i, n)
+				}
+			}
+		}
+	}
+}
+
+// exactLinearGradient evaluates a KindLinearRatio formula's gradient
+// exactly in rational arithmetic at in: g[i] = (Num[i] − f·Den[i])/D with
+// f = N/D. It also returns each coordinate's error scale
+// (|Num[i]| + F·|Den[i]|)/|D|, where F = (Σ|Num[j]·in[j]| + |f|·Σ|Den[j]·in[j]|)/|D|
+// is the magnitude of the terms f is computed from: F = |f| up to a
+// factor 2 when no sum cancels, and larger by exactly the cancellation
+// otherwise. D must not be 0.
+func exactLinearGradient(d *Derived, in []float64) (g, scale []*big.Rat) {
+	rat := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+	abs := func(x *big.Rat) *big.Rat { return new(big.Rat).Abs(x) }
+	n, den, absN, absD := new(big.Rat), new(big.Rat), new(big.Rat), new(big.Rat)
+	for i, x := range in {
+		tn := new(big.Rat).Mul(rat(d.Num[i]), rat(x))
+		td := new(big.Rat).Mul(rat(d.Den[i]), rat(x))
+		n.Add(n, tn)
+		den.Add(den, td)
+		absN.Add(absN, abs(tn))
+		absD.Add(absD, abs(td))
+	}
+	f := new(big.Rat).Quo(n, den)
+	mag := new(big.Rat).Mul(abs(f), absD)
+	mag.Add(mag, absN).Quo(mag, abs(den))
+	for i := range in {
+		gi := new(big.Rat).Mul(f, rat(d.Den[i]))
+		gi.Sub(rat(d.Num[i]), gi).Quo(gi, den)
+		si := new(big.Rat).Mul(mag, abs(rat(d.Den[i])))
+		si.Add(si, abs(rat(d.Num[i]))).Quo(si, abs(den))
+		g, scale = append(g, gi), append(scale, si)
+	}
+	return g, scale
+}
+
+// TestGradientIntoMatchesReference checks GradientInto on every formula of
+// all four catalogs at random points, points with a zero input and points
+// of extreme magnitude, whatever g held before. A ratio's gradient equals
+// the reference (k/b, −k·a/(b·b)) bit for bit. A linear ratio's equals the
+// exact rational gradient within 16ε times the coordinate's error scale
+// (see exactLinearGradient), plus two of the smallest subnormal for
+// results that underflow; where the exact gradient lies beyond the float64
+// range the result must be non-finite, which DeltaStd skips, and at a zero
+// denominator it must be the guard's flat 0.
+func TestGradientIntoMatchesReference(t *testing.T) {
+	next := xorshift(1)
+	eps := new(big.Rat).SetFloat64(16 * 0x1p-53)
+	floor := new(big.Rat).SetFloat64(2 * math.SmallestNonzeroFloat64)
+	for _, cat := range allCatalogs(t) {
 		for di := range cat.Derived {
 			d := &cat.Derived[di]
 			n := len(d.Inputs)
-			g, x := make([]float64, n), make([]float64, n)
+			g := make([]float64, n)
 			for trial := 0; trial < 200; trial++ {
 				in := make([]float64, n)
 				for i := range in {
@@ -430,21 +504,71 @@ func TestGradientIntoMatchesReference(t *testing.T) {
 					}
 				}
 				for i := range g {
-					g[i], x[i] = math.NaN(), next()
+					g[i] = math.NaN()
 				}
-				d.GradientInto(g, x, in)
-				want := referenceGradient(d, in)
+				d.GradientInto(g, in)
 				got := d.Gradient(in)
-				for i := range want {
-					if math.Float64bits(g[i]) != math.Float64bits(want[i]) ||
-						math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s/%s at %v: GradientInto[%d] = %v, Gradient %v, reference %v",
-							cat.Arch, d.Name, in, i, g[i], got[i], want[i])
+				for i := range g {
+					if math.Float64bits(g[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("%s/%s at %v: GradientInto[%d] = %v, Gradient %v", cat.Arch, d.Name, in, i, g[i], got[i])
+					}
+				}
+				switch d.Kind {
+				case KindRatio:
+					k, a, b := d.Scale, in[0], in[1]
+					want := []float64{0, 0}
+					if b != 0 { //bayesvet:bitwise reference of the exact-zero denominator guard
+						want = []float64{k / b, -k * a / (b * b)}
+					}
+					for i := range want {
+						if math.Float64bits(g[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s/%s at %v: gradient[%d] = %v, reference %v", cat.Arch, d.Name, in, i, g[i], want[i])
+						}
+					}
+				case KindLinearRatio:
+					if _, den := linearSums(d, in); den == 0 { //bayesvet:bitwise the guard fires on an exact-zero denominator
+						for i := range g {
+							if g[i] != 0 {
+								t.Fatalf("%s/%s at %v: gradient[%d] = %v at a zero denominator", cat.Arch, d.Name, in, i, g[i])
+							}
+						}
+						continue
+					}
+					exact, scale := exactLinearGradient(d, in)
+					for i, want := range exact {
+						if w, _ := want.Float64(); !finite(w) {
+							if finite(g[i]) {
+								t.Fatalf("%s/%s at %v: gradient[%d] = %v, exact %v is beyond float64",
+									cat.Arch, d.Name, in, i, g[i], want.FloatString(3))
+							}
+							continue
+						}
+						if !finite(g[i]) {
+							t.Fatalf("%s/%s at %v: gradient[%d] = %v, exact %v", cat.Arch, d.Name, in, i, g[i], want.FloatString(3))
+						}
+						diff := new(big.Rat).Sub(new(big.Rat).SetFloat64(g[i]), want)
+						tol := new(big.Rat).Mul(eps, scale[i])
+						tol.Add(tol, floor)
+						if diff.Abs(diff).Cmp(tol) > 0 {
+							w, _ := want.Float64()
+							tf, _ := tol.Float64()
+							t.Fatalf("%s/%s at %v: gradient[%d] = %v, exact %v, tolerance %v",
+								cat.Arch, d.Name, in, i, g[i], w, tf)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// linearSums returns a KindLinearRatio formula's float64 numerator and
+// denominator at in.
+func linearSums(d *Derived, in []float64) (n, den float64) {
+	for i, x := range in {
+		n, den = LinearTerm(n, den, d.Num[i], d.Den[i], x)
+	}
+	return n, den
 }
 
 // TestPropagateStdGoldenIPC is the golden delta-method check: for

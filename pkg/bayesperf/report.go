@@ -297,11 +297,7 @@ func evalDerivedStream(cat *Catalog, tr *Trace, res *stream.Result, band int) ([
 	rows := make([]DerivedStreamReport, 0, len(cat.Derived))
 	for di := range cat.Derived {
 		d := &cat.Derived[di]
-		gather := make([]timeseries.Series, len(d.Inputs))
-		for i, id := range d.Inputs {
-			gather[i] = tr.Series[id]
-		}
-		truth := timeseries.Map(d.Eval, gather...)
+		truth := stream.DerivedSeries(d, tr.Series)
 		row := DerivedStreamReport{Name: d.Name}
 		var err error
 		if row.NaiveAligned, err = timeseries.AlignedRelError(truth, res.DerivedNaive[di], band, derivedAlignedRelErrFloor); err != nil {
