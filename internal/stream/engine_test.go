@@ -65,12 +65,29 @@ func (s *cycleSource) Next() (measure.IntervalSample, bool) {
 	return iv, true
 }
 
+// readLate makes the highest-numbered multiplexed event of tr read NaN
+// before interval first, so its first reading backfills every earlier
+// interval's naive value, and the windowed raw value of those already
+// settled.
+func readLate(tr *measure.Trace, first int) {
+	for id := tr.Cat.NumEvents() - 1; id >= 0; id-- {
+		if !tr.Cat.Event(uarch.EventID(id)).Fixed {
+			for ti := 0; ti < first && ti < len(tr.Series[id]); ti++ {
+				tr.Series[id][ti] = math.NaN()
+			}
+			return
+		}
+	}
+}
+
 // stateBound is the engine state bound derived from the configuration
 // alone, each ring rounded up to a power of two. The interval ring never
 // holds more than the intervals spanned by the windows in flight (fewer
-// than 2·Workers·Batch dispatched plus one batch being filled) and one
-// window. The record ring holds those windows plus the ⌈Window/Hop⌉ + 1
-// stitched ones that can still cover an unfinalized interval. At most
+// than 2·Workers·Batch dispatched plus one batch being filled), one window,
+// and the headroom for settling on the pool: twice the larger of a settle
+// block and a batch's Batch·Hop intervals. The record ring holds those
+// windows, the ⌈Window/Hop⌉ + 1 stitched ones that can still cover an
+// interval not yet ready, and the windows over the headroom. At most
 // 2·Workers hand-offs are ever live.
 func stateBound(cfg Config) (ringCap, recCap, handoffs int) {
 	cfg = cfg.WithDefaults()
@@ -82,13 +99,14 @@ func stateBound(cfg Config) (ringCap, recCap, handoffs int) {
 		return n
 	}
 	inFlight := 2*cfg.Workers*cfg.Batch + cfg.Batch
-	ringCap = pow2(inFlight*cfg.Hop + cfg.Window)
-	recCap = pow2(inFlight + (cfg.Window+cfg.Hop-1)/cfg.Hop + 1)
+	headroom := 2 * max(settleSpan, cfg.Batch*cfg.Hop)
+	ringCap = pow2(inFlight*cfg.Hop + cfg.Window + headroom)
+	recCap = pow2(inFlight + (cfg.Window+cfg.Hop-1)/cfg.Hop + 1 + (headroom+cfg.Hop-1)/cfg.Hop)
 	return ringCap, recCap, 2 * cfg.Workers
 }
 
 // liveRecords is the number of window records the engine must keep: every
-// window from the first that still covers an unfinalized interval to the
+// window from the first that still covers an unsettled interval to the
 // last one emitted.
 func liveRecords(e *Engine) int {
 	first := 0
@@ -102,9 +120,15 @@ func liveRecords(e *Engine) int {
 // hand-off pool stay under a bound computed from Window, Hop, Workers and
 // Batch, the same at 10³ and at 10⁵ intervals — including with more
 // workers than CPUs, where one descheduled worker lets the others race
-// ahead. The unfinalized span and the live records are sampled after
-// every interval: the span must always fit the interval ring, and the
-// live records the record ring, so no live record is ever overwritten.
+// ahead. The unsettled span and the live records are sampled after every
+// interval: the span must always fit the interval ring, and the live
+// records the record ring, so no live record is ever overwritten. Where
+// the pool runs the stream's inference, the long stream's settle blocks
+// must go to the pool too (at 10³ intervals a batch of 64 windows is not
+// back before Finish); with a Flush every 24 intervals, as the adaptive
+// epoch loop runs it, each epoch's 6 windows never fill a batch of 8,
+// Flush runs every batch on the calling goroutine, and no block may be
+// posted.
 func TestEngineStateBounded(t *testing.T) {
 	cat := uarch.Skylake()
 	long := 100_000
@@ -112,13 +136,19 @@ func TestEngineStateBounded(t *testing.T) {
 		long = 10_000 // the race detector slows the engine ~10×; 10⁴ still spans many rings
 	}
 	configs := []struct {
-		name string
-		set  func(*Config)
+		name   string
+		set    func(*Config)
+		epoch  int  // Flush every epoch intervals (0: never)
+		pooled bool // the long stream's settle blocks must go to the pool
 	}{
-		{"default", func(c *Config) { c.Workers = 2 }},
-		{"oversubscribed", func(c *Config) { c.Workers = 4 * runtime.NumCPU() }},
-		{"hop1-batch1", func(c *Config) { c.Window, c.Hop, c.Workers, c.Batch = 16, 1, 3, 1 }},
-		{"batch64-cov", func(c *Config) { c.Workers, c.Batch, c.Covariance = 2, 64, true }},
+		{"default", func(c *Config) { c.Workers = 2 }, 0, true},
+		{"oversubscribed", func(c *Config) { c.Workers = 4 * runtime.NumCPU() }, 0, true},
+		{"hop1-batch1", func(c *Config) { c.Window, c.Hop, c.Workers, c.Batch = 16, 1, 3, 1 }, 0, true},
+		{"batch64-cov", func(c *Config) { c.Workers, c.Batch, c.Covariance = 2, 64, true }, 0, true},
+		// Hop = Window: the interval ring spans more windows than the record
+		// ring holds, so the record ring's own wait is what bounds it.
+		{"tumbling", func(c *Config) { c.Hop, c.Workers = 24, 2 }, 0, true},
+		{"epoch-inline", func(c *Config) { c.Workers = 2 }, 24, false},
 	}
 	for _, c := range configs {
 		cfg := DefaultConfig()
@@ -127,15 +157,19 @@ func TestEngineStateBounded(t *testing.T) {
 		for _, n := range []int{1_000, long} {
 			e := NewEngine(cat, cfg)
 			src := newCycleSource(cat, n)
-			span, live := 0, 0
+			span, live, pooled := 0, 0, false
 			for {
 				s, ok := src.Next()
 				if !ok {
 					break
 				}
 				e.Ingest(s)
+				if c.epoch > 0 && e.ingested%c.epoch == 0 {
+					e.Flush()
+				}
 				span = max(span, e.ingested-e.final)
 				live = max(live, liveRecords(e))
+				pooled = pooled || len(e.settling) > 0
 			}
 			res := e.Finish()
 			if res.Intervals != n {
@@ -143,10 +177,10 @@ func TestEngineStateBounded(t *testing.T) {
 			}
 			// Finish returned every hand-off to the free list.
 			handoffs := len(e.free)
-			t.Logf("%s n=%d: unfinalized span ≤ %d, ring %d (bound %d), live records ≤ %d, record ring %d (bound %d), hand-offs %d (bound %d)",
-				c.name, n, span, e.ringCap, ringBound, live, e.recCap, recBound, handoffs, handoffBound)
+			t.Logf("%s n=%d: unsettled span ≤ %d, ring %d (bound %d), live records ≤ %d, record ring %d (bound %d), hand-offs %d (bound %d), posted %v",
+				c.name, n, span, e.ringCap, ringBound, live, e.recCap, recBound, handoffs, handoffBound, pooled)
 			if e.ringCap > ringBound || span > e.ringCap {
-				t.Errorf("%s n=%d: unfinalized span %d in a ring of %d, bound %d",
+				t.Errorf("%s n=%d: unsettled span %d in a ring of %d, bound %d",
 					c.name, n, span, e.ringCap, ringBound)
 			}
 			if e.recCap > recBound || live > e.recCap {
@@ -155,6 +189,9 @@ func TestEngineStateBounded(t *testing.T) {
 			}
 			if handoffs > handoffBound {
 				t.Errorf("%s n=%d: %d hand-offs allocated, bound %d", c.name, n, handoffs, handoffBound)
+			}
+			if n == long && pooled != c.pooled {
+				t.Errorf("%s n=%d: settle blocks posted to the pool: %v, want %v", c.name, n, pooled, c.pooled)
 			}
 		}
 	}

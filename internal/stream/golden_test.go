@@ -23,7 +23,7 @@ type goldenShape struct {
 	cov       bool
 	adaptive  bool
 	gumbel    bool // Gumbel rejection with 2% injected outliers and Inf readings
-	lateFirst bool // one multiplexed event NaN for its first 40 intervals
+	lateFirst int  // if > 0, one multiplexed event reads NaN before this interval (see readLate)
 }
 
 var goldenShapes = []goldenShape{
@@ -31,13 +31,16 @@ var goldenShapes = []goldenShape{
 	{name: "default", length: 120, window: 24, hop: 4, workers: 2, batch: 8},
 	{name: "tumbling", length: 121, window: 8, hop: 8, workers: 2, batch: 3},
 	{name: "hop1-wide", length: 150, window: 8, hop: 1, workers: 4, batch: 64},
-	{name: "late-cov", length: 120, window: 8, hop: 3, workers: 2, batch: 1, cov: true, lateFirst: true},
+	{name: "late-cov", length: 120, window: 8, hop: 3, workers: 2, batch: 1, cov: true, lateFirst: 40},
 	{name: "gumbel-inf-cov", length: 150, window: 24, hop: 4, workers: 2, batch: 8, cov: true, gumbel: true},
 	{name: "adaptive", length: 150, window: 24, hop: 4, workers: 2, batch: 8, adaptive: true},
 	{name: "long", length: 303, window: 16, hop: 2, workers: 1, batch: 32},
 	// Each 24-interval epoch emits 6 windows: one full batch for the pool and
 	// a partial one that Flush executes on the calling goroutine.
 	{name: "adaptive-mixed", length: 150, window: 24, hop: 4, workers: 2, batch: 4, adaptive: true},
+	// The late event's first reading rewrites 500 earlier intervals, most of
+	// them already settled, some of them by the pool.
+	{name: "late-pool", length: 700, window: 24, hop: 4, workers: 2, batch: 8, lateFirst: 500},
 }
 
 // goldenHashes pins the FNV-64a hash of every Result output (see
@@ -52,6 +55,7 @@ var goldenHashes = map[string]uint64{
 	"skylake/adaptive":             0x04013af91b56763c,
 	"skylake/long":                 0x965b218eb37f4534,
 	"skylake/adaptive-mixed":       0x04013af91b56763c,
+	"skylake/late-pool":            0x73934d6ffdae5068,
 	"power9/short":                 0x381ee4ecdf7301fb,
 	"power9/default":               0x7df3f01640c7a833,
 	"power9/tumbling":              0x88b669c3a45b1aec,
@@ -61,6 +65,7 @@ var goldenHashes = map[string]uint64{
 	"power9/adaptive":              0x82b8a39fbaede641,
 	"power9/long":                  0xf5067fc44a9c4352,
 	"power9/adaptive-mixed":        0x82b8a39fbaede641,
+	"power9/late-pool":             0x89be3d4e0b2df859,
 	"zen.json/short":               0xc5816b5b5571f153,
 	"zen.json/default":             0x24e098fa95c7b5cb,
 	"zen.json/tumbling":            0x7b78788f31a5e71f,
@@ -70,6 +75,7 @@ var goldenHashes = map[string]uint64{
 	"zen.json/adaptive":            0x2b4ac042489a04ee,
 	"zen.json/long":                0x568fca9f3d2fa235,
 	"zen.json/adaptive-mixed":      0x2b4ac042489a04ee,
+	"zen.json/late-pool":           0xbbb9afb59f4fcf75,
 	"neoverse.json/short":          0xa0a657d82f4e206d,
 	"neoverse.json/default":        0x1f3211b996aaf669,
 	"neoverse.json/tumbling":       0xa94177f248845187,
@@ -79,6 +85,7 @@ var goldenHashes = map[string]uint64{
 	"neoverse.json/adaptive":       0x14dc6baca3606599,
 	"neoverse.json/long":           0xa37561f910e5b40e,
 	"neoverse.json/adaptive-mixed": 0x14dc6baca3606599,
+	"neoverse.json/late-pool":      0xac94d838e1c31721,
 }
 
 // TestStreamOutputGolden pins the engine's output bit for bit across
@@ -121,17 +128,7 @@ func runGolden(cat *uarch.Catalog, sh goldenShape) *Result {
 	for id := range tr.Series {
 		tr.Series[id] = tr.Series[id][:sh.length]
 	}
-	if sh.lateFirst {
-		// The highest-numbered multiplexed event first reads at interval 40.
-		for id := cat.NumEvents() - 1; id >= 0; id-- {
-			if !cat.Event(uarch.EventID(id)).Fixed {
-				for ti := 0; ti < 40 && ti < sh.length; ti++ {
-					tr.Series[id][ti] = math.NaN()
-				}
-				break
-			}
-		}
-	}
+	readLate(tr, sh.lateFirst)
 	cfg := DefaultConfig()
 	cfg.Window, cfg.Hop = sh.window, sh.hop
 	cfg.Workers, cfg.Batch = sh.workers, sh.batch

@@ -22,17 +22,21 @@ type engineMetrics struct {
 	gumbel       *obs.Counter
 	liveOutliers *obs.Counter
 	quarantined  *obs.Counter
+	settleWaits  *obs.Counter
 
 	// Per-stage latency histograms along the ingest → window-snapshot →
-	// batch-dispatch → infer-sweep → stitch → report path, one observation
-	// per stage execution (per interval, window, pool batch, batch, window,
-	// and run respectively). Flush executes its partial batch on the
-	// calling goroutine, so dispatch times pool dispatches only.
+	// batch-dispatch → infer-sweep → stitch → settle → report path, one
+	// observation per stage execution (per interval, window, pool batch,
+	// batch, window, settled range and run respectively). Flush executes
+	// its partial batch on the calling goroutine, so dispatch times pool
+	// dispatches only; infer and settle are recorded on whichever goroutine
+	// runs them.
 	stIngest   *obs.Histogram
 	stSnapshot *obs.Histogram
 	stDispatch *obs.Histogram
 	stInfer    *obs.Histogram
 	stStitch   *obs.Histogram
+	stSettle   *obs.Histogram
 	stReport   *obs.Histogram
 }
 
@@ -45,7 +49,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	}
 	stage := func(name string) *obs.Histogram {
 		return r.Histogram("bayesperf_stream_stage_seconds",
-			"Latency per pipeline stage execution (ingest=interval sampled 1-in-16, snapshot/stitch=window sampled 1-in-8, dispatch=pool batch, infer=batch, report=run).",
+			"Latency per pipeline stage execution (ingest=interval sampled 1-in-16, snapshot/stitch=window sampled 1-in-8, dispatch=pool batch, infer=batch, settle=settled range, report=run).",
 			obs.LatencyBuckets(), obs.Label{Key: "stage", Value: name})
 	}
 	return engineMetrics{
@@ -64,11 +68,14 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Live samples denied full noise precision by the streaming Gumbel test."),
 		quarantined: r.Counter("bayesperf_stream_quarantined_total",
 			"Window observations left for the invariants to infer because the window total or variance overflowed."),
+		settleWaits: r.Counter("bayesperf_stream_settle_waits_total",
+			"Hand-offs the producer waited for before reusing ring space that a settle job on the worker pool still held."),
 		stIngest:   stage("ingest"),
 		stSnapshot: stage("snapshot"),
 		stDispatch: stage("dispatch"),
 		stInfer:    stage("infer"),
 		stStitch:   stage("stitch"),
+		stSettle:   stage("settle"),
 		stReport:   stage("report"),
 	}
 }

@@ -81,6 +81,16 @@ func TestStreamMetricsEndToEnd(t *testing.T) {
 	if infer == nil || infer.Count == 0 || infer.Sum <= 0 {
 		t.Fatal("infer stage histogram missing, empty, or zero-time")
 	}
+	// One observation per settled range of at most settleSpan intervals,
+	// whichever goroutine settled it.
+	settle := snap.Find("bayesperf_stream_stage_seconds", obs.Label{Key: "stage", Value: "settle"})
+	if settle == nil || settle.Sum <= 0 || settle.Count < uint64((res.Intervals+settleSpan-1)/settleSpan) {
+		t.Fatalf("settle stage histogram %+v: want one observation per range of ≤ %d of the %d intervals",
+			settle, settleSpan, res.Intervals)
+	}
+	if snap.Find("bayesperf_stream_settle_waits_total") == nil {
+		t.Error("settle wait counter not registered")
+	}
 }
 
 // TestStreamMetricsDoNotChangeResults pins the instrumentation invariant:

@@ -21,19 +21,23 @@
 // twice, in window order: its observations' raw rates and stitch weights
 // when it is emitted, its posterior rates and stds when it is stitched.
 // Each interval then gathers its covering windows' records, in window
-// order, when it settles: once no window can still change it. Engine state
-// is bounded by the windows in flight, not by the stream length: the
-// records live in a ring indexed by window, the live-sample terms in a
-// ring indexed by interval, and a settled interval goes to chunked output.
-// Windows emitted but not yet stitched stay below a bound derived from
-// Workers and Batch, and the steady state allocates nothing per window.
-// Only the Result, which holds every output series by contract, grows with
-// the stream. Finish assembles it once the pool is drained, on the calling
-// goroutine plus the pool's Workers goroutines: first every event series
-// from the chunked output, then every derived formula's posterior and
-// baselines. Each derived formula runs through the loop of its kind, which
-// reads the stitched series directly and computes every interval's value,
-// exact gradient and delta-method std with uarch's per-kind arithmetic.
+// order, when it settles: once no window can still change it. Settling
+// runs where the last batch of inference ran: once a full batch has gone
+// to the pool, Ingest posts each ready block of intervals to a worker as a
+// settle job; once Flush has run a partial batch on the calling goroutine,
+// Ingest settles inline. Engine state is bounded by the windows in flight,
+// not by the stream length: the records live in a ring indexed by window,
+// the live readings in a ring indexed by interval, and a settled interval
+// goes to chunked output. Windows emitted but not yet stitched stay below
+// a bound derived from Workers and Batch, and the steady state allocates
+// nothing per window. Only the Result, which holds every output series by
+// contract, grows with the stream. Finish assembles it once the pool is
+// drained, on the calling goroutine plus the pool's Workers goroutines:
+// first every event series from the chunked output, then every derived
+// formula's posterior and baselines. Each derived formula runs through the
+// loop of its kind, which reads the stitched series directly and computes
+// every interval's value, exact gradient and delta-method std with uarch's
+// per-kind arithmetic.
 package stream
 
 import (
@@ -60,9 +64,10 @@ type Config struct {
 	// makes the windows overlap and the stitched trace smoother.
 	Hop int
 	// Workers is the number of parallel EP engines (0 = all cores, capped
-	// at 8 — windows are small, so more engines stop paying off). It also
-	// sets Finish's width: once the pool is drained, its Workers goroutines
-	// help the caller assemble the Result's series, then exit.
+	// at 8 — windows are small, so more engines stop paying off). While
+	// they run the stream's inference they also settle its final intervals.
+	// It also sets Finish's width: once the pool is drained, its Workers
+	// goroutines help the caller assemble the Result's series, then exit.
 	Workers int
 	// Batch is the number of windows fused into one compiled-plan Execute
 	// call per worker (0 = default 8). Each batch lane runs the identical
@@ -70,7 +75,8 @@ type Config struct {
 	// every batch size; larger batches only amortize the schedule walk
 	// across more windows. Up to 2·Workers·Batch windows are in flight at
 	// once, plus the batch being filled, which sizes the engine's window
-	// record ring, its interval ring and its hand-off pool.
+	// record ring, its interval ring and its hand-off pool; the rings also
+	// keep room for the intervals the pool is settling.
 	Batch int
 	// Covariance switches the derived-event posterior std series from the
 	// diagonal delta method to clique-covariance-aware propagation: each
@@ -232,6 +238,19 @@ type Engine struct {
 	br          *graph.BatchResult
 	asm         *assembly // Finish's shared state, published by closing jobs
 
+	// Settle jobs travel on the same channels as lane-less hand-offs.
+	// poolSettles records where the last batch ran: after a full batch has
+	// gone to the pool, Ingest posts ready intervals to it a block at a
+	// time; after Flush ran one on the calling goroutine, it settles them
+	// inline. Every interval below posted is settled or being settled, and
+	// every one below final is settled. settling holds the jobs out, in
+	// posting order, and final advances past each run of returned ones at
+	// its front; the rest wait in settleFree.
+	poolSettles bool
+	posted      int
+	settling    []*handoff
+	settleFree  []*handoff
+
 	// Tracked posterior-correlation pairs (Config.Covariance): the derived
 	// formulas' input pairs that share a relation clique. derivedPairs maps
 	// each derived metric onto its pairs' indices.
@@ -239,25 +258,29 @@ type Engine struct {
 	derivedPairs [][]pairRef
 
 	// Window records: window j's coefficients sit in slot j&(recCap-1),
-	// event id's at id*recCap + slot and tracked pair pi's ρ at
-	// pi*recCap + slot. record files the span and, per event, whether it
-	// was observed, its raw rate and its stitch weight; stitch adds the
-	// posterior rate and rate std, the weight of unobserved events, and ρ.
-	// A record stays live until every interval its window covers is final;
-	// finalize gathers the live records through the cover scratch.
+	// event id's at slot*ne + id and tracked pair pi's ρ at
+	// slot*len(covPairs) + pi. Each window's coefficients are contiguous,
+	// so the producer, which writes the newest windows' records, and the
+	// workers, which settle from older ones, rarely touch the same cache
+	// line. record files the span and, per event, whether it was observed,
+	// its raw rate and its stitch weight; stitch adds the posterior rate
+	// and rate std, the weight of unobserved events, and ρ. A record stays
+	// live until every interval its window covers is final; settle gathers
+	// the live records through a goroutine's own cover scratch, cover being
+	// the calling goroutine's.
 	recCap           int
 	recStart, recEnd []int
 	recObserved      []bool
 	recRaw, recPrec  []float64
 	recRate, recStd  []float64
 	recRho           []float64
-	cover            []coverRef
-	coverOff         []int
+	cover            *coverScratch
 
-	// The interval ring holds the live-sample terms of intervals
-	// [final, ingested): event id's at interval t sit at
-	// live[id*ringCap + t&(ringCap-1)].
-	live    []liveTerm
+	// The interval ring holds the live readings of intervals
+	// [final, ingested): event id's at interval t sits at
+	// live[id*ringCap + t&(ringCap-1)], NaN where the interval has none to
+	// fuse (see liveTerm).
+	live    []float64
 	ringCap int
 	final   int
 
@@ -302,23 +325,26 @@ type Engine struct {
 	postMean, postStd, postObsStd []float64
 }
 
-// liveTerm is one event's live-sample fusion term at one interval: the
-// counted sample itself, whose per-interval noise precision dwarfs any
-// window's rate precision, fused with the covering windows' estimates.
-// Live fusion is what keeps fully counted events at sample resolution
-// instead of window resolution; it applies identically to the raw and
-// corrected series, so their difference isolates the inference layer.
-type liveTerm struct {
-	num float64 // wv·sample when counted this interval (0 otherwise)
-	den float64 // wv
-	std float64 // wv·sampleStd
-}
-
 // coverRef is one window covering one settling interval: its record slot
 // and its triangular stitch weight there.
 type coverRef struct {
 	slot int
 	k    float64
+}
+
+// coverScratch is one goroutine's cover lists for settle (see covers).
+type coverScratch struct {
+	refs []coverRef
+	off  []int
+}
+
+// newCoverScratch sizes a cover scratch for settleSpan intervals, each
+// with at most ⌈Window/Hop⌉ + 1 covering windows.
+func newCoverScratch(cfg Config) *coverScratch {
+	return &coverScratch{
+		refs: make([]coverRef, settleSpan*((cfg.Window+cfg.Hop-1)/cfg.Hop+1)),
+		off:  make([]int, settleSpan+1),
+	}
 }
 
 // chunkLen is the number of intervals per output chunk. Small chunks keep
@@ -339,10 +365,17 @@ const (
 // back. The engine snapshots windows into its lanes; the worker observes
 // and executes them and writes the posteriors into the same object. Every
 // slab is lane-major: event id of lane i sits at i*ne + id, tracked pair
-// pi at i*len(covPairs) + pi.
+// pi at i*len(covPairs) + pi. A hand-off with no lanes is a settle job
+// instead: the worker settles intervals [lo, hi) into chunk from the
+// records of the windows below winEnd (see settle).
 type handoff struct {
 	first int // index of the window in lane 0
 	n     int // lanes filled
+
+	// Settle side.
+	lo, hi, winEnd int
+	chunk          []float64
+	done           bool // back from the pool, and not yet past final
 
 	// Snapshot side (see windowJob).
 	obsMean, obsStd, disp []float64
@@ -403,28 +436,47 @@ func pow2(n int) int {
 	return p
 }
 
+// settleHeadroom is the intervals the rings keep for settling on the
+// pool: two steps of the larger of a settle block and the Batch·Hop
+// intervals one stitched batch makes ready, one for the ready intervals
+// not yet posted and one for the blocks posted and not yet back. When the
+// pool falls further behind, Ingest waits for it before reusing ring space
+// (see reserve).
+func settleHeadroom(cfg Config) int { return 2 * max(settleSpan, cfg.Batch*cfg.Hop) }
+
 // ringIntervals is the interval ring's capacity: a power of two no smaller
-// than the unfinalized intervals can span. The first unstitched regular
-// window starts at stitched·Hop, fewer than inFlightBound + Batch windows
-// are emitted and unstitched, and the next window to emit ends within
-// Window of the newest interval.
+// than the unsettled intervals can span before Ingest waits for the pool.
+// The first unstitched regular window starts at stitched·Hop, fewer than
+// inFlightBound + Batch windows are emitted and unstitched, the next
+// window to emit ends within Window of the newest interval, and
+// settleHeadroom more intervals may be ready but not yet settled.
 func ringIntervals(cfg Config) int {
-	return pow2((inFlightBound(cfg)+cfg.Batch)*cfg.Hop + cfg.Window)
+	return pow2((inFlightBound(cfg)+cfg.Batch)*cfg.Hop + cfg.Window + settleHeadroom(cfg))
 }
 
 // recordWindows is the record ring's capacity: a power of two no smaller
-// than the windows whose records can be live at once. Fewer than
-// inFlightBound + Batch windows are emitted and unstitched, and at most
-// ⌈Window/Hop⌉ + 1 stitched ones (the tail window included) still cover
-// an unfinalized interval.
+// than the windows whose records can be live at once before Ingest waits
+// for the pool. Fewer than inFlightBound + Batch windows are emitted and
+// unstitched, at most ⌈Window/Hop⌉ + 1 stitched ones (the tail window
+// included) cover an interval not yet ready, and the settleHeadroom ready
+// intervals not yet settled take ⌈settleHeadroom/Hop⌉ windows more.
 func recordWindows(cfg Config) int {
-	return pow2(inFlightBound(cfg) + cfg.Batch + (cfg.Window+cfg.Hop-1)/cfg.Hop + 1)
+	return pow2(inFlightBound(cfg) + cfg.Batch + (cfg.Window+cfg.Hop-1)/cfg.Hop + 1 +
+		(settleHeadroom(cfg)+cfg.Hop-1)/cfg.Hop)
 }
 
-// settleSpan is the most intervals finalize gathers in one step; with at
-// most ⌈Window/Hop⌉ + 1 covering windows per interval it sizes the cover
-// scratch.
+// settleSpan is the most intervals one settle call gathers; with at most
+// ⌈Window/Hop⌉ + 1 covering windows per interval it sizes the cover
+// scratch. Settling cuts the stream into blocks of settleSpan intervals,
+// and chunkLen is a multiple of it, so no block straddles two chunks.
 const settleSpan = 64
+
+// blockEnd is the end of the settle block holding interval t.
+func blockEnd(t int) int { return (t/settleSpan + 1) * settleSpan }
+
+// settleJobs is the most settle jobs that can be out at once: posted
+// blocks hold fewer intervals than the interval ring, one job per block.
+func settleJobs(ringCap int) int { return ringCap/settleSpan + 1 }
 
 // NewEngine starts a streaming engine (and its worker pool) over the
 // catalog. The factor graph is compiled once here; every worker executes
@@ -432,9 +484,11 @@ const settleSpan = 64
 func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 	cfg = cfg.WithDefaults()
 	ne := cat.NumEvents()
+	ringCap := ringIntervals(cfg)
 	// At most 2·Workers hand-offs are dispatched and not yet stitched (see
-	// dispatch), so neither channel ever holds more.
-	queue := 2 * cfg.Workers
+	// dispatch), and at most settleJobs settle jobs are out, so neither
+	// channel ever holds more and no worker blocks on a send.
+	handoffs, jobs := 2*cfg.Workers, settleJobs(ringCap)
 	e := &Engine{
 		cat:         cat,
 		cfg:         cfg,
@@ -443,10 +497,12 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		win:         NewWindow(cat, cfg.Window),
 		gumbel:      cfg.Mux.RejectThreshold(),
 		maxInFlight: inFlightBound(cfg),
-		jobs:        make(chan *handoff, queue),
-		results:     make(chan *handoff, queue),
-		free:        make([]*handoff, 0, queue+1),
-		waiting:     make([]*handoff, 0, queue+1),
+		jobs:        make(chan *handoff, handoffs+jobs),
+		results:     make(chan *handoff, handoffs+jobs),
+		free:        make([]*handoff, 0, handoffs+1),
+		waiting:     make([]*handoff, 0, handoffs+1),
+		settling:    make([]*handoff, 0, jobs),
+		settleFree:  make([]*handoff, jobs),
 		lastVal:     make([]float64, ne),
 		firstT:      make([]int, ne),
 		epochMean:   make([]float64, ne),
@@ -476,10 +532,13 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 	e.recRate = make([]float64, ne*e.recCap)
 	e.recStd = make([]float64, ne*e.recCap)
 	e.recRho = make([]float64, len(e.covPairs)*e.recCap)
-	e.cover = make([]coverRef, settleSpan*((cfg.Window+cfg.Hop-1)/cfg.Hop+1))
-	e.coverOff = make([]int, settleSpan+1)
-	e.ringCap = ringIntervals(cfg)
-	e.live = make([]liveTerm, ne*e.ringCap)
+	e.cover = newCoverScratch(cfg)
+	e.ringCap = ringCap
+	e.live = make([]float64, ne*e.ringCap)
+	settle := make([]handoff, jobs)
+	for i := range settle {
+		e.settleFree[i] = &settle[i]
+	}
 	e.batch = e.newBatch()
 	e.br = e.batch.NewResult()
 	e.wg.Add(cfg.Workers)
@@ -487,7 +546,7 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		// Built here, not in the goroutine: a worker the scheduler starts
 		// late must not allocate in the middle of a stream.
 		batch := e.newBatch()
-		go e.worker(wi+1, batch, batch.NewResult())
+		go e.worker(wi+1, batch, batch.NewResult(), newCoverScratch(cfg))
 	}
 	return e
 }
@@ -535,12 +594,17 @@ func (e *Engine) newBatch() *graph.Batch {
 
 // worker g (1…Workers) is one EP engine: it owns one batch over the
 // engine's shared compiled plan, with its result, and executes every
-// hand-off the pool receives. Once Finish closes the job queue it helps
-// assemble the Result, then exits.
-func (e *Engine) worker(g int, batch *graph.Batch, br *graph.BatchResult) {
+// hand-off the pool receives; it settles every settle job through its own
+// cover scratch. Once Finish closes the job queue it helps assemble the
+// Result, then exits.
+func (e *Engine) worker(g int, batch *graph.Batch, br *graph.BatchResult, cover *coverScratch) {
 	defer e.wg.Done()
 	for h := range e.jobs {
-		br = e.execute(batch, br, h)
+		if h.n > 0 {
+			br = e.execute(batch, br, h)
+		} else {
+			e.settle(cover, h.chunk, h.lo, h.hi, h.winEnd)
+		}
 		e.results <- h
 	}
 	e.assemble(g)
@@ -593,15 +657,17 @@ func (e *Engine) readPosteriors(h *handoff, br *graph.BatchResult) {
 	}
 }
 
-// Ingest settles every interval that has become final, then feeds one
+// Ingest settles the intervals that have become ready, then feeds one
 // interval into the window; at hop boundaries the window is snapshotted
 // into the batch being filled.
 //
-// Interval t is final once both t < ingested − Window (every window not
+// Interval t is ready once both t < ingested − Window (every window not
 // yet emitted starts at or after that point) and t < stitched·Hop (the
-// first unstitched regular window starts there). Finalization runs here,
-// before the interval is added, and in Finish — never while absorbing
-// posteriors, which would put it inside every epoch's Flush.
+// first unstitched regular window starts there). Settling starts here,
+// before the interval is added, and ends in Finish — never while
+// absorbing posteriors, which would put it inside every epoch's Flush.
+// While the pool runs the stream's inference, Ingest posts each ready
+// block to the pool instead of settling it.
 func (e *Engine) Ingest(s measure.IntervalSample) {
 	// Ingest is the only per-interval stage, so its latency span is sampled
 	// 1-in-16: two clock reads per interval would be the single largest
@@ -613,7 +679,7 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 	}
 	defer sp.End()
 	e.m.intervals.Inc()
-	e.finalize(min(e.ingested-e.cfg.Window, e.stitched*e.cfg.Hop))
+	e.settleReady()
 	firsts := false
 	for i, id := range s.Events {
 		if !finite(s.Values[i]) {
@@ -646,9 +712,9 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 	e.openInterval(t)
 	e.win.Push(s)
 	e.ingested++
-	// Fuse the live samples at their own interval. With Gumbel rejection
-	// on, a sample the trailing window's fit flags as an outlier is not
-	// trusted at full noise precision (the window estimate, itself
+	// Keep the live samples for fusion at their own interval. With Gumbel
+	// rejection on, a sample the trailing window's fit flags as an outlier
+	// is not trusted at full noise precision (the window estimate, itself
 	// filtered, covers its interval instead).
 	mask := e.ringCap - 1
 	for i, id := range s.Events {
@@ -660,15 +726,7 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 			e.m.liveOutliers.Inc()
 			continue
 		}
-		sv := e.cfg.Mux.NoiseFrac * v
-		if floor := e.cfg.Mux.StdFloorFrac * v; sv < floor {
-			sv = floor
-		}
-		if sv == 0 { //bayesvet:bitwise exact-zero sentinel: std was assigned zero, never computed
-			sv = 1 // zero reading: unit count uncertainty
-		}
-		wv := 1 / (sv * sv)
-		e.live[int(id)*e.ringCap+t&mask] = liveTerm{num: wv * v, den: wv, std: wv * sv}
+		e.live[int(id)*e.ringCap+t&mask] = v
 	}
 	if e.ingested >= e.cfg.Window && (e.ingested-e.cfg.Window)%e.cfg.Hop == 0 {
 		e.emit()
@@ -676,10 +734,13 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 }
 
 // backfillNaive gives the intervals before an event's first reading that
-// reading, as the naive baseline's held value. Intervals already finalized
+// reading, as the naive baseline's held value. Intervals already settled
 // take it as their windowed raw value too: no window that could touch them
-// saw the event, so raw held the naive value there.
+// saw the event, so raw held the naive value there. Settle jobs read the
+// naive values and write the raw ones, so it waits for every posted block
+// first.
 func (e *Engine) backfillNaive(id int) {
+	e.awaitPosted()
 	v := e.lastVal[id]
 	for t := 0; t < e.ingested; t++ {
 		chunk := e.out[t/chunkLen]
@@ -690,14 +751,16 @@ func (e *Engine) backfillNaive(id int) {
 	}
 }
 
-// openInterval readies interval t: its live terms and its naive values.
+// openInterval readies interval t: no live readings yet, and its naive
+// values. Its ring slot last held interval t − ringCap, so that one must be
+// settled first.
 func (e *Engine) openInterval(t int) {
 	if t-e.final >= e.ringCap {
-		panic(fmt.Sprintf("stream: interval %d would overwrite unfinalized interval %d", t, e.final))
+		e.reserve(t - e.ringCap + 1)
 	}
 	at := t & (e.ringCap - 1)
 	for id := range e.lastVal {
-		e.live[id*e.ringCap+at] = liveTerm{}
+		e.live[id*e.ringCap+at] = math.NaN()
 	}
 	chunk, off := e.chunk(t/chunkLen), t%chunkLen
 	for id, v := range e.lastVal {
@@ -714,95 +777,209 @@ func (e *Engine) chunk(ci int) []float64 {
 	return e.out[ci]
 }
 
-// finalize settles intervals [final, upTo): each interval gathers the
-// records of its covering windows, in window order, into the corrected
-// series and its std, the windowed raw series (holding the naive sample
-// where no window observed the event) and each tracked pair's stitched
-// correlation ρ̄ = Σ tri·ρ / Σ tri. The stitched estimate is the
-// inverse-variance fusion of every covering window's estimate plus the
-// interval's live sample, if any. Values with no weight stay 0. The loops
-// run event-outer, so each event's output row is written contiguously.
-//
-//bayesperf:hotpath
-func (e *Engine) finalize(upTo int) {
-	ne, rc, mask := e.ne, e.recCap, e.ringCap-1
-	for e.final < upTo {
-		t0 := e.final
-		ci := t0 / chunkLen
-		chunk := e.out[ci]
-		hi := min(upTo, (ci+1)*chunkLen, t0+settleSpan)
-		off, n := t0-ci*chunkLen, hi-t0
-		e.covers(t0, hi)
-		cover, coverOff := e.cover, e.coverOff
-		for id := 0; id < ne; id++ {
-			observed := e.recObserved[id*rc : (id+1)*rc]
-			prec := e.recPrec[id*rc : (id+1)*rc]
-			rawRate := e.recRaw[id*rc : (id+1)*rc]
-			rate := e.recRate[id*rc : (id+1)*rc]
-			rateStd := e.recStd[id*rc : (id+1)*rc]
-			live := e.live[id*e.ringCap : (id+1)*e.ringCap]
-			corr := chunk[(outCorr*ne+id)*chunkLen+off:][:n]
-			cstd := chunk[(outStd*ne+id)*chunkLen+off:][:n]
-			raw := chunk[(outRaw*ne+id)*chunkLen+off:][:n]
-			naive := chunk[(outNaive*ne+id)*chunkLen+off:][:n]
-			for i := range corr {
-				var corrNum, corrDen, stdNum, rawNum, rawDen float64
-				for _, c := range cover[coverOff[i]:coverOff[i+1]] {
-					wt := prec[c.slot] * c.k
-					if observed[c.slot] {
-						rawNum += wt * rawRate[c.slot]
-						rawDen += wt
-					}
-					corrNum += wt * rate[c.slot]
-					corrDen += wt
-					stdNum += wt * rateStd[c.slot]
-				}
-				l := &live[(t0+i)&mask]
-				if den := corrDen + l.den; den > 0 {
-					corr[i] = (corrNum + l.num) / den
-					cstd[i] = (stdNum + l.std) / den
-				}
-				if den := rawDen + l.den; den > 0 {
-					raw[i] = (rawNum + l.num) / den
-				} else {
-					raw[i] = naive[i] // window never saw the event: hold the sample
-				}
-			}
-		}
-		// Stitch the tracked clique correlations with the triangular kernel
-		// alone: ρ is dimensionless and the windows covering an interval see
-		// near-identical observation precisions, so precision weighting would
-		// only re-derive the kernel. The stitched ρ̄(t) recombines with the
-		// stitched marginal stds in stitchDerived.
-		for pi := range e.covPairs {
-			rhos := e.recRho[pi*rc : (pi+1)*rc]
-			rho := chunk[(outKinds*ne+pi)*chunkLen+off:][:n]
-			for i := range rho {
-				var num, den float64
-				for _, c := range cover[coverOff[i]:coverOff[i+1]] {
-					num += c.k * rhos[c.slot]
-					den += c.k
-				}
-				if den > 0 {
-					rho[i] = num / den
-				}
-			}
-		}
-		e.final = hi
+// ready is the end of the intervals no window can still change (see
+// Ingest).
+func (e *Engine) ready() int { return min(e.ingested-e.cfg.Window, e.stitched*e.cfg.Hop) }
+
+// settleReady settles the ready intervals inline, or, while the pool runs
+// the stream's inference, posts each settle block to the pool once all of
+// it is ready.
+func (e *Engine) settleReady() {
+	upTo := e.ready()
+	if !e.poolSettles {
+		e.settleInline(upTo)
+		return
+	}
+	for hi := blockEnd(e.posted); hi <= upTo; hi = blockEnd(e.posted) {
+		e.post(hi)
 	}
 }
 
-// covers lists, for each interval t of [t0, hi), the windows covering it
-// in window order: their record slots and triangular weights sit at
-// cover[coverOff[t-t0]:coverOff[t-t0+1]]. Window starts and ends both rise
-// with the window index, so each interval's covering windows are a
-// contiguous run that slides forward with t. Regular window j spans
-// [j·Hop, j·Hop+Window), so the first that can cover t0 is
+// settleInline settles intervals [posted, upTo) on the calling goroutine,
+// a block at a time.
+func (e *Engine) settleInline(upTo int) {
+	for e.posted < upTo {
+		lo := e.posted
+		e.posted = min(upTo, blockEnd(lo))
+		e.settle(e.cover, e.out[lo/chunkLen], lo, e.posted, e.nextIdx)
+	}
+	if len(e.settling) == 0 {
+		e.final = e.posted
+	}
+}
+
+// post hands intervals [posted, hi) to the pool as a settle job, with the
+// output chunk they fall in and the windows emitted so far.
+func (e *Engine) post(hi int) {
+	n := len(e.settleFree) - 1 // settleJobs bounds the jobs out, so one is free
+	h := e.settleFree[n]
+	e.settleFree = e.settleFree[:n]
+	h.lo, h.hi, h.winEnd, h.chunk, h.done = e.posted, hi, e.nextIdx, e.out[e.posted/chunkLen], false
+	e.settling = append(e.settling, h)
+	e.posted = hi
+	e.send(h)
+}
+
+// settled takes a settle job back from the pool. final advances past the
+// returned jobs at the front of settling: to the next job still out, or to
+// posted when none is, since inline settling fills any gap between jobs.
+func (e *Engine) settled(h *handoff) {
+	h.done = true
+	k := 0
+	for k < len(e.settling) && e.settling[k].done {
+		e.settleFree = append(e.settleFree, e.settling[k])
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	e.settling = e.settling[:copy(e.settling, e.settling[k:])]
+	if len(e.settling) > 0 {
+		e.final = e.settling[0].lo
+	} else {
+		e.final = e.posted
+	}
+}
+
+// reserve makes every interval below t final before the producer reuses
+// ring space they hold. While a job carrying final is out it waits for
+// the pool's hand-offs, counting each; once none is, it settles the ready
+// intervals inline. The rings are sized so that every interval below t is
+// ready by then; only a bug can leave one that is not.
+func (e *Engine) reserve(t int) {
+	for e.final < t && len(e.settling) > 0 {
+		e.m.settleWaits.Inc()
+		e.absorb(<-e.results)
+	}
+	if e.final < t {
+		e.settleInline(e.ready())
+	}
+	if e.final < t {
+		panic(fmt.Sprintf("stream: interval %d must settle before its ring space is reused, but only %d are ready",
+			t-1, e.ready()))
+	}
+}
+
+// awaitPosted waits until every posted block is back from the pool.
+func (e *Engine) awaitPosted() {
+	for len(e.settling) > 0 {
+		e.absorb(<-e.results)
+	}
+}
+
+// settle gathers intervals [lo, hi), all in chunk, from the records of
+// their covering windows, which all lie below window winEnd: each
+// interval's records, in window order, go into the corrected series and
+// its std, the windowed raw series (holding the naive sample where no
+// window observed the event) and each tracked pair's stitched correlation
+// ρ̄ = Σ tri·ρ / Σ tri. The stitched estimate is the inverse-variance
+// fusion of every covering window's estimate plus the interval's live
+// sample, if any. Values with no weight stay 0. The loops run event-outer,
+// so each event's output row is written contiguously.
+//
+// settle reads only those records, the live readings of [lo, hi) and
+// their naive values, and writes only their corrected, std, raw and ρ
+// values, so a worker can run it while the producer ingests; cover is the
+// calling goroutine's own scratch.
+//
+//bayesperf:hotpath
+func (e *Engine) settle(cover *coverScratch, chunk []float64, lo, hi, winEnd int) {
+	sp := obs.StartSpan(e.m.stSettle)
+	ne, np, mask := e.ne, len(e.covPairs), e.ringCap-1
+	off, n := lo%chunkLen, hi-lo
+	e.covers(cover, lo, hi, winEnd)
+	refs, refOff := cover.refs, cover.off
+	for id := 0; id < ne; id++ {
+		observed := e.recObserved[id:]
+		prec := e.recPrec[id:]
+		rawRate := e.recRaw[id:]
+		rate := e.recRate[id:]
+		rateStd := e.recStd[id:]
+		live := e.live[id*e.ringCap : (id+1)*e.ringCap]
+		corr := chunk[(outCorr*ne+id)*chunkLen+off:][:n]
+		cstd := chunk[(outStd*ne+id)*chunkLen+off:][:n]
+		raw := chunk[(outRaw*ne+id)*chunkLen+off:][:n]
+		naive := chunk[(outNaive*ne+id)*chunkLen+off:][:n]
+		for i := range corr {
+			var corrNum, corrDen, stdNum, rawNum, rawDen float64
+			for _, c := range refs[refOff[i]:refOff[i+1]] {
+				at := c.slot * ne
+				wt := prec[at] * c.k
+				if observed[at] {
+					rawNum += wt * rawRate[at]
+					rawDen += wt
+				}
+				corrNum += wt * rate[at]
+				corrDen += wt
+				stdNum += wt * rateStd[at]
+			}
+			lNum, lDen, lStd := e.liveTerm(live[(lo+i)&mask])
+			if den := corrDen + lDen; den > 0 {
+				corr[i] = (corrNum + lNum) / den
+				cstd[i] = (stdNum + lStd) / den
+			}
+			if den := rawDen + lDen; den > 0 {
+				raw[i] = (rawNum + lNum) / den
+			} else {
+				raw[i] = naive[i] // window never saw the event: hold the sample
+			}
+		}
+	}
+	// Stitch the tracked clique correlations with the triangular kernel
+	// alone: ρ is dimensionless and the windows covering an interval see
+	// near-identical observation precisions, so precision weighting would
+	// only re-derive the kernel. The stitched ρ̄(t) recombines with the
+	// stitched marginal stds in stitchDerived.
+	for pi := range e.covPairs {
+		rhos := e.recRho[pi:]
+		rho := chunk[(outKinds*ne+pi)*chunkLen+off:][:n]
+		for i := range rho {
+			var num, den float64
+			for _, c := range refs[refOff[i]:refOff[i+1]] {
+				num += c.k * rhos[c.slot*np]
+				den += c.k
+			}
+			if den > 0 {
+				rho[i] = num / den
+			}
+		}
+	}
+	sp.End()
+}
+
+// liveTerm is the fusion term of live reading v (NaN: none, all terms 0):
+// the counted sample itself, whose per-interval noise precision wv dwarfs
+// any window's rate precision, as wv·v, wv and wv·sampleStd. Live fusion is
+// what keeps fully counted events at sample resolution instead of window
+// resolution; it applies identically to the raw and corrected series, so
+// their difference isolates the inference layer. The conversions round
+// each product, so that no platform fuses one into the sum it joins.
+func (e *Engine) liveTerm(v float64) (num, den, std float64) {
+	if math.IsNaN(v) {
+		return 0, 0, 0
+	}
+	sv := e.cfg.Mux.NoiseFrac * v
+	if floor := e.cfg.Mux.StdFloorFrac * v; sv < floor {
+		sv = floor
+	}
+	if sv == 0 { //bayesvet:bitwise exact-zero sentinel: std was assigned zero, never computed
+		sv = 1 // zero reading: unit count uncertainty
+	}
+	wv := 1 / (sv * sv)
+	return float64(wv * v), wv, float64(wv * sv)
+}
+
+// covers lists, for each interval t of [t0, hi), the windows below winEnd
+// covering it in window order: their record slots and triangular weights
+// sit at cover.refs[cover.off[t-t0]:cover.off[t-t0+1]]. Window starts and
+// ends both rise with the window index, so each interval's covering
+// windows are a contiguous run that slides forward with t. Regular window
+// j spans [j·Hop, j·Hop+Window), so the first that can cover t0 is
 // ⌈(t0 − Window + 1)/Hop⌉; Finish's tail window, last in index order, may
 // start anywhere after the last regular one.
 //
 //bayesperf:hotpath
-func (e *Engine) covers(t0, hi int) {
+func (e *Engine) covers(cover *coverScratch, t0, hi, winEnd int) {
 	mask := e.recCap - 1
 	first := 0
 	if t0 >= e.cfg.Window {
@@ -810,21 +987,21 @@ func (e *Engine) covers(t0, hi int) {
 	}
 	n := 0
 	for t := t0; t < hi; t++ {
-		e.coverOff[t-t0] = n
-		for first < e.nextIdx && e.recEnd[first&mask] <= t {
+		cover.off[t-t0] = n
+		for first < winEnd && e.recEnd[first&mask] <= t {
 			first++
 		}
-		for j := first; j < e.nextIdx; j++ {
+		for j := first; j < winEnd; j++ {
 			slot := j & mask
 			start := e.recStart[slot]
 			if start > t {
 				break
 			}
-			e.cover[n] = coverRef{slot: slot, k: triWeight(t, start, e.recEnd[slot])}
+			cover.refs[n] = coverRef{slot: slot, k: triWeight(t, start, e.recEnd[slot])}
 			n++
 		}
 	}
-	e.coverOff[hi-t0] = n
+	cover.off[hi-t0] = n
 }
 
 // emit snapshots the current window into the next lane of the hand-off
@@ -872,21 +1049,20 @@ func (e *Engine) emit() {
 // the span it covers, numbered by the engine's own interval count, and per
 // event whether it was observed, its raw rate and its stitch weight — the
 // predictive precision of the observation, which the corrected series
-// reuses.
+// reuses. The window the slot last held must no longer cover an
+// unsettled interval.
 //
 //bayesperf:hotpath
 func (e *Engine) record(job windowJob) {
 	slot := e.nextIdx & (e.recCap - 1)
-	if e.recEnd[slot] > e.final {
-		panic(fmt.Sprintf("stream: window %d would overwrite the record of a window covering unfinalized interval %d",
-			e.nextIdx, e.final))
+	if end := e.recEnd[slot]; end > e.final {
+		e.reserve(end)
 	}
 	start, end := e.ingested-e.win.Len(), e.ingested
 	e.recStart[slot], e.recEnd[slot] = start, end
 	w := float64(end - start)
-	rc := e.recCap
 	for id, ok := range job.observed {
-		at := id*rc + slot
+		at := slot*e.ne + id
 		e.recObserved[at] = ok
 		if ok {
 			e.recRaw[at] = job.obsMean[id] / w
@@ -907,35 +1083,46 @@ func (e *Engine) takeHandoff() *handoff {
 	return newHandoff(e.ne, len(e.covPairs), e.cfg.Batch)
 }
 
-// dispatch hands the full hand-off being filled to the pool, absorbing
-// finished posteriors whenever the job queue pushes back, then absorbs
+// dispatch hands the full hand-off being filled to the pool, then absorbs
 // until fewer than maxInFlight windows remain unstitched. The bound keeps
 // the record ring and the hand-off pool small even when one worker is
-// descheduled while the others keep returning later windows.
+// descheduled while the others keep returning later windows. The pool now
+// runs the stream's inference, so Ingest posts settling to it too.
 func (e *Engine) dispatch() {
 	h := e.cur
 	e.cur = nil
+	e.poolSettles = true
 	e.m.batches.Inc()
 	e.m.fillRatio.Observe(float64(h.n) / float64(e.cfg.Batch))
 	sp := obs.StartSpan(e.m.stDispatch)
 	defer sp.End()
-send:
-	for {
-		select {
-		case e.jobs <- h:
-			break send
-		case r := <-e.results:
-			e.absorb(r)
-		}
-	}
+	e.send(h)
 	for e.nextIdx-e.stitched >= e.maxInFlight {
 		e.absorb(<-e.results)
 	}
 }
 
-// absorb takes one returned hand-off and stitches every hand-off whose
-// windows are next in index order.
+// send hands h to the pool, absorbing returned hand-offs whenever the job
+// queue pushes back.
+func (e *Engine) send(h *handoff) {
+	for {
+		select {
+		case e.jobs <- h:
+			return
+		case r := <-e.results:
+			e.absorb(r)
+		}
+	}
+}
+
+// absorb takes one returned hand-off. A settle job advances final; a
+// batch is stitched with every batch whose windows are next in index
+// order.
 func (e *Engine) absorb(h *handoff) {
+	if h.n == 0 {
+		e.settled(h)
+		return
+	}
 	e.waiting = append(e.waiting, h)
 	for i := 0; i < len(e.waiting); i++ {
 		next := e.waiting[i]
@@ -965,11 +1152,13 @@ func (e *Engine) absorb(h *handoff) {
 // emitted window's posterior has been stitched. Call it at epoch
 // boundaries before reading EpochPosterior, so the scheduler feedback does
 // not depend on worker timing (or on where the epoch falls within a
-// batch). Flush stitches O(events) per window and settles no interval;
-// the intervals it makes final are gathered by the next Ingest.
+// batch). Flush stitches O(events) per window and settles and posts no
+// interval; the intervals it makes ready are settled by the next Ingest,
+// inline once Flush has run a batch here.
 func (e *Engine) Flush() {
 	if h := e.cur; h != nil {
 		e.cur = nil
+		e.poolSettles = false
 		e.m.batches.Inc()
 		e.m.fillRatio.Observe(float64(h.n) / float64(e.cfg.Batch))
 		e.br = e.execute(e.batch, e.br, h)
@@ -1018,12 +1207,11 @@ func (e *Engine) stitch(h *handoff, lane int) {
 	}
 	e.totalSweeps += iters
 	e.inferIters.Add(float64(iters))
-	rc := e.recCap
 	lo, hi := lane*e.ne, (lane+1)*e.ne
 	mean, std := h.mean[lo:hi], h.std[lo:hi]
 	obsStd, disp, observed := h.obsStd[lo:hi], h.disp[lo:hi], h.observed[lo:hi]
 	for id := range mean {
-		at := id*rc + slot
+		at := slot*e.ne + id
 		rateStd := std[id] / w
 		e.recRate[at] = mean[id] / w
 		e.recStd[at] = rateStd
@@ -1044,7 +1232,7 @@ func (e *Engine) stitch(h *handoff, lane int) {
 	}
 	np := len(e.covPairs)
 	for pi, rho := range h.rho[lane*np : (lane+1)*np] {
-		e.recRho[pi*rc+slot] = rho
+		e.recRho[slot*np+pi] = rho
 	}
 	e.epochN++
 }
@@ -1078,10 +1266,11 @@ func (e *Engine) EpochPosterior() (mean, std, obsStd []float64, ok bool) {
 }
 
 // Finish emits a final window over the stream's tail (so every interval is
-// covered), executes it with any partial batch and drains the pool,
-// finalizes the remaining intervals, and assembles the stitched result on
-// the calling goroutine plus the pool's Workers goroutines, which exit
-// once it is done. The engine cannot be used after Finish.
+// covered), executes it with any partial batch and drains the pool, waits
+// for the settle blocks still on the pool, settles the remaining intervals
+// inline, and assembles the stitched result on the calling goroutine plus
+// the pool's Workers goroutines, which exit once it is done. The engine
+// cannot be used after Finish.
 func (e *Engine) Finish() *Result {
 	if e.ingested > 0 && e.lastEmitEnd < e.ingested {
 		e.emit()
@@ -1090,7 +1279,8 @@ func (e *Engine) Finish() *Result {
 	sp := obs.StartSpan(e.m.stReport)
 	defer sp.End()
 
-	e.finalize(e.ingested)
+	e.awaitPosted()
+	e.settleInline(e.ingested)
 	ne, nd := e.ne, len(e.cat.Derived)
 	res := &Result{
 		Intervals:           e.ingested,
@@ -1121,7 +1311,7 @@ func (e *Engine) Finish() *Result {
 	}
 	a.phase1.Add(e.cfg.Workers + 1)
 	e.asm = a
-	close(e.jobs) // every hand-off is back, so the idle workers turn to the assembly
+	close(e.jobs) // every hand-off and settle job is back, so the idle workers turn to the assembly
 	e.assemble(0)
 	e.wg.Wait()
 	return res

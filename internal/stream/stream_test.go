@@ -244,42 +244,60 @@ func TestPosteriorBeatsObservationsPerWindow(t *testing.T) {
 // TestStreamDeterministicAcrossWorkers: the whole Result — event and
 // derived series, covariance-aware stds included — must be bit-identical
 // for any pool size. Inference is per-window, stitching is forced into
-// window-index order, and Finish's fan-out fills every series in a task of
-// its own. The stream spans more than four output chunks, and no run may
-// leave a goroutine behind: the pool's workers, which also help Finish,
-// all exit.
+// window-index order, settle ranges write disjoint intervals, and Finish's
+// fan-out fills every series in a task of its own. The first stream spans
+// more than four output chunks. The second is the golden late-pool input:
+// one event's first reading at interval 500 rewrites intervals that the
+// pool may still be settling. No run may leave a goroutine behind: the
+// pool's workers, which also help Finish, all exit.
 func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	cat := uarch.Skylake() // Power9's formulas share no relation clique, so its covariance path is inert
-	tr := measure.GroundTruth(cat, measure.DefaultWorkload(400), rng.New(5))
-	if n := tr.Intervals(); n <= 4*chunkLen {
+	long := measure.GroundTruth(cat, measure.DefaultWorkload(400), rng.New(5))
+	if n := long.Intervals(); n <= 4*chunkLen {
 		t.Fatalf("trace has %d intervals, want more than %d", n, 4*chunkLen)
 	}
-	var base *Result
-	for _, workers := range []int{1, 2, 8} {
-		cfg := testConfig(workers)
-		cfg.Covariance = true
-		before := runtime.NumGoroutine()
-		res := RunTrace(tr, measure.NewRoundRobin(cat), cfg, rng.New(6))
-		// A goroutine that has signalled its WaitGroup may not have exited yet.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("workers=%d: %d goroutines after the run, %d before", workers, n, before)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if hashResult(res) != hashResult(base) {
-			t.Errorf("workers=%d: output differs from workers=1", workers)
-		}
-		if res.InferIters != base.InferIters || res.TotalSweeps != base.TotalSweeps ||
-			res.Unconverged != base.Unconverged {
-			t.Errorf("workers=%d: sweep accounting diverged: %v/%d/%d vs %v/%d/%d", workers,
-				res.InferIters, res.TotalSweeps, res.Unconverged,
-				base.InferIters, base.TotalSweeps, base.Unconverged)
+	late := measure.GroundTruth(cat, measure.DefaultWorkload(234), rng.New(11))
+	for id := range late.Series {
+		late.Series[id] = late.Series[id][:700]
+	}
+	readLate(late, 500)
+	inputs := []struct {
+		name string
+		tr   *measure.Trace
+		cov  bool
+		seed uint64 // the sampler's
+	}{
+		{"long-cov", long, true, 6},
+		{"late-pool", late, false, 12},
+	}
+	for _, in := range inputs {
+		var base *Result
+		for _, workers := range []int{1, 2, 8} {
+			cfg := testConfig(workers)
+			cfg.Covariance = in.cov
+			before := runtime.NumGoroutine()
+			res := RunTrace(in.tr, measure.NewRoundRobin(cat), cfg, rng.New(in.seed))
+			// A goroutine that has signalled its WaitGroup may not have exited yet.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s workers=%d: %d goroutines after the run, %d before", in.name, workers, n, before)
+			}
+			if base == nil {
+				base = res
+				continue
+			}
+			if hashResult(res) != hashResult(base) {
+				t.Errorf("%s workers=%d: output differs from workers=1", in.name, workers)
+			}
+			if res.InferIters != base.InferIters || res.TotalSweeps != base.TotalSweeps ||
+				res.Unconverged != base.Unconverged {
+				t.Errorf("%s workers=%d: sweep accounting diverged: %v/%d/%d vs %v/%d/%d", in.name, workers,
+					res.InferIters, res.TotalSweeps, res.Unconverged,
+					base.InferIters, base.TotalSweeps, base.Unconverged)
+			}
 		}
 	}
 }
