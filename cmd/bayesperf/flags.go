@@ -89,16 +89,24 @@ func resolveCatalogs(sf *sharedFlags) ([]*uarch.Catalog, error) {
 }
 
 // muxConfig builds the observation model from the shared flags plus the
-// stream-only outlier/Gumbel knobs (zero-valued for the batch mode).
-func (sf *sharedFlags) muxConfig(gumbel bool, outliers float64) measure.MuxConfig {
+// stream-only outlier/Gumbel knobs (zero-valued for the batch mode). A
+// value outside the model's domain (MuxConfig.Validate) is an error naming
+// its flag.
+func (sf *sharedFlags) muxConfig(gumbel bool, outliers float64) (measure.MuxConfig, error) {
 	cfg := measure.DefaultMuxConfig()
 	cfg.NoiseFrac = *sf.noise
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("-noise %v: %w", *sf.noise, err)
+	}
 	cfg.GumbelReject = gumbel
+	cfg.OutlierProb = outliers
 	if outliers > 0 {
-		cfg.OutlierProb = outliers
 		cfg.OutlierMag = 8
 	}
-	return cfg
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("-outliers %v: %w", outliers, err)
+	}
+	return cfg, nil
 }
 
 // inference resolves the -maxiter/-tol pair (0 = defaults, filled by

@@ -70,3 +70,30 @@ func TestResolveCatalogsBadIntervals(t *testing.T) {
 		t.Error("zero intervals accepted")
 	}
 }
+
+// TestMuxConfigFlagErrors: an observation-model flag outside its domain is
+// an error naming the flag (the subcommands exit 2 on it): -noise -1 would
+// mirror the noise draws, and -outliers 2 would corrupt every reading. The
+// defaults and the stream mode's outlier knob at 2% stay valid.
+func TestMuxConfigFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		flag     string
+		sf       *sharedFlags
+		outliers float64 // the parsed stream-only -outliers value
+	}{
+		{"-noise", parseShared(t, "-noise", "-1"), 0},
+		{"-noise", parseShared(t, "-noise", "NaN"), 0},
+		{"-outliers", parseShared(t), 2},
+		{"-outliers", parseShared(t), -0.5},
+	} {
+		if _, err := tc.sf.muxConfig(true, tc.outliers); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s (noise %v, outliers %v): err %v, want an error naming %s",
+				tc.flag, *tc.sf.noise, tc.outliers, err, tc.flag)
+		}
+	}
+	for _, outliers := range []float64{0, 0.02} {
+		if _, err := parseShared(t).muxConfig(true, outliers); err != nil {
+			t.Errorf("default flags with -outliers %v rejected: %v", outliers, err)
+		}
+	}
+}

@@ -147,12 +147,15 @@ func main() {
 	if err != nil {
 		fatal("bayesperf", 2, err)
 	}
+	mux, err := sf.muxConfig(false, 0)
+	if err != nil {
+		fatal("bayesperf", 2, err)
+	}
 	sink, err := newMetricsSink(*sf.metrics, *sf.metricsAddr)
 	if err != nil {
 		fatal("bayesperf", 2, err)
 	}
 	wl := measure.DefaultWorkload(*sf.intervals)
-	mux := sf.muxConfig(false, 0)
 	maxIter, tol := sf.inference()
 
 	ok := true

@@ -211,12 +211,15 @@ func streamMain(args []string) {
 	if err != nil {
 		fatal("bayesperf stream", 2, err)
 	}
+	cfg := stream.DefaultConfig()
+	if cfg.Mux, err = sf.muxConfig(*gumbel, *outliers); err != nil {
+		fatal("bayesperf stream", 2, err)
+	}
 	sink, err := newMetricsSink(*sf.metrics, *sf.metricsAddr)
 	if err != nil {
 		fatal("bayesperf stream", 2, err)
 	}
 
-	cfg := stream.DefaultConfig()
 	if *window > 0 {
 		cfg.Window = *window
 	}
@@ -235,8 +238,6 @@ func streamMain(args []string) {
 	if tol > 0 {
 		cfg.Tol = tol
 	}
-	cfg.Mux = sf.muxConfig(*gumbel, *outliers)
-
 	cfg = cfg.WithDefaults()
 	wl := measure.DefaultWorkload(*sf.intervals)
 	ok := true

@@ -24,16 +24,6 @@
 //	hotalloc      functions annotated //bayesperf:hotpath must not allocate
 //	nilrecv       types annotated //bayesvet:nilsafe must nil-guard their
 //	              exported pointer-receiver methods
-//	locksafe      lock-set dataflow over each function's CFG: no lock leaked
-//	              to a return, no double Lock / RLock-Lock mixing, no
-//	              Unlock/RUnlock mismatch, no copied locks (concurrency
-//	              packages)
-//	atomicmix     a variable accessed via sync/atomic must never be accessed
-//	              plainly (concurrency packages)
-//	wgdiscipline  WaitGroup.Add must precede the go statement it gates; no
-//	              Wait while a lock is held (concurrency packages)
-//	blockinglock  no blocking channel ops, Wait, or nested Lock while a
-//	              mutex is held (concurrency packages)
 //
 // Output formats (-format): "text" (default) prints one finding per line;
 // "json" prints a machine-readable array; "github" prints GitHub Actions
@@ -70,18 +60,6 @@ var scope = map[string][]string{
 		"internal/uarch", "internal/timeseries", "internal/obs",
 	},
 	"kernelpurity": {"internal/graph"},
-	// The concurrency family runs where goroutines, locks, and atomics
-	// live today — plus the packages the fleet-scale engine will grow into.
-	"locksafe":     concurrencyScope,
-	"atomicmix":    concurrencyScope,
-	"wgdiscipline": concurrencyScope,
-	"blockinglock": concurrencyScope,
-}
-
-var concurrencyScope = []string{
-	"internal/graph", "internal/stream", "internal/measure",
-	"internal/uarch", "internal/timeseries", "internal/obs",
-	"pkg/bayesperf", "cmd/bayesperf",
 }
 
 func main() {

@@ -11,6 +11,28 @@ import (
 
 const seedGoMod = "module seed\n\ngo 1.22\n"
 
+// mapOrderFixture is a one-finding maporder violation for
+// internal/stream: the range over m on line 5 lets map order reach the
+// returned slice.
+const mapOrderFixture = `package stream
+
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+`
+
+// mapOrderTree writes a throwaway module holding only mapOrderFixture and
+// returns the package pattern that covers it.
+func mapOrderTree(t *testing.T) string {
+	t.Helper()
+	dir := writeTree(t, map[string]string{"go.mod": seedGoMod, "internal/stream/bad.go": mapOrderFixture})
+	return filepath.Join(dir, "...")
+}
+
 // writeTree materializes a throwaway module for the driver to analyze.
 func writeTree(t *testing.T, files map[string]string) string {
 	t.Helper()
@@ -40,16 +62,7 @@ func TestSeededViolations(t *testing.T) {
 	cases := []struct {
 		rule, path, src string
 	}{
-		{"maporder", "internal/stream/bad.go", `package stream
-
-func keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`},
+		{"maporder", "internal/stream/bad.go", mapOrderFixture},
 		{"kernelpurity", "internal/graph/bad.go", `package graph
 
 import "time"
@@ -71,50 +84,6 @@ func hot(n int) []int { return make([]int, n) }
 type C struct{ n int }
 
 func (c *C) Add() { c.n++ }
-`},
-		{"locksafe", "internal/stream/bad.go", `package stream
-
-import "sync"
-
-func leak(mu *sync.Mutex, err error) error {
-	mu.Lock()
-	if err != nil {
-		return err
-	}
-	mu.Unlock()
-	return nil
-}
-`},
-		{"atomicmix", "internal/obs/bad.go", `package obs
-
-import "sync/atomic"
-
-var hits uint64
-
-func inc()         { atomic.AddUint64(&hits, 1) }
-func peek() uint64 { return hits }
-`},
-		{"wgdiscipline", "internal/stream/bad.go", `package stream
-
-import "sync"
-
-func spawn(wg *sync.WaitGroup, work func()) {
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	wg.Wait()
-}
-`},
-		{"blockinglock", "internal/stream/bad.go", `package stream
-
-import "sync"
-
-func drain(mu *sync.Mutex, ch chan int) int {
-	mu.Lock()
-	defer mu.Unlock()
-	return <-ch
-}
 `},
 	}
 	for _, tc := range cases {
@@ -159,47 +128,18 @@ func stamp() time.Time { return time.Now() }
 }
 
 func TestRulesFlag(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod": seedGoMod,
-		"internal/stream/bad.go": `package stream
-
-func keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`,
-	})
-	if code, out, errOut := runBayesvet(t, "-rules", "floateq", filepath.Join(dir, "...")); code != 0 {
+	tree := mapOrderTree(t)
+	if code, out, errOut := runBayesvet(t, "-rules", "floateq", tree); code != 0 {
 		t.Fatalf("-rules floateq: exit %d, want 0 (stdout %q, stderr %q)", code, out, errOut)
 	}
-	if code, _, errOut := runBayesvet(t, "-rules", "bogus", filepath.Join(dir, "...")); code != 2 {
+	if code, _, errOut := runBayesvet(t, "-rules", "bogus", tree); code != 2 {
 		t.Fatalf("-rules bogus: exit %d, want 2 (stderr %q)", code, errOut)
 	}
 }
 
-const formatFixture = `package stream
-
-import "sync"
-
-func leak(mu *sync.Mutex, err error) error {
-	mu.Lock()
-	if err != nil {
-		return err
-	}
-	mu.Unlock()
-	return nil
-}
-`
-
 func TestFormatJSON(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod":                 seedGoMod,
-		"internal/stream/bad.go": formatFixture,
-	})
-	code, out, errOut := runBayesvet(t, "-format", "json", filepath.Join(dir, "..."))
+	tree := mapOrderTree(t)
+	code, out, errOut := runBayesvet(t, "-format", "json", tree)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr %q)", code, errOut)
 	}
@@ -217,7 +157,7 @@ func TestFormatJSON(t *testing.T) {
 		t.Fatalf("%d findings, want 1: %v", len(findings), findings)
 	}
 	f := findings[0]
-	if f.Rule != "locksafe" || f.Line != 8 || !strings.HasSuffix(f.File, "bad.go") || f.Message == "" {
+	if f.Rule != "maporder" || f.Line != 5 || !strings.HasSuffix(f.File, "bad.go") || f.Message == "" {
 		t.Fatalf("unexpected finding %+v", f)
 	}
 }
@@ -237,11 +177,8 @@ func TestFormatJSONEmitsEmptyArrayWhenClean(t *testing.T) {
 }
 
 func TestFormatGitHub(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod":                 seedGoMod,
-		"internal/stream/bad.go": formatFixture,
-	})
-	code, out, _ := runBayesvet(t, "-format", "github", filepath.Join(dir, "..."))
+	tree := mapOrderTree(t)
+	code, out, _ := runBayesvet(t, "-format", "github", tree)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -249,7 +186,7 @@ func TestFormatGitHub(t *testing.T) {
 	if !strings.HasPrefix(line, "::error file=") {
 		t.Fatalf("not a workflow annotation: %q", line)
 	}
-	for _, want := range []string{"line=8", "locksafe", "bad.go"} {
+	for _, want := range []string{"line=5", "maporder", "bad.go"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("annotation %q missing %q", line, want)
 		}
@@ -263,19 +200,16 @@ func TestFormatUnknownIsUsageError(t *testing.T) {
 }
 
 func TestStatsFlag(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod":                 seedGoMod,
-		"internal/stream/bad.go": formatFixture,
-	})
-	code, out, errOut := runBayesvet(t, "-stats", filepath.Join(dir, "..."))
+	tree := mapOrderTree(t)
+	code, out, errOut := runBayesvet(t, "-stats", tree)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
-	if !strings.Contains(out, "locksafe: ") {
+	if !strings.Contains(out, "maporder: ") {
 		t.Fatalf("stdout lost the finding: %q", out)
 	}
 	// Stats go to stderr so stdout stays parseable.
-	for _, want := range []string{"packages, load", "rule", "locksafe", "wgdiscipline"} {
+	for _, want := range []string{"packages, load", "rule", "maporder", "nilrecv"} {
 		if !strings.Contains(errOut, want) {
 			t.Fatalf("stats output %q missing %q", errOut, want)
 		}

@@ -6,9 +6,10 @@
 //
 //   - every sample line parses (name, optional labels, finite-or-special
 //     float value) and its metric family was declared with # TYPE first;
-//   - histogram families expose _bucket/_sum/_count series, each bucket
-//     ladder is cumulative (monotone, le-sorted, terminated by +Inf) and
-//     agrees with its _count;
+//   - every histogram series (family plus label set, without le) exposes
+//     a _bucket ladder, _sum and _count; each ladder is cumulative
+//     (monotone, le-sorted, terminated by +Inf) and agrees with its
+//     _count;
 //   - -require name1,name2,... all appear with at least one sample.
 //
 // Exit status: 0 valid, 1 validation/requirement failure, 2 usage error.
@@ -255,28 +256,44 @@ func labelKey(labels map[string]string) string {
 	return b.String()
 }
 
-// checkHistograms verifies every histogram family's bucket ladders.
-func (c *checker) checkHistograms() {
-	type ladder struct {
-		les    []float64
-		counts []float64
-		line   int
-	}
-	buckets := map[string]map[string]*ladder{} // family → series → ladder
-	counts := map[string]map[string]float64{}  // family → series → _count
+// histSeries is one histogram series (family plus label set, without le):
+// its bucket ladder in exposition order and its _sum and _count samples.
+type histSeries struct {
+	les, counts      []float64
+	hasSum, hasCount bool
+	count            float64
+	line             int // the series' first sample, for error positions
+}
 
+// checkHistograms verifies that every histogram series exposes _sum,
+// _count and a bucket ladder, that the ladder is cumulative and ends at
+// +Inf, and that _count equals the +Inf bucket. Series are checked in
+// sorted order, so the errors come out the same on every run.
+func (c *checker) checkHistograms() {
+	series := map[string]*histSeries{} // family{labels} → series
 	for _, s := range c.samples {
-		base, okB := strings.CutSuffix(s.name, "_bucket")
-		if okB && c.types[base] == "histogram" {
+		fam, ok := c.family(s.name)
+		if !ok || c.types[fam] != "histogram" || s.name == fam {
+			continue
+		}
+		where := fam
+		if key := labelKey(s.labels); key != "" {
+			where = fam + "{" + key + "}"
+		}
+		h := series[where]
+		if h == nil {
+			h = &histSeries{line: s.line}
+			series[where] = h
+		}
+		switch strings.TrimPrefix(s.name, fam) {
+		case "_bucket":
 			le, ok := s.labels["le"]
 			if !ok {
 				c.errorf(s.line, "%s: bucket without le label", s.name)
 				continue
 			}
-			var leV float64
-			if le == "+Inf" {
-				leV = infLE
-			} else {
+			leV := infLE
+			if le != "+Inf" {
 				v, err := strconv.ParseFloat(le, 64)
 				if err != nil {
 					c.errorf(s.line, "%s: bad le %q", s.name, le)
@@ -284,52 +301,47 @@ func (c *checker) checkHistograms() {
 				}
 				leV = v
 			}
-			if buckets[base] == nil {
-				buckets[base] = map[string]*ladder{}
-			}
-			key := labelKey(s.labels)
-			if buckets[base][key] == nil {
-				buckets[base][key] = &ladder{line: s.line}
-			}
-			l := buckets[base][key]
-			l.les = append(l.les, leV)
-			l.counts = append(l.counts, s.value)
-			continue
-		}
-		if base, ok := strings.CutSuffix(s.name, "_count"); ok && c.types[base] == "histogram" {
-			if counts[base] == nil {
-				counts[base] = map[string]float64{}
-			}
-			counts[base][labelKey(s.labels)] = s.value
+			h.les = append(h.les, leV)
+			h.counts = append(h.counts, s.value)
+		case "_sum":
+			h.hasSum = true
+		case "_count":
+			h.hasCount, h.count = true, s.value
 		}
 	}
 
-	for fam, series := range buckets {
-		for key, l := range series {
-			where := fam
-			if key != "" {
-				where = fam + "{" + key + "}"
+	names := make([]string, 0, len(series))
+	for where := range series {
+		names = append(names, where)
+	}
+	sort.Strings(names)
+	for _, where := range names {
+		h := series[where]
+		if !h.hasSum {
+			c.errorf(h.line, "%s: histogram missing _sum series", where)
+		}
+		if !h.hasCount {
+			c.errorf(h.line, "%s: histogram missing _count series", where)
+		}
+		if len(h.les) == 0 {
+			c.errorf(h.line, "%s: histogram missing _bucket ladder", where)
+			continue
+		}
+		for i := 1; i < len(h.les); i++ {
+			if h.les[i] <= h.les[i-1] {
+				c.errorf(h.line, "%s: bucket le values not increasing", where)
+				break
 			}
-			for i := 1; i < len(l.les); i++ {
-				if l.les[i] <= l.les[i-1] {
-					c.errorf(l.line, "%s: bucket le values not increasing", where)
-					break
-				}
-				if l.counts[i] < l.counts[i-1] {
-					c.errorf(l.line, "%s: bucket counts not cumulative", where)
-					break
-				}
+			if h.counts[i] < h.counts[i-1] {
+				c.errorf(h.line, "%s: bucket counts not cumulative", where)
+				break
 			}
-			if len(l.les) == 0 || l.les[len(l.les)-1] != infLE { //bayesvet:bitwise le="+Inf" parses to exactly math.Inf(1)
-				c.errorf(l.line, "%s: bucket ladder missing le=\"+Inf\"", where)
-				continue
-			}
-			cnt, ok := counts[fam][key]
-			if !ok {
-				c.errorf(l.line, "%s: histogram missing _count series", where)
-			} else if cnt != l.counts[len(l.counts)-1] { //bayesvet:bitwise _count must equal the +Inf bucket exactly per the exposition format
-				c.errorf(l.line, "%s: _count %v != +Inf bucket %v", where, cnt, l.counts[len(l.counts)-1])
-			}
+		}
+		last := len(h.les) - 1
+		if h.les[last] != infLE { //bayesvet:bitwise le="+Inf" parses to exactly math.Inf(1)
+			c.errorf(h.line, "%s: bucket ladder missing le=\"+Inf\"", where)
+		} else if h.hasCount && h.count != h.counts[last] { //bayesvet:bitwise _count must equal the +Inf bucket exactly per the exposition format
+			c.errorf(h.line, "%s: _count %v != +Inf bucket %v", where, h.count, h.counts[last])
 		}
 	}
 }

@@ -151,3 +151,30 @@ h_count{stage="b"} 1
 		t.Fatalf("unexpected errors: %v", errs)
 	}
 }
+
+// TestIncompleteHistogramSeries: a histogram series needs a bucket ladder,
+// _sum and _count, whatever else it has. Broken series report in sorted
+// order, the same on every run.
+func TestIncompleteHistogramSeries(t *testing.T) {
+	for _, tc := range []struct {
+		input string
+		want  []string
+	}{
+		{"h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n", []string{"h: histogram missing _sum"}},
+		{"h_sum 1.5\nh_count 3\n", []string{"h: histogram missing _bucket ladder"}},
+		{"h_sum{s=\"z\"} 1\nh_count{s=\"z\"} 0\nh_sum{s=\"y\"} 1\nh_count{s=\"y\"} 0\n",
+			[]string{`h{s="y",}: histogram missing _bucket`, `h{s="z",}: histogram missing _bucket`}},
+	} {
+		for run := 0; run < 5; run++ {
+			errs := check(t, "# HELP h x\n# TYPE h histogram\n"+tc.input)
+			if len(errs) != len(tc.want) {
+				t.Fatalf("%q: errors %v, want %d", tc.input, errs, len(tc.want))
+			}
+			for i, w := range tc.want {
+				if !strings.Contains(errs[i], w) {
+					t.Fatalf("%q: error %d is %q, want %q", tc.input, i, errs[i], w)
+				}
+			}
+		}
+	}
+}

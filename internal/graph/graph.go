@@ -6,10 +6,11 @@
 // (solve.go): a compiled sparse Cholesky factorization for the means, and a
 // selected inverse for the marginal variances and the relation-clique
 // covariances. A window whose factorization cannot be certified — the data
-// leave some direction undetermined — falls back to iterative Gaussian
-// message passing (loopy BP, the Gaussian special case of expectation
-// propagation). Message passing converges to the exact means; its variances
-// are exact only on tree-structured relation sets.
+// leave some direction undetermined, or the relations pinning the
+// unobserved events are too ill-conditioned — falls back to iterative
+// Gaussian message passing (loopy BP, the Gaussian special case of
+// expectation propagation). Message passing converges to the exact means;
+// its variances are exact only on tree-structured relation sets.
 //
 // The engine is two-phase: Compile lowers a catalog once into a flat Plan
 // (dense index arrays, a precomputed message schedule, and a sparse

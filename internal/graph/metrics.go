@@ -33,7 +33,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Sweeps needed per window before convergence (or the maxIter budget); 1 for a window solved in closed form.",
 			ExponentialSweepBuckets()),
 		fallback: r.Counter("bayesperf_graph_direct_fallback_windows_total",
-			"Windows that ran message passing because their direct factorization was not certified (the data left a direction undetermined)."),
+			"Windows that ran message passing because their direct factorization was not certified (the data left a direction undetermined, or the relations pinning the unobserved events were too ill-conditioned)."),
 		cavityFloor: r.Counter("bayesperf_graph_cavity_floor_edges_total",
 			"Edges whose final cavity precision sat at the vanishing-precision floor (order-sensitive, numerically flat cavities), over windows that ran message passing."),
 	}

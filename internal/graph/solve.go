@@ -22,9 +22,13 @@
 //
 // A window whose factorization loses more than eight digits to
 // cancellation is not certified: some pivot fell below certifyTol of its
-// assembled diagonal. That happens when two or more terms of one relation
-// are unobserved, so the data leave a direction undetermined and the
-// direction's variance is the weak prior's. Such lanes run the
+// assembled diagonal. Unobserved events cause it in two ways. Either the
+// relations restricted to them are rank-deficient, so the data leave a
+// direction undetermined and its variance is the weak prior's; or the
+// relations do pin every unobserved event, but their weights span up to
+// twelve decades (1e6 to 1e18 in scaled units, against the 1e-12 prior),
+// so a pivot that only a light relation pins still falls below certifyTol
+// of a diagonal that a heavy one dominates. Such lanes run the
 // message-passing schedule (sweepExact) instead, exactly as it ran before
 // the direct solver existed.
 package graph

@@ -244,7 +244,9 @@ func TestDirectSolveMatchesDenseOracle(t *testing.T) {
 }
 
 // unobservedCases returns, for every relation of cat, two ways to leave it
-// undetermined: two of its terms unobserved, and all of them.
+// unobserved: two of its terms, and all of them. A case that falls back to
+// message passing either leaves a direction undetermined or leaves the
+// relations that pin its unobserved events too ill-conditioned to certify.
 func unobservedCases(cat *uarch.Catalog) (names []string, drops [][]uarch.EventID) {
 	for _, r := range cat.Rels {
 		var all []uarch.EventID

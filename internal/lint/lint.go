@@ -13,17 +13,10 @@
 //	floateq       no tolerance-free float comparisons outside tests
 //	hotalloc      //bayesperf:hotpath functions must not allocate
 //	nilrecv       //bayesvet:nilsafe instruments guard nil receivers
-//	locksafe      lock-set dataflow: leaked/double/mismatched/copied locks
-//	atomicmix     sync/atomic'd variables are never accessed plainly
-//	wgdiscipline  WaitGroup.Add precedes the go it gates; no Wait under lock
-//	blockinglock  no blocking channel ops / Wait / nested Lock under a mutex
 //
-// The first five are AST pattern matchers. The concurrency family
-// (locksafe, atomicmix, wgdiscipline, blockinglock) runs on the package's
-// dataflow engine — a per-function control-flow graph (cfg.go) and a
-// generic forward worklist solver (dataflow.go) — because its invariants
-// are path properties ("held on some path to this return") that no single
-// AST pattern can see.
+// All five are AST pattern matchers. The sync sites (the obs and uarch
+// registry mutexes, the stream engine's WaitGroups and typed atomics) are
+// left to go vet's copylocks check, typed atomics and the -race tests.
 //
 // Analyzers are scope-agnostic: they analyze whatever package they are
 // handed. The driver (cmd/bayesvet) decides which analyzers apply to which
@@ -166,7 +159,6 @@ func SortDiagnostics(diags []Diagnostic) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, KernelPurity, FloatEq, HotAlloc, NilRecv,
-		LockSafe, AtomicMix, WGDiscipline, BlockingLock,
 	}
 }
 

@@ -43,15 +43,11 @@ func TestKernelPurity(t *testing.T) { checkRule(t, "kernelpurity") }
 func TestFloatEq(t *testing.T)      { checkRule(t, "floateq") }
 func TestHotAlloc(t *testing.T)     { checkRule(t, "hotalloc") }
 func TestNilRecv(t *testing.T)      { checkRule(t, "nilrecv") }
-func TestLockSafe(t *testing.T)     { checkRule(t, "locksafe") }
-func TestAtomicMix(t *testing.T)    { checkRule(t, "atomicmix") }
-func TestWGDiscipline(t *testing.T) { checkRule(t, "wgdiscipline") }
-func TestBlockingLock(t *testing.T) { checkRule(t, "blockinglock") }
 
 func TestByName(t *testing.T) {
 	all, err := lint.ByName("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
 	}
 	two, err := lint.ByName("maporder, floateq")
 	if err != nil || len(two) != 2 {

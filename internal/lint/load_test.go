@@ -7,7 +7,7 @@ import (
 	"bayesperf/internal/lint"
 )
 
-// The loaderedge testdata packages exercise loader corners the CFG builder
+// The loaderedge testdata packages exercise loader corners every rule
 // depends on: files excluded by build constraints, _test.go siblings, and
 // //line directives. The excluded files deliberately fail to type-check,
 // so loading them at all breaks the load.

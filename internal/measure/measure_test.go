@@ -367,6 +367,30 @@ func TestMultiplexCorruptedSeries(t *testing.T) {
 	}
 }
 
+// TestMuxConfigValidate: each field's domain edge. The defaults, the zero
+// config and an outlier rate of one are inside it.
+func TestMuxConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		set   func(*MuxConfig)
+		valid bool
+	}{
+		{func(*MuxConfig) {}, true},
+		{func(c *MuxConfig) { *c = MuxConfig{} }, true},
+		{func(c *MuxConfig) { c.OutlierProb, c.OutlierMag = 1, 8 }, true},
+		{func(c *MuxConfig) { c.NoiseFrac = math.Inf(1) }, false},
+		{func(c *MuxConfig) { c.StdFloorFrac = -1e-4 }, false},
+		{func(c *MuxConfig) { c.OutlierProb = math.NaN() }, false},
+		{func(c *MuxConfig) { c.GumbelQ = 1 }, false},
+		{func(c *MuxConfig) { c.GumbelQ = -0.5 }, false},
+	} {
+		c := DefaultMuxConfig()
+		tc.set(&c)
+		if err := c.Validate(); (err == nil) != tc.valid {
+			t.Errorf("%+v: Validate() = %v, want valid %v", c, err, tc.valid)
+		}
+	}
+}
+
 func TestMultiplexDeterminism(t *testing.T) {
 	cat := uarch.Skylake()
 	tr := GroundTruth(cat, DefaultWorkload(30), rng.New(5))

@@ -36,6 +36,29 @@ type MuxConfig struct {
 	GumbelQ float64
 }
 
+// Validate reports the first field outside its domain: NoiseFrac,
+// StdFloorFrac and OutlierMag must be finite and non-negative, OutlierProb
+// a probability, and GumbelQ zero (DefaultGumbelQ) or inside (0, 1). A
+// negative NoiseFrac would mirror the noise draws, and an OutlierProb above
+// one would corrupt every counted reading.
+func (c MuxConfig) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"NoiseFrac", c.NoiseFrac}, {"StdFloorFrac", c.StdFloorFrac}, {"OutlierMag", c.OutlierMag}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("measure: MuxConfig.%s = %v, want finite and >= 0", f.name, f.v)
+		}
+	}
+	if !(c.OutlierProb >= 0 && c.OutlierProb <= 1) {
+		return fmt.Errorf("measure: MuxConfig.OutlierProb = %v, want a probability in [0, 1]", c.OutlierProb)
+	}
+	if !(c.GumbelQ >= 0 && c.GumbelQ < 1) {
+		return fmt.Errorf("measure: MuxConfig.GumbelQ = %v, want 0 (the default) or a quantile in (0, 1)", c.GumbelQ)
+	}
+	return nil
+}
+
 // DefaultGumbelQ is the rejection quantile used when MuxConfig.GumbelQ is
 // unset: CounterMiner's "well above the expected maximum" threshold.
 const DefaultGumbelQ = 0.995

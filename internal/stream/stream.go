@@ -90,8 +90,9 @@ type Config struct {
 	FastMath bool
 	// MaxIter and Tol bound the damped message passing that runs only for
 	// windows the closed-form solve cannot certify (the data leave a
-	// direction undetermined): at most MaxIter sweeps, to a tolerance of
-	// Tol on the posterior means.
+	// direction undetermined, or the relations pinning the unobserved
+	// events are too ill-conditioned): at most MaxIter sweeps, to a
+	// tolerance of Tol on the posterior means.
 	MaxIter int
 	Tol     float64
 	// Mux carries the observation model shared with the measurement layer:

@@ -379,9 +379,9 @@ func TestValidateModelsErrorIsDeterministic(t *testing.T) {
 var registryRuns atomic.Int64
 
 // TestRegistryConcurrentAccess is the regression test for the registry's
-// locking: it used to embed sync.RWMutex in the (copyable) registry struct,
-// which bayesvet's locksafe copylock check now forbids — the lock is a
-// named field. Hammering Register/Lookup/Names concurrently keeps the
+// locking: it used to embed sync.RWMutex in the (copyable) registry struct.
+// The lock is now a named field, and go vet's copylocks check flags any
+// copy of the struct. Hammering Register/Lookup/Names concurrently keeps the
 // discipline honest under -race. Each run registers fresh names, since the
 // registry outlives a run under -count.
 func TestRegistryConcurrentAccess(t *testing.T) {

@@ -138,13 +138,17 @@ type Option func(*Session) error
 
 // New builds a Session from the default configuration (24-interval windows
 // sliding by 4, round-robin multiplexing, 1% measurement noise) and the
-// given options.
+// given options. The observation model the options leave must pass
+// MuxConfig.Validate.
 func New(opts ...Option) (*Session, error) {
 	s := &Session{cfg: stream.DefaultConfig()}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
+	}
+	if err := s.cfg.Mux.Validate(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -248,7 +252,8 @@ func WithFastMath(bool) Option {
 
 // WithInference bounds the message passing that runs only for windows the
 // closed-form solve cannot certify (the data leave a direction
-// undetermined): the maximum sweeps and the convergence tolerance on
+// undetermined, or the relations pinning the unobserved events are too
+// ill-conditioned): the maximum sweeps and the convergence tolerance on
 // posterior means (zero keeps the respective default).
 func WithInference(maxIter int, tol float64) Option {
 	return func(s *Session) error {
@@ -297,9 +302,6 @@ func WithDerived(on bool) Option {
 // observation model.
 func WithNoise(frac float64) Option {
 	return func(s *Session) error {
-		if frac < 0 {
-			return fmt.Errorf("bayesperf: negative noise fraction %v", frac)
-		}
 		s.cfg.Mux.NoiseFrac = frac
 		return nil
 	}

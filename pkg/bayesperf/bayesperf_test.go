@@ -422,12 +422,20 @@ func TestSessionSchedulerOption(t *testing.T) {
 
 // TestSessionOptionErrors: invalid options fail at New, not at run time.
 func TestSessionOptionErrors(t *testing.T) {
+	nanNoise := bayesperf.DefaultMuxConfig()
+	nanNoise.NoiseFrac = math.NaN()
+	badGumbelQ := bayesperf.DefaultMuxConfig()
+	badGumbelQ.GumbelQ = 1.5
 	cases := []struct {
 		name string
 		opt  bayesperf.Option
 	}{
 		{"nil catalog", bayesperf.WithCatalog(nil)},
 		{"negative noise", bayesperf.WithNoise(-0.5)},
+		{"outlier probability above one", bayesperf.WithOutliers(2, 8)},
+		{"negative outlier magnitude", bayesperf.WithOutliers(0.1, -1)},
+		{"NaN noise", bayesperf.WithMux(nanNoise)},
+		{"Gumbel quantile above one", bayesperf.WithMux(badGumbelQ)},
 		{"unknown scheduler", bayesperf.WithScheduler(bayesperf.SchedulerKind(99))},
 		{"missing catalog file", bayesperf.WithCatalogFile("/no/such/file.json")},
 	}
