@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,7 +9,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 )
@@ -26,15 +29,17 @@ type Package struct {
 
 // Loader parses and type-checks packages of one module using only the
 // standard library: module-local imports are resolved by loading their
-// directory recursively, everything else (the standard library) goes
-// through go/importer's source importer. Loaded packages are memoized, so
-// analyzing the whole tree type-checks each package once.
+// directory recursively; everything else (the standard library) is read
+// from the compiler's export data, which `go list -export` builds into the
+// Go build cache and names. Loaded packages are memoized, so analyzing the
+// whole tree type-checks each package once.
 type Loader struct {
 	Fset       *token.FileSet
 	ModuleRoot string
 	ModulePath string
 
-	std     types.ImporterFrom
+	std     types.ImporterFrom // export-data importer, made on the first non-module import
+	exports map[string]string  // import path → export data file, from go list
 	pkgs    map[string]*Package
 	loading map[string]bool
 }
@@ -65,19 +70,54 @@ func NewLoader(start string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not support ImportFrom")
-	}
 	return &Loader{
-		Fset:       fset,
+		Fset:       token.NewFileSet(),
 		ModuleRoot: root,
 		ModulePath: modPath,
-		std:        std,
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
 	}, nil
+}
+
+// stdImporter returns the importer for packages outside the module. The
+// first call runs `go list -export -deps ./...` in the module root, which
+// compiles what the module imports into the build cache where it is not
+// there yet and names each package's export data file; the loader keeps
+// the listing. A loader that imports nothing outside its module never runs
+// it.
+func (l *Loader) stdImporter() (types.ImporterFrom, error) {
+	if l.std != nil {
+		return l.std, nil
+	}
+	cmd := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}", "./...")
+	cmd.Dir = l.ModuleRoot
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: %s (in %s): %v: %s", strings.Join(cmd.Args, " "), l.ModuleRoot, err, strings.TrimSpace(stderr.String()))
+	}
+	l.exports = make(map[string]string)
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			l.exports[path] = file
+		}
+	}
+	std, ok := importer.ForCompiler(l.Fset, "gc", l.openExport).(types.ImporterFrom)
+	if !ok {
+		return nil, fmt.Errorf("lint: gc importer does not support ImportFrom")
+	}
+	l.std = std
+	return std, nil
+}
+
+// openExport opens the export data go list named for path.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: go list -export -deps ./... in %s names no export data for %s", l.ModuleRoot, path)
+	}
+	return os.Open(file)
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -180,8 +220,8 @@ func (l *Loader) load(path string) (*Package, error) {
 }
 
 // loaderImporter adapts the Loader into the go/types importer interfaces:
-// module-local paths load recursively, everything else is delegated to the
-// standard library's source importer.
+// module-local paths load recursively, everything else is read from export
+// data (see stdImporter).
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
@@ -197,5 +237,9 @@ func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, srcDir, 0)
+	std, err := l.stdImporter()
+	if err != nil {
+		return nil, err
+	}
+	return std.ImportFrom(path, srcDir, 0)
 }

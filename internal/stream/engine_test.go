@@ -66,9 +66,9 @@ func (s *cycleSource) Next() (measure.IntervalSample, bool) {
 }
 
 // readLate makes the highest-numbered multiplexed event of tr read NaN
-// before interval first, so its first reading backfills every earlier
-// interval's naive value, and the windowed raw value of those already
-// settled.
+// before interval first, so every earlier interval's naive value is its
+// first reading, and so is the windowed raw value of those no window that
+// saw the event covers.
 func readLate(tr *measure.Trace, first int) {
 	for id := tr.Cat.NumEvents() - 1; id >= 0; id-- {
 		if !tr.Cat.Event(uarch.EventID(id)).Fixed {
@@ -199,8 +199,10 @@ func TestEngineStateBounded(t *testing.T) {
 
 // TestEngineSteadyStateAllocs: once its hand-off pool is at its bound,
 // Ingest allocates nothing per window — with covariance tracking off and
-// on. The only allocation left is the output chunk each chunkLen
-// intervals open, and every run below ingests exactly one chunk's worth.
+// on. The only allocations left come when an output chunk opens, each
+// chunkLen intervals: the chunk, and the reading log's next segment when
+// the one being written cannot take the chunk's readings. Every run below
+// ingests exactly one chunk's worth.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -230,8 +232,51 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		e.Finish()
 		windows := chunkLen / cfg.Hop
 		t.Logf("cov=%v: %v allocs per %d intervals (%d windows)", cov, allocs, chunkLen, windows)
-		if allocs > 1 {
-			t.Errorf("cov=%v: %v allocs per %d windows; want only the one output chunk", cov, allocs, windows)
+		if allocs > 2 {
+			t.Errorf("cov=%v: %v allocs per %d windows; want only the output chunk and at most one log segment", cov, allocs, windows)
+		}
+	}
+}
+
+// TestEngineRetainedBytes: the state that grows with the stream is three
+// output rows per event (corrected, std, windowed raw), one per tracked
+// pair, and the reading log — no row per event of naive values. Over a long
+// Skylake stream, the live heap after the last Ingest may exceed the heap
+// after the input and the engine are built by at most 3·ne·8 B per interval
+// plus 80 B for the log and the heap's rounding of the chunks, and 8 B more
+// per tracked pair with covariance on. The engine's own fixed state is
+// bounded by TestEngineStateBounded.
+func TestEngineRetainedBytes(t *testing.T) {
+	cat := uarch.Skylake()
+	n := 100_000
+	if raceEnabled {
+		n = 10_000 // the race detector slows the engine ~10×
+	}
+	ne := cat.NumEvents()
+	for _, cov := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Workers = 2
+		cfg.Covariance = cov
+		src := newCycleSource(cat, n)
+		e := NewEngine(cat, cfg)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for {
+			s, ok := src.Next()
+			if !ok {
+				break
+			}
+			e.Ingest(s)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perInterval := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+		bound := float64(3*ne*8 + 80 + 8*len(e.covPairs))
+		e.Finish()
+		t.Logf("cov=%v: %.1f B retained per interval over %d intervals, bound %.0f", cov, perInterval, n, bound)
+		if perInterval > bound {
+			t.Errorf("cov=%v: %.1f B retained per interval, want at most %.0f", cov, perInterval, bound)
 		}
 	}
 }

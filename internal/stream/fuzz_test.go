@@ -43,8 +43,10 @@ var corruptions = []float64{math.NaN(), math.Inf(1), 1.7e308}
 // readings on every event or on one. Whatever the shape, the engine must
 // not panic, must cover the stream with the hop schedule's windows (the
 // tail window included), must give the output of the same input at
-// Workers 1 and Batch 1 bit for bit, and must report a finite corrected
-// value with a finite positive std for every event and interval.
+// Workers 1 and Batch 1 bit for bit, must give the naive baseline that
+// sample and hold gives over the samples it ingested, and must report a
+// finite corrected value with a finite positive std for every event and
+// interval.
 func FuzzStreamShapes(f *testing.F) {
 	cats := make([]*uarch.Catalog, len(testCatalogs))
 	for i, name := range testCatalogs {
@@ -80,14 +82,17 @@ func FuzzStreamShapes(f *testing.F) {
 				}
 			}
 		}
+		var rec *recordingSource
 		run := func(cfg Config) *Result {
 			var sched measure.Scheduler = measure.NewRoundRobin(cat)
 			if adaptive {
 				sched = measure.NewAdaptive(cat, cfg.Window)
 			}
-			return RunTrace(tr, sched, cfg, rng.New(seed+1))
+			rec = &recordingSource{src: measure.NewSampler(tr, cfg.Mux, sched, rng.New(seed+1))}
+			return Run(cat, rec, sched, cfg)
 		}
 		res := run(cfg)
+		naive := sampleAndHold(cat.NumEvents(), rec.samples)
 
 		windows := 0
 		if n >= cfg.Window {
@@ -108,6 +113,11 @@ func FuzzStreamShapes(f *testing.F) {
 		}
 
 		for id := range res.Corrected {
+			for ti, v := range naive[id] {
+				if got := res.NaiveRaw[id][ti]; math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("event %s interval %d: naive %v, sample and hold gives %v", cat.Event(uarch.EventID(id)).Name, ti, got, v)
+				}
+			}
 			for ti, v := range res.Corrected[id] {
 				s := res.CorrectedStd[id][ti]
 				if math.IsNaN(v) || math.IsInf(v, 0) || !(s > 0) || math.IsInf(s, 0) {

@@ -6,42 +6,8 @@ import (
 	"math"
 	"testing"
 
-	"bayesperf/internal/measure"
-	"bayesperf/internal/rng"
 	"bayesperf/internal/uarch"
 )
-
-// goldenShape is one engine configuration and input variant of the golden
-// matrix.
-type goldenShape struct {
-	name      string
-	length    int // intervals, cut from a DefaultWorkload trace
-	window    int
-	hop       int
-	workers   int
-	batch     int
-	cov       bool
-	adaptive  bool
-	gumbel    bool // Gumbel rejection with 2% injected outliers and Inf readings
-	lateFirst int  // if > 0, one multiplexed event reads NaN before this interval (see readLate)
-}
-
-var goldenShapes = []goldenShape{
-	{name: "short", length: 9, window: 24, hop: 4, workers: 2, batch: 8},
-	{name: "default", length: 120, window: 24, hop: 4, workers: 2, batch: 8},
-	{name: "tumbling", length: 121, window: 8, hop: 8, workers: 2, batch: 3},
-	{name: "hop1-wide", length: 150, window: 8, hop: 1, workers: 4, batch: 64},
-	{name: "late-cov", length: 120, window: 8, hop: 3, workers: 2, batch: 1, cov: true, lateFirst: 40},
-	{name: "gumbel-inf-cov", length: 150, window: 24, hop: 4, workers: 2, batch: 8, cov: true, gumbel: true},
-	{name: "adaptive", length: 150, window: 24, hop: 4, workers: 2, batch: 8, adaptive: true},
-	{name: "long", length: 303, window: 16, hop: 2, workers: 1, batch: 32},
-	// Each 24-interval epoch emits 6 windows: one full batch for the pool and
-	// a partial one that Flush executes on the calling goroutine.
-	{name: "adaptive-mixed", length: 150, window: 24, hop: 4, workers: 2, batch: 4, adaptive: true},
-	// The late event's first reading rewrites 500 earlier intervals, most of
-	// them already settled, some of them by the pool.
-	{name: "late-pool", length: 700, window: 24, hop: 4, workers: 2, batch: 8, lateFirst: 500},
-}
 
 // goldenHashes pins the FNV-64a hash of every Result output (see
 // hashResult) per catalog/shape.
@@ -119,37 +85,6 @@ func TestStreamOutputGolden(t *testing.T) {
 			}
 		}
 	}
-}
-
-// runGolden builds the shape's input and streams it through RunTrace.
-func runGolden(cat *uarch.Catalog, sh goldenShape) *Result {
-	perPhase := (sh.length + 2) / 3
-	tr := measure.GroundTruth(cat, measure.DefaultWorkload(perPhase), rng.New(11))
-	for id := range tr.Series {
-		tr.Series[id] = tr.Series[id][:sh.length]
-	}
-	readLate(tr, sh.lateFirst)
-	cfg := DefaultConfig()
-	cfg.Window, cfg.Hop = sh.window, sh.hop
-	cfg.Workers, cfg.Batch = sh.workers, sh.batch
-	cfg.Covariance = sh.cov
-	if sh.gumbel {
-		cfg.Mux.GumbelReject = true
-		cfg.Mux.OutlierProb = 0.02
-		cfg.Mux.OutlierMag = 8
-		for id := range tr.Series {
-			if cat.Event(uarch.EventID(id)).Fixed {
-				tr.Series[id][17] = math.Inf(1)
-				tr.Series[id][90] = math.Inf(1)
-				break
-			}
-		}
-	}
-	var sched measure.Scheduler = measure.NewRoundRobin(cat)
-	if sh.adaptive {
-		sched = measure.NewAdaptive(cat, cfg.Window)
-	}
-	return RunTrace(tr, sched, cfg, rng.New(12))
 }
 
 // TestDerivedStdMatchesReference recomputes every DerivedCorrectedStd of

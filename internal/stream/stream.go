@@ -30,19 +30,26 @@
 // the live readings in a ring indexed by interval, and a settled interval
 // goes to chunked output. Windows emitted but not yet stitched stay below
 // a bound derived from Workers and Batch, and the steady state allocates
-// nothing per window. Only the Result, which holds every output series by
-// contract, grows with the stream. Finish assembles it once the pool is
-// drained, on the calling goroutine plus the pool's Workers goroutines:
-// first every event series from the chunked output, then every derived
-// formula's posterior and baselines. Each derived formula runs through the
-// loop of its kind, which reads the stitched series directly and computes
-// every interval's value, exact gradient and delta-method std with uarch's
+// nothing per window. What grows with the stream is what the Result holds
+// by contract: three settled rows per event (corrected, std and windowed
+// raw) in the chunks, and an append-only log of the readings, from which
+// Finish rebuilds the naive baseline by sample and hold. No naive value is
+// stored per interval, so an event's first reading rewrites nothing, and
+// settling reads no naive value: where no window saw an event, it marks the
+// interval, and Finish copies the naive value into the windowed raw series
+// there. Finish assembles the Result once the pool is drained, on the
+// calling goroutine plus the pool's Workers goroutines: first every event
+// series from the chunks and the log, then every derived formula's
+// posterior and baselines. Each derived formula runs through the loop of
+// its kind, which reads the stitched series directly and computes every
+// interval's value, exact gradient and delta-method std with uarch's
 // per-kind arithmetic.
 package stream
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -163,10 +170,14 @@ type Result struct {
 	Corrected    []timeseries.Series
 	CorrectedStd []timeseries.Series
 	// WindowedRaw is the same sliding-window estimate without inference:
-	// what window smoothing alone buys.
+	// what window smoothing alone buys. Where no window covering an
+	// interval observed an event and the interval has no live reading of
+	// it, it holds NaiveRaw's value.
 	WindowedRaw []timeseries.Series
 	// NaiveRaw is the live multiplexed baseline: per interval, each
-	// event's most recent counted sample (sample-and-hold extrapolation).
+	// event's most recent finite reading, Gumbel-flagged ones included
+	// (sample-and-hold extrapolation). Before an event's first finite
+	// reading it holds that reading; an event never read is 0.
 	NaiveRaw []timeseries.Series
 	// Derived-event posterior series (§2 "Errors in Derived Events"),
 	// indexed like the catalog's Derived slice. DerivedCorrected evaluates
@@ -259,21 +270,19 @@ type Engine struct {
 	derivedPairs [][]pairRef
 
 	// Window records: window j's coefficients sit in slot j&(recCap-1),
-	// event id's at slot*ne + id and tracked pair pi's ρ at
+	// event id's at recs[slot*ne + id] and tracked pair pi's ρ at
 	// slot*len(covPairs) + pi. Each window's coefficients are contiguous,
 	// so the producer, which writes the newest windows' records, and the
 	// workers, which settle from older ones, rarely touch the same cache
-	// line. record files the span and, per event, whether it was observed,
-	// its raw rate and its stitch weight; stitch adds the posterior rate
-	// and rate std, the weight of unobserved events, and ρ. A record stays
-	// live until every interval its window covers is final; settle gathers
-	// the live records through a goroutine's own cover scratch, cover being
-	// the calling goroutine's.
+	// line. record files the span and, per event, its stitch weight and,
+	// where observed, its raw rate; stitch adds the posterior rate and rate
+	// std, and the weight of unobserved events, and ρ. A record stays live
+	// until every interval its window covers is final; settle gathers the
+	// live records through a goroutine's own cover scratch, cover being the
+	// calling goroutine's.
 	recCap           int
 	recStart, recEnd []int
-	recObserved      []bool
-	recRaw, recPrec  []float64
-	recRate, recStd  []float64
+	recs             []record
 	recRho           []float64
 	cover            *coverScratch
 
@@ -286,15 +295,14 @@ type Engine struct {
 	final   int
 
 	// out holds the output in chunks of chunkLen intervals: series s (see
-	// outCorr) of interval t is out[t/chunkLen][s*chunkLen + t%chunkLen].
-	// Intervals [final, ingested) are not final yet: no output but their
-	// naive values, which never change after their interval. Finish
-	// concatenates each series once. It is the only state that grows with
-	// the stream: the Result's series, which hold every interval by
-	// contract.
-	out     [][]float64
-	lastVal []float64
-	firstT  []int // first interval each event was counted (-1 if never)
+	// outCorr) of interval t is out[t/chunkLen][s*chunkLen + t%chunkLen],
+	// written when t settles. Finish concatenates each series once, and
+	// builds the naive baseline from the reading log. The chunks and the log
+	// are the only state that grows with the stream: the Result's series,
+	// which hold every interval by contract.
+	out    [][]float64
+	holdAt int // where a chunk's hold words start (see holdWords)
+	log    readingLog
 
 	postRelStd  stats.Running
 	inferIters  stats.Running
@@ -326,11 +334,22 @@ type Engine struct {
 	postMean, postStd, postObsStd []float64
 }
 
-// coverRef is one window covering one settling interval: its record slot
-// and its triangular stitch weight there.
+// record is one window's coefficients for one event. prec is the stitch
+// weight: the predictive precision of the window's observation, or of its
+// posterior where the event went unobserved. rawPrec and raw are the weight
+// and rate the windowed raw series takes from the window: prec and the
+// observed rate, or 0 and 0 where unobserved. rate and std are the
+// posterior rate and rate std.
+type record struct {
+	prec, rawPrec, raw, rate, std float64
+}
+
+// coverRef is one window covering one settling interval: where its records
+// start (slot·ne in recs, slot·len(covPairs) in recRho) and its triangular
+// stitch weight there.
 type coverRef struct {
-	slot int
-	k    float64
+	at, rho int
+	k       float64
 }
 
 // coverScratch is one goroutine's cover lists for settle (see covers).
@@ -353,14 +372,22 @@ func newCoverScratch(cfg Config) *coverScratch {
 const chunkLen = 256
 
 // Output series kinds: series kind*ne + id of a chunk holds one event's
-// values; the tracked pairs' stitched correlations follow at 4*ne + pi.
+// values; the tracked pairs' stitched correlations follow at 3*ne + pi.
 const (
 	outCorr = iota
 	outStd
 	outRaw
-	outNaive
 	outKinds
 )
+
+// holdWords is the number of hold words per event in a chunk: one bit per
+// interval, one word per settle block. After the series, a chunk holds
+// event id's word for block b at holdAt + id*holdWords + b, stored as the
+// bits of a float64 (math.Float64bits) so that a chunk stays one
+// allocation. A set bit marks an interval where no covering window
+// observed the event and no live reading fused, so that its windowed raw
+// value is its naive one; Finish copies it there.
+const holdWords = chunkLen / settleSpan
 
 // handoff carries one batch of windows to a worker and its posteriors
 // back. The engine snapshots windows into its lanes; the worker observes
@@ -375,8 +402,8 @@ type handoff struct {
 
 	// Settle side.
 	lo, hi, winEnd int
-	chunk          []float64
-	done           bool // back from the pool, and not yet past final
+	chunk          []float64 // the output chunk holding [lo, hi)
+	done           bool      // back from the pool, and not yet past final
 
 	// Snapshot side (see windowJob).
 	obsMean, obsStd, disp []float64
@@ -504,8 +531,7 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		waiting:     make([]*handoff, 0, handoffs+1),
 		settling:    make([]*handoff, 0, jobs),
 		settleFree:  make([]*handoff, jobs),
-		lastVal:     make([]float64, ne),
-		firstT:      make([]int, ne),
+		log:         newReadingLog(ne),
 		epochMean:   make([]float64, ne),
 		epochStd:    make([]float64, ne),
 		epochObsStd: make([]float64, ne),
@@ -518,20 +544,14 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		mm:          measure.NewMetrics(cfg.Metrics),
 		gm:          graph.NewMetrics(cfg.Metrics),
 	}
-	for id := range e.firstT {
-		e.firstT[id] = -1
-	}
 	if cfg.Covariance {
 		e.buildCovPairs()
 	}
+	e.holdAt = (outKinds*ne + len(e.covPairs)) * chunkLen
 	e.recCap = recordWindows(cfg)
 	e.recStart = make([]int, e.recCap)
 	e.recEnd = make([]int, e.recCap)
-	e.recObserved = make([]bool, ne*e.recCap)
-	e.recRaw = make([]float64, ne*e.recCap)
-	e.recPrec = make([]float64, ne*e.recCap)
-	e.recRate = make([]float64, ne*e.recCap)
-	e.recStd = make([]float64, ne*e.recCap)
+	e.recs = make([]record, ne*e.recCap)
 	e.recRho = make([]float64, len(e.covPairs)*e.recCap)
 	e.cover = newCoverScratch(cfg)
 	e.ringCap = ringCap
@@ -681,36 +701,20 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 	defer sp.End()
 	e.m.intervals.Inc()
 	e.settleReady()
-	firsts := false
-	for i, id := range s.Events {
-		if !finite(s.Values[i]) {
-			// Corrupted reading: keep it out of the naive series. Count the
-			// drop (once per reading — the fusion loop below skips the same
-			// values) and warn the first time this stream drops one.
-			e.mm.DroppedNonFinite.Inc()
-			if !e.warnedDrop {
-				e.warnedDrop = true
-				warnf("stream: dropping non-finite reading for event %s at interval %d "+
-					"(further drops counted in bayesperf_measure_dropped_nonfinite_total)",
-					e.cat.Event(id).Name, e.ingested)
-			}
-			continue
-		}
-		e.lastVal[id] = s.Values[i]
-		if e.firstT[id] < 0 {
-			e.firstT[id] = e.ingested
-			firsts = true
-		}
-	}
-	if firsts {
-		for _, id := range s.Events {
-			if e.firstT[id] == e.ingested {
-				e.backfillNaive(int(id))
-			}
-		}
-	}
 	t := e.ingested
 	e.openInterval(t)
+	if bad, i := e.log.add(t, s); bad > 0 {
+		// Corrupted readings: the naive series skips them. Count the drops
+		// (once per reading — the fusion loop below skips the same values)
+		// and warn the first time this stream drops one.
+		e.mm.DroppedNonFinite.Add(uint64(bad))
+		if !e.warnedDrop {
+			e.warnedDrop = true
+			warnf("stream: dropping non-finite reading for event %s at interval %d "+
+				"(further drops counted in bayesperf_measure_dropped_nonfinite_total)",
+				e.cat.Event(s.Events[i]).Name, t)
+		}
+	}
 	e.win.Push(s)
 	e.ingested++
 	// Keep the live samples for fusion at their own interval. With Gumbel
@@ -734,48 +738,21 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 	}
 }
 
-// backfillNaive gives the intervals before an event's first reading that
-// reading, as the naive baseline's held value. Intervals already settled
-// take it as their windowed raw value too: no window that could touch them
-// saw the event, so raw held the naive value there. Settle jobs read the
-// naive values and write the raw ones, so it waits for every posted block
-// first.
-func (e *Engine) backfillNaive(id int) {
-	e.awaitPosted()
-	v := e.lastVal[id]
-	for t := 0; t < e.ingested; t++ {
-		chunk := e.out[t/chunkLen]
-		chunk[(outNaive*e.ne+id)*chunkLen+t%chunkLen] = v
-		if t < e.final {
-			chunk[(outRaw*e.ne+id)*chunkLen+t%chunkLen] = v
-		}
-	}
-}
-
-// openInterval readies interval t: no live readings yet, and its naive
-// values. Its ring slot last held interval t − ringCap, so that one must be
-// settled first.
+// openInterval readies interval t: no live readings yet, and at a chunk's
+// first interval a new output chunk and the log's next chunk. Its ring
+// slot last held interval t − ringCap, so that one must be settled first.
 func (e *Engine) openInterval(t int) {
 	if t-e.final >= e.ringCap {
 		e.reserve(t - e.ringCap + 1)
 	}
 	at := t & (e.ringCap - 1)
-	for id := range e.lastVal {
+	for id := 0; id < e.ne; id++ {
 		e.live[id*e.ringCap+at] = math.NaN()
 	}
-	chunk, off := e.chunk(t/chunkLen), t%chunkLen
-	for id, v := range e.lastVal {
-		chunk[(outNaive*e.ne+id)*chunkLen+off] = v
+	if t%chunkLen == 0 {
+		e.out = append(e.out, make([]float64, e.holdAt+e.ne*holdWords))
+		e.log.openChunk()
 	}
-}
-
-// chunk returns output chunk ci, allocating it when interval ci*chunkLen
-// opens.
-func (e *Engine) chunk(ci int) []float64 {
-	if ci == len(e.out) {
-		e.out = append(e.out, make([]float64, (outKinds*e.ne+len(e.covPairs))*chunkLen))
-	}
-	return e.out[ci]
 }
 
 // ready is the end of the intervals no window can still change (see
@@ -861,58 +838,56 @@ func (e *Engine) reserve(t int) {
 	}
 }
 
-// awaitPosted waits until every posted block is back from the pool.
-func (e *Engine) awaitPosted() {
-	for len(e.settling) > 0 {
-		e.absorb(<-e.results)
-	}
-}
-
-// settle gathers intervals [lo, hi), all in chunk, from the records of
-// their covering windows, which all lie below window winEnd: each
-// interval's records, in window order, go into the corrected series and
-// its std, the windowed raw series (holding the naive sample where no
-// window observed the event) and each tracked pair's stitched correlation
-// ρ̄ = Σ tri·ρ / Σ tri. The stitched estimate is the inverse-variance
-// fusion of every covering window's estimate plus the interval's live
-// sample, if any. Values with no weight stay 0. The loops run event-outer,
-// so each event's output row is written contiguously.
+// settle gathers intervals [lo, hi), all in chunk and in one settle
+// block, from the records of their covering windows, which all lie below
+// window winEnd: each interval's records, in window order, go into the
+// corrected series and its std, the windowed raw series and each tracked
+// pair's stitched correlation ρ̄ = Σ tri·ρ / Σ tri. The stitched estimate is
+// the inverse-variance fusion of every covering window's estimate plus the
+// interval's live sample, if any. Values with no weight stay 0. Where no
+// window observed the event and no live sample fused, the windowed raw
+// series holds the naive sample instead: settle sets the interval's hold
+// bit, and Finish copies the naive value there. The loops run event-outer,
+// so each event's output row is written contiguously, and its hold bits
+// go into the block's one word per event.
 //
-// settle reads only those records, the live readings of [lo, hi) and
-// their naive values, and writes only their corrected, std, raw and ρ
-// values, so a worker can run it while the producer ingests; cover is the
-// calling goroutine's own scratch.
+// Every record carries a raw weight and rate, both 0 where the window did
+// not observe the event, so the raw sums add +0 there instead of
+// branching. That leaves them bit for bit as if the term were skipped: a
+// sum that starts at +0 is never −0 (x + (−x) and +0 + (−0) both round to
+// +0), and s + (+0) = s for every other s.
+//
+// settle reads only those records and the live readings of [lo, hi), and
+// writes only their corrected, std, raw and ρ values and their hold words,
+// so a worker can run it while the producer ingests; cover is the calling
+// goroutine's own scratch.
 //
 //bayesperf:hotpath
 func (e *Engine) settle(cover *coverScratch, chunk []float64, lo, hi, winEnd int) {
 	sp := obs.StartSpan(e.m.stSettle)
-	ne, np, mask := e.ne, len(e.covPairs), e.ringCap-1
+	ne, mask := e.ne, e.ringCap-1
 	off, n := lo%chunkLen, hi-lo
 	e.covers(cover, lo, hi, winEnd)
 	refs, refOff := cover.refs, cover.off
+	hold := chunk[e.holdAt+off/settleSpan:]
 	for id := 0; id < ne; id++ {
-		observed := e.recObserved[id:]
-		prec := e.recPrec[id:]
-		rawRate := e.recRaw[id:]
-		rate := e.recRate[id:]
-		rateStd := e.recStd[id:]
+		recs := e.recs[id:]
 		live := e.live[id*e.ringCap : (id+1)*e.ringCap]
 		corr := chunk[(outCorr*ne+id)*chunkLen+off:][:n]
 		cstd := chunk[(outStd*ne+id)*chunkLen+off:][:n]
 		raw := chunk[(outRaw*ne+id)*chunkLen+off:][:n]
-		naive := chunk[(outNaive*ne+id)*chunkLen+off:][:n]
+		var held uint64
 		for i := range corr {
 			var corrNum, corrDen, stdNum, rawNum, rawDen float64
 			for _, c := range refs[refOff[i]:refOff[i+1]] {
-				at := c.slot * ne
-				wt := prec[at] * c.k
-				if observed[at] {
-					rawNum += wt * rawRate[at]
-					rawDen += wt
-				}
-				corrNum += wt * rate[at]
+				r := &recs[c.at]
+				wt := r.prec * c.k
+				rawWt := r.rawPrec * c.k
+				rawNum += rawWt * r.raw
+				rawDen += rawWt
+				corrNum += wt * r.rate
 				corrDen += wt
-				stdNum += wt * rateStd[at]
+				stdNum += wt * r.std
 			}
 			lNum, lDen, lStd := e.liveTerm(live[(lo+i)&mask])
 			if den := corrDen + lDen; den > 0 {
@@ -922,8 +897,12 @@ func (e *Engine) settle(cover *coverScratch, chunk []float64, lo, hi, winEnd int
 			if den := rawDen + lDen; den > 0 {
 				raw[i] = (rawNum + lNum) / den
 			} else {
-				raw[i] = naive[i] // window never saw the event: hold the sample
+				held |= 1 << ((lo + i) % settleSpan) // window never saw the event: hold the sample
 			}
+		}
+		if held != 0 {
+			w := &hold[id*holdWords]
+			*w = math.Float64frombits(math.Float64bits(*w) | held)
 		}
 	}
 	// Stitch the tracked clique correlations with the triangular kernel
@@ -937,7 +916,7 @@ func (e *Engine) settle(cover *coverScratch, chunk []float64, lo, hi, winEnd int
 		for i := range rho {
 			var num, den float64
 			for _, c := range refs[refOff[i]:refOff[i+1]] {
-				num += c.k * rhos[c.slot*np]
+				num += c.k * rhos[c.rho]
 				den += c.k
 			}
 			if den > 0 {
@@ -981,7 +960,7 @@ func (e *Engine) liveTerm(v float64) (num, den, std float64) {
 //
 //bayesperf:hotpath
 func (e *Engine) covers(cover *coverScratch, t0, hi, winEnd int) {
-	mask := e.recCap - 1
+	mask, ne, np := e.recCap-1, e.ne, len(e.covPairs)
 	first := 0
 	if t0 >= e.cfg.Window {
 		first = (t0 - e.cfg.Window + e.cfg.Hop) / e.cfg.Hop
@@ -998,7 +977,7 @@ func (e *Engine) covers(cover *coverScratch, t0, hi, winEnd int) {
 			if start > t {
 				break
 			}
-			cover.refs[n] = coverRef{slot: slot, k: triWeight(t, start, e.recEnd[slot])}
+			cover.refs[n] = coverRef{at: slot * ne, rho: slot * np, k: triWeight(t, start, e.recEnd[slot])}
 			n++
 		}
 	}
@@ -1048,10 +1027,10 @@ func (e *Engine) emit() {
 
 // record files window nextIdx's emit-time coefficients in its record slot:
 // the span it covers, numbered by the engine's own interval count, and per
-// event whether it was observed, its raw rate and its stitch weight — the
-// predictive precision of the observation, which the corrected series
-// reuses. The window the slot last held must no longer cover an
-// unsettled interval.
+// observed event its raw rate and its stitch weight — the predictive
+// precision of the observation, which the corrected series reuses — as its
+// raw weight too; an unobserved event's raw weight and rate are 0. The
+// window the slot last held must no longer cover an unsettled interval.
 //
 //bayesperf:hotpath
 func (e *Engine) record(job windowJob) {
@@ -1062,12 +1041,15 @@ func (e *Engine) record(job windowJob) {
 	start, end := e.ingested-e.win.Len(), e.ingested
 	e.recStart[slot], e.recEnd[slot] = start, end
 	w := float64(end - start)
+	recs := e.recs[slot*e.ne : (slot+1)*e.ne]
 	for id, ok := range job.observed {
-		at := slot*e.ne + id
-		e.recObserved[at] = ok
+		r := &recs[id]
 		if ok {
-			e.recRaw[at] = job.obsMean[id] / w
-			e.recPrec[at] = predictivePrec(job.obsStd[id]/w, job.disp[id])
+			r.raw = job.obsMean[id] / w
+			r.prec = predictivePrec(job.obsStd[id]/w, job.disp[id])
+			r.rawPrec = r.prec
+		} else {
+			r.raw, r.rawPrec = 0, 0
 		}
 	}
 }
@@ -1211,13 +1193,14 @@ func (e *Engine) stitch(h *handoff, lane int) {
 	lo, hi := lane*e.ne, (lane+1)*e.ne
 	mean, std := h.mean[lo:hi], h.std[lo:hi]
 	obsStd, disp, observed := h.obsStd[lo:hi], h.disp[lo:hi], h.observed[lo:hi]
+	recs := e.recs[slot*e.ne : (slot+1)*e.ne]
 	for id := range mean {
-		at := slot*e.ne + id
+		r := &recs[id]
 		rateStd := std[id] / w
-		e.recRate[at] = mean[id] / w
-		e.recStd[at] = rateStd
+		r.rate = mean[id] / w
+		r.std = rateStd
 		if !observed[id] {
-			e.recPrec[at] = predictivePrec(rateStd, disp[id])
+			r.prec = predictivePrec(rateStd, disp[id])
 		}
 		scale := math.Abs(mean[id])
 		if scale < 1 {
@@ -1270,8 +1253,10 @@ func (e *Engine) EpochPosterior() (mean, std, obsStd []float64, ok bool) {
 // covered), executes it with any partial batch and drains the pool, waits
 // for the settle blocks still on the pool, settles the remaining intervals
 // inline, and assembles the stitched result on the calling goroutine plus
-// the pool's Workers goroutines, which exit once it is done. The engine
-// cannot be used after Finish.
+// the pool's Workers goroutines, which exit once it is done: the settled
+// series, then NaiveRaw replayed from the reading log a chunk at a time
+// (with the windowed raw values that hold it), then the derived formulas.
+// The engine cannot be used after Finish.
 func (e *Engine) Finish() *Result {
 	if e.ingested > 0 && e.lastEmitEnd < e.ingested {
 		e.emit()
@@ -1280,7 +1265,9 @@ func (e *Engine) Finish() *Result {
 	sp := obs.StartSpan(e.m.stReport)
 	defer sp.End()
 
-	e.awaitPosted()
+	for len(e.settling) > 0 { // the settle blocks still on the pool
+		e.absorb(<-e.results)
+	}
 	e.settleInline(e.ingested)
 	ne, nd := e.ne, len(e.cat.Derived)
 	res := &Result{
@@ -1306,11 +1293,14 @@ func (e *Engine) Finish() *Result {
 	}
 	a := &assembly{
 		res:    res,
-		events: [outKinds][]timeseries.Series{res.Corrected, res.CorrectedStd, res.WindowedRaw, res.NaiveRaw},
+		events: [outKinds + 1][]timeseries.Series{res.Corrected, res.CorrectedStd, res.WindowedRaw, res.NaiveRaw},
 		grad:   make([]float64, (e.cfg.Workers+1)*k),
 		k:      k,
+		run:    make([]heldRun, (e.cfg.Workers+1)*ne),
 	}
-	a.phase1.Add(e.cfg.Workers + 1)
+	for p := range a.done {
+		a.done[p].Add(e.cfg.Workers + 1)
+	}
 	e.asm = a
 	close(e.jobs) // every hand-off and settle job is back, so the idle workers turn to the assembly
 	e.assemble(0)
@@ -1320,45 +1310,80 @@ func (e *Engine) Finish() *Result {
 
 // assembly is the state Finish shares with the workers while they fill the
 // Result. Tasks hand out by index from one counter per phase; each fills
-// its own series, so the Result is the same for any width and any order
-// the tasks run in.
+// its own series or its own chunk of intervals, so the Result is the same
+// for any width and any order the tasks run in.
 type assembly struct {
 	res    *Result
-	events [outKinds][]timeseries.Series // the Result's event series, by output kind
-	next   [2]atomic.Int64               // the next task of each phase
-	phase1 sync.WaitGroup                // phase 2 reads the series phase 1 fills
-	grad   []float64                     // k gradient values per goroutine for derived posteriors
-	k      int                           // the most inputs of any derived formula
+	events [outKinds + 1][]timeseries.Series // the Result's event series, by output kind, then NaiveRaw
+	next   [3]atomic.Int64                   // the next task of each phase
+	done   [2]sync.WaitGroup                 // each of phases 2 and 3 reads what the phase before fills
+	grad   []float64                         // k gradient values per goroutine for derived posteriors
+	k      int                               // the most inputs of any derived formula
+	run    []heldRun                         // ne naive replay runs per goroutine
 }
 
 // take hands out the next task index of phase p.
 func (a *assembly) take(p int) int { return int(a.next[p].Add(1) - 1) }
 
 // assemble runs Finish's tasks on goroutine g: 0 is Finish's caller,
-// 1…Workers the pool's workers, once the job queue is closed. Phase 1 has
-// one task per event series (output series s of the chunks); phase 2,
-// which starts once every goroutine is done with phase 1, has three per
-// derived formula (see derivedSeries).
+// 1…Workers the pool's workers, once the job queue is closed. Each phase
+// starts once every goroutine is done with the one before. Phase 1 has one
+// task per event series: output series s of the chunks, or an empty naive
+// series. Phase 2 has each derived formula's posterior (derivedSeries part
+// 0), then one task per chunk (naiveChunk). Phase 3 has two per derived
+// formula, its baselines.
 func (e *Engine) assemble(g int) {
-	a, ne := e.asm, e.ne
-	for s := a.take(0); s < outKinds*ne; s = a.take(0) {
+	a, ne, nd := e.asm, e.ne, len(e.cat.Derived)
+	for s := a.take(0); s < (outKinds+1)*ne; s = a.take(0) {
 		a.events[s/ne][s%ne] = e.series(s)
 	}
-	a.phase1.Done()
-	a.phase1.Wait()
+	a.done[0].Done()
+	a.done[0].Wait()
 	grad := a.grad[g*a.k : (g+1)*a.k]
-	for i := a.take(1); i < 3*len(e.cat.Derived); i = a.take(1) {
-		e.derivedSeries(a.res, i/3, i%3, grad)
+	for i := a.take(1); i < nd+len(e.out); i = a.take(1) {
+		if i < nd {
+			e.derivedSeries(a.res, i, 0, grad)
+		} else {
+			e.naiveChunk(i-nd, a.run[g*ne:(g+1)*ne])
+		}
+	}
+	a.done[1].Done()
+	a.done[1].Wait()
+	for i := a.take(2); i < 2*nd; i = a.take(2) {
+		e.derivedSeries(a.res, i/2, 1+i%2, grad)
 	}
 }
 
-// series concatenates output series s (see outCorr) from the chunks.
+// series concatenates output series s (see outCorr) from the chunks; the
+// naive series, s ≥ outKinds·ne, come out empty for naiveChunk to fill.
 func (e *Engine) series(s int) timeseries.Series {
 	out := make(timeseries.Series, e.ingested)
+	if s >= outKinds*e.ne {
+		return out
+	}
 	for ci, chunk := range e.out {
 		copy(out[ci*chunkLen:], chunk[s*chunkLen:(s+1)*chunkLen])
 	}
 	return out
+}
+
+// naiveChunk fills chunk ci's intervals of NaiveRaw from the reading log,
+// then copies the naive value into WindowedRaw wherever settle set a hold
+// bit. run is the calling goroutine's replay scratch.
+func (e *Engine) naiveChunk(ci int, run []heldRun) {
+	res := e.asm.res
+	t0 := ci * chunkLen
+	e.log.replay(ci, t0, min(t0+chunkLen, e.ingested), res.NaiveRaw, run)
+	hold := e.out[ci][e.holdAt:]
+	for id, naive := range res.NaiveRaw {
+		raw := res.WindowedRaw[id]
+		for b, w := range hold[id*holdWords : (id+1)*holdWords] {
+			for word := math.Float64bits(w); word != 0; word &= word - 1 {
+				t := t0 + b*settleSpan + bits.TrailingZeros64(word)
+				raw[t] = naive[t]
+			}
+		}
+	}
 }
 
 // stitchedRho is tracked pair pi's finalized stitched correlation ρ̄ at

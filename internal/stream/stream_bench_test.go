@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -118,5 +119,37 @@ func TestStreamParallelSpeedup(t *testing.T) {
 	t.Logf("1 worker %v, 4 workers %v: speedup %.2fx", serial, parallel, speedup)
 	if speedup < 1.5 {
 		t.Errorf("4-worker speedup %.2fx < 1.5x (serial %v, parallel %v)", speedup, serial, parallel)
+	}
+}
+
+// BenchmarkSettle times settle alone, in ns per settled interval: a warmed
+// Skylake engine at Workers 1 is fed until one whole 64-interval block is
+// ready and not yet posted, and that block is settled over and over. Its
+// records stay live, since nothing else runs meanwhile, and settling a
+// block again writes the same values.
+func BenchmarkSettle(b *testing.B) {
+	cat := uarch.Skylake()
+	for _, hop := range []int{4, 24} {
+		b.Run(fmt.Sprintf("hop=%d", hop), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Hop, cfg.Workers = hop, 1
+			e := NewEngine(cat, cfg)
+			defer e.Finish()
+			src := newCycleSource(cat, math.MaxInt)
+			for e.ingested < 4*chunkLen || e.ready() < e.posted+settleSpan {
+				s, _ := src.Next()
+				e.Ingest(s)
+			}
+			for len(e.settling) > 0 {
+				e.absorb(<-e.results)
+			}
+			lo := e.posted
+			chunk := e.out[lo/chunkLen]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.settle(e.cover, chunk, lo, lo+settleSpan, e.nextIdx)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*settleSpan), "ns/interval")
+		})
 	}
 }
