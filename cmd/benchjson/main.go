@@ -11,6 +11,7 @@
 //	go test -run='^$' -bench=InferBatch -benchtime=200x ./internal/graph |
 //	    go run ./cmd/benchjson -out BENCH_graph.json
 //	{ go test -run='^$' -bench=StreamBatched -benchtime=20x -count=3 ./internal/stream
+//	  go test -run='^$' -bench='^BenchmarkIngest$' -benchtime=50000x -count=3 ./internal/stream
 //	  for i in 1 2 3 4 5 6; do
 //	    go test -run='^$' -bench='StreamBatched/batch=8/' -benchtime=20x ./internal/stream
 //	  done; } | go run ./cmd/benchjson -out BENCH_stream.json

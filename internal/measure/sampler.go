@@ -283,8 +283,10 @@ func interleave(slots []int, plan []int) []int {
 // IntervalSample is one sampling interval's live counter readings: the
 // events that were actually counted (fixed counters plus the live group)
 // and their noisy per-interval values, parallel slices. Events may be
-// shared between intervals (a Sampler hands out one slice per group) and
-// must not be mutated; Values is the interval's own.
+// shared between intervals (a Sampler hands out one slice per group), and a
+// consumer must mutate neither slice. The stream engine and the Session
+// copy every reading they keep, so the producer of a sample may reuse both
+// buffers once its next sample is asked for.
 type IntervalSample struct {
 	T      int
 	Group  int // index into the scheduler's Groups; -1 if no group was live

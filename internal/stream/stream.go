@@ -27,10 +27,14 @@
 // settle job; once Flush has run a partial batch on the calling goroutine,
 // Ingest settles inline. Engine state is bounded by the windows in flight,
 // not by the stream length: the records live in a ring indexed by window,
-// the live readings in a ring indexed by interval, and a settled interval
-// goes to chunked output. Windows emitted but not yet stitched stay below
-// a bound derived from Workers and Batch, and the steady state allocates
-// nothing per window. What grows with the stream is what the Result holds
+// the live readings in a ring of one row per interval, and a settled
+// interval goes to chunked output, whose rows the goroutine that first
+// settles into a chunk allocates, so that while the pool settles the
+// producer allocates no output. Windows emitted but not yet stitched stay
+// below a bound derived from Workers and Batch, and the steady state
+// allocates nothing per window. No state keeps a slice of a sample: the
+// Window evicts from its own record of what it pushed, so a source may
+// reuse its buffers. What grows with the stream is what the Result holds
 // by contract: three settled rows per event (corrected, std and windowed
 // raw) in the chunks, and an append-only log of the readings, from which
 // Finish rebuilds the naive baseline by sample and hold. No naive value is
@@ -224,6 +228,7 @@ type Engine struct {
 	win         *Window
 	gumbel      stats.GumbelThreshold // cfg.Mux's rejection threshold, computed once
 	ingested    int
+	toEmit      int // intervals until the next window is emitted
 	lastEmitEnd int
 	nextIdx     int
 	stitched    int
@@ -287,22 +292,27 @@ type Engine struct {
 	cover            *coverScratch
 
 	// The interval ring holds the live readings of intervals
-	// [final, ingested): event id's at interval t sits at
-	// live[id*ringCap + t&(ringCap-1)], NaN where the interval has none to
-	// fuse (see liveTerm).
+	// [final, ingested), interval-major: event id's at interval t sits at
+	// live[(t&(ringCap-1))*ne + id], NaN where the interval has none to fuse
+	// (see liveTerm). Opening an interval clears one run of ne values, and
+	// the producer's newest row lies apart from the older rows that workers
+	// settle from.
 	live    []float64
 	ringCap int
 	final   int
 
 	// out holds the output in chunks of chunkLen intervals: series s (see
-	// outCorr) of interval t is out[t/chunkLen][s*chunkLen + t%chunkLen],
-	// written when t settles. Finish concatenates each series once, and
-	// builds the naive baseline from the reading log. The chunks and the log
-	// are the only state that grows with the stream: the Result's series,
-	// which hold every interval by contract.
-	out    [][]float64
-	holdAt int // where a chunk's hold words start (see holdWords)
-	log    readingLog
+	// outCorr) of interval t is at s*chunkLen + t%chunkLen in the rows of
+	// out[t/chunkLen], written when t settles. openInterval opens only a
+	// chunk's header; whoever first settles into the chunk allocates its
+	// rows, chunkRows values (see outChunk). Finish concatenates each series
+	// once, and builds the naive baseline from the reading log. The chunks
+	// and the log are the only state that grows with the stream: the
+	// Result's series, which hold every interval by contract.
+	out       []*outChunk
+	chunkRows int
+	holdAt    int // where a chunk's hold words start (see holdWords)
+	log       readingLog
 
 	postRelStd  stats.Running
 	inferIters  stats.Running
@@ -380,6 +390,25 @@ const (
 	outKinds
 )
 
+// outChunk is one output chunk's header. Its rows are allocated by the
+// goroutine that first settles into it, once: a worker while the pool
+// settles, so the producer never zeroes them, or the caller when settling
+// inline. Finish reads rows only once every interval is settled.
+type outChunk struct {
+	mu   sync.Mutex
+	rows []float64
+}
+
+// take returns the chunk's rows, allocating n values on the first call.
+func (c *outChunk) take(n int) []float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rows == nil {
+		c.rows = make([]float64, n)
+	}
+	return c.rows
+}
+
 // holdWords is the number of hold words per event in a chunk: one bit per
 // interval, one word per settle block. After the series, a chunk holds
 // event id's word for block b at holdAt + id*holdWords + b, stored as the
@@ -394,15 +423,15 @@ const holdWords = chunkLen / settleSpan
 // and executes them and writes the posteriors into the same object. Every
 // slab is lane-major: event id of lane i sits at i*ne + id, tracked pair
 // pi at i*len(covPairs) + pi. A hand-off with no lanes is a settle job
-// instead: the worker settles intervals [lo, hi) into chunk from the
-// records of the windows below winEnd (see settle).
+// instead: the worker settles intervals [lo, hi) into the rows of chunk
+// from the records of the windows below winEnd (see settle).
 type handoff struct {
 	first int // index of the window in lane 0
 	n     int // lanes filled
 
 	// Settle side.
 	lo, hi, winEnd int
-	chunk          []float64 // the output chunk holding [lo, hi)
+	chunk          *outChunk // the output chunk holding [lo, hi)
 	done           bool      // back from the pool, and not yet past final
 
 	// Snapshot side (see windowJob).
@@ -524,6 +553,7 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		ne:          ne,
 		win:         NewWindow(cat, cfg.Window),
 		gumbel:      cfg.Mux.RejectThreshold(),
+		toEmit:      cfg.Window,
 		maxInFlight: inFlightBound(cfg),
 		jobs:        make(chan *handoff, handoffs+jobs),
 		results:     make(chan *handoff, handoffs+jobs),
@@ -548,6 +578,7 @@ func NewEngine(cat *uarch.Catalog, cfg Config) *Engine {
 		e.buildCovPairs()
 	}
 	e.holdAt = (outKinds*ne + len(e.covPairs)) * chunkLen
+	e.chunkRows = e.holdAt + ne*holdWords
 	e.recCap = recordWindows(cfg)
 	e.recStart = make([]int, e.recCap)
 	e.recEnd = make([]int, e.recCap)
@@ -624,7 +655,7 @@ func (e *Engine) worker(g int, batch *graph.Batch, br *graph.BatchResult, cover 
 		if h.n > 0 {
 			br = e.execute(batch, br, h)
 		} else {
-			e.settle(cover, h.chunk, h.lo, h.hi, h.winEnd)
+			e.settle(cover, h.chunk.take(e.chunkRows), h.lo, h.hi, h.winEnd)
 		}
 		e.results <- h
 	}
@@ -680,7 +711,9 @@ func (e *Engine) readPosteriors(h *handoff, br *graph.BatchResult) {
 
 // Ingest settles the intervals that have become ready, then feeds one
 // interval into the window; at hop boundaries the window is snapshotted
-// into the batch being filled.
+// into the batch being filled. Ingest copies every reading it keeps and
+// reads nothing of s once it returns, so the caller may reuse s's Events
+// and Values buffers for the next interval.
 //
 // Interval t is ready once both t < ingested − Window (every window not
 // yet emitted starts at or after that point) and t < stitched·Hop (the
@@ -721,7 +754,7 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 	// rejection on, a sample the trailing window's fit flags as an outlier
 	// is not trusted at full noise precision (the window estimate, itself
 	// filtered, covers its interval instead).
-	mask := e.ringCap - 1
+	live := e.liveRow(t)
 	for i, id := range s.Events {
 		v := s.Values[i]
 		if !finite(v) {
@@ -731,29 +764,35 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 			e.m.liveOutliers.Inc()
 			continue
 		}
-		e.live[int(id)*e.ringCap+t&mask] = v
+		live[id] = v
 	}
-	if e.ingested >= e.cfg.Window && (e.ingested-e.cfg.Window)%e.cfg.Hop == 0 {
+	// A window ends at interval Window, then at every Hop-th one after it.
+	if e.toEmit--; e.toEmit == 0 {
+		e.toEmit = e.cfg.Hop
 		e.emit()
 	}
 }
 
 // openInterval readies interval t: no live readings yet, and at a chunk's
-// first interval a new output chunk and the log's next chunk. Its ring
-// slot last held interval t − ringCap, so that one must be settled first.
+// first interval a new output chunk header and the log's next chunk. Its
+// ring slot last held interval t − ringCap, so that one must be settled
+// first.
 func (e *Engine) openInterval(t int) {
 	if t-e.final >= e.ringCap {
 		e.reserve(t - e.ringCap + 1)
 	}
-	at := t & (e.ringCap - 1)
-	for id := 0; id < e.ne; id++ {
-		e.live[id*e.ringCap+at] = math.NaN()
+	live := e.liveRow(t)
+	for id := range live {
+		live[id] = math.NaN()
 	}
 	if t%chunkLen == 0 {
-		e.out = append(e.out, make([]float64, e.holdAt+e.ne*holdWords))
+		e.out = append(e.out, &outChunk{})
 		e.log.openChunk()
 	}
 }
+
+// liveRow returns interval t's row of the interval ring.
+func (e *Engine) liveRow(t int) []float64 { return e.live[(t&(e.ringCap-1))*e.ne:][:e.ne] }
 
 // ready is the end of the intervals no window can still change (see
 // Ingest).
@@ -779,7 +818,7 @@ func (e *Engine) settleInline(upTo int) {
 	for e.posted < upTo {
 		lo := e.posted
 		e.posted = min(upTo, blockEnd(lo))
-		e.settle(e.cover, e.out[lo/chunkLen], lo, e.posted, e.nextIdx)
+		e.settle(e.cover, e.out[lo/chunkLen].take(e.chunkRows), lo, e.posted, e.nextIdx)
 	}
 	if len(e.settling) == 0 {
 		e.final = e.posted
@@ -865,14 +904,17 @@ func (e *Engine) reserve(t int) {
 //bayesperf:hotpath
 func (e *Engine) settle(cover *coverScratch, chunk []float64, lo, hi, winEnd int) {
 	sp := obs.StartSpan(e.m.stSettle)
-	ne, mask := e.ne, e.ringCap-1
+	ne := e.ne
 	off, n := lo%chunkLen, hi-lo
 	e.covers(cover, lo, hi, winEnd)
 	refs, refOff := cover.refs, cover.off
 	hold := chunk[e.holdAt+off/settleSpan:]
+	// A block never wraps the interval ring, whose capacity is a multiple
+	// of settleSpan.
+	block := e.live[(lo&(e.ringCap-1))*ne:][:n*ne]
 	for id := 0; id < ne; id++ {
 		recs := e.recs[id:]
-		live := e.live[id*e.ringCap : (id+1)*e.ringCap]
+		live := block[id:]
 		corr := chunk[(outCorr*ne+id)*chunkLen+off:][:n]
 		cstd := chunk[(outStd*ne+id)*chunkLen+off:][:n]
 		raw := chunk[(outRaw*ne+id)*chunkLen+off:][:n]
@@ -889,7 +931,7 @@ func (e *Engine) settle(cover *coverScratch, chunk []float64, lo, hi, winEnd int
 				corrDen += wt
 				stdNum += wt * r.std
 			}
-			lNum, lDen, lStd := e.liveTerm(live[(lo+i)&mask])
+			lNum, lDen, lStd := e.liveTerm(live[i*ne])
 			if den := corrDen + lDen; den > 0 {
 				corr[i] = (corrNum + lNum) / den
 				cstd[i] = (stdNum + lStd) / den
@@ -1168,7 +1210,7 @@ func triWeight(t, start, end int) float64 {
 // dispersion²), per the law of total variance. Dispersion is what keeps a
 // window from claiming sample-level certainty about any single interval.
 func predictivePrec(rateStd, disp float64) float64 {
-	return 1 / math.Max(rateStd*rateStd+disp*disp, 1e-300)
+	return 1 / max(rateStd*rateStd+disp*disp, 1e-300)
 }
 
 // stitch files one window's posterior in its record and folds it into the
@@ -1362,7 +1404,7 @@ func (e *Engine) series(s int) timeseries.Series {
 		return out
 	}
 	for ci, chunk := range e.out {
-		copy(out[ci*chunkLen:], chunk[s*chunkLen:(s+1)*chunkLen])
+		copy(out[ci*chunkLen:], chunk.rows[s*chunkLen:(s+1)*chunkLen])
 	}
 	return out
 }
@@ -1374,7 +1416,7 @@ func (e *Engine) naiveChunk(ci int, run []heldRun) {
 	res := e.asm.res
 	t0 := ci * chunkLen
 	e.log.replay(ci, t0, min(t0+chunkLen, e.ingested), res.NaiveRaw, run)
-	hold := e.out[ci][e.holdAt:]
+	hold := e.out[ci].rows[e.holdAt:]
 	for id, naive := range res.NaiveRaw {
 		raw := res.WindowedRaw[id]
 		for b, w := range hold[id*holdWords : (id+1)*holdWords] {
@@ -1389,7 +1431,7 @@ func (e *Engine) naiveChunk(ci int, run []heldRun) {
 // stitchedRho is tracked pair pi's finalized stitched correlation ρ̄ at
 // interval t (0 where no window covered the interval).
 func (e *Engine) stitchedRho(pi, t int) float64 {
-	return e.out[t/chunkLen][(outKinds*e.ne+pi)*chunkLen+t%chunkLen]
+	return e.out[t/chunkLen].rows[(outKinds*e.ne+pi)*chunkLen+t%chunkLen]
 }
 
 // derivedSeries rides derived formula di on top of the stitched per-event
@@ -1526,7 +1568,9 @@ func derivedValues(d *uarch.Derived, events []timeseries.Series, out timeseries.
 // IntervalSource feeds the streaming engine: anything that emits a sequence
 // of multiplexed interval samples. measure.Sampler implements it; so does
 // any pkg/bayesperf.Source, which is how a future perf-event reader plugs
-// into this engine without changes here.
+// into this engine without changes here. Since Ingest keeps no slice of a
+// sample, Next may overwrite the Events and Values buffers it returned the
+// time before.
 type IntervalSource interface {
 	Next() (measure.IntervalSample, bool)
 }

@@ -144,12 +144,66 @@ func BenchmarkSettle(b *testing.B) {
 				e.absorb(<-e.results)
 			}
 			lo := e.posted
-			chunk := e.out[lo/chunkLen]
+			chunk := e.out[lo/chunkLen].take(e.chunkRows)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.settle(e.cover, chunk, lo, lo+settleSpan, e.nextIdx)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*settleSpan), "ns/interval")
+		})
+	}
+}
+
+// BenchmarkIngest times Ingest alone, in ns per interval (one interval per
+// op), on a warmed engine at Workers 2 fed a pre-sampled round-robin
+// stream, in the configurations of two of the repository benchmark's
+// workloads: rr-exact (Skylake, hop 4) and tumbling-fast (the Neoverse JSON
+// catalog, hop 24). The workers run the stream's inference and settle its
+// intervals meanwhile, so this is the producer's cost per interval. Every
+// 2¹⁴ intervals a fresh engine replaces the old one with the timer
+// stopped, so the output an engine holds stays small for any b.N.
+func BenchmarkIngest(b *testing.B) {
+	for _, w := range []struct {
+		name, cat string
+		hop       int
+	}{
+		{"rr-exact", "skylake", 4},
+		{"tumbling-fast", "neoverse.json", 24},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			cat := testCatalog(b, w.cat)
+			tr := measure.GroundTruth(cat, measure.DefaultWorkload(1000), rng.New(5))
+			samples := presample(tr, 6)
+			cfg := DefaultConfig()
+			cfg.Hop, cfg.Workers = w.hop, 2
+			const warm, span = 4 * chunkLen, 1 << 14
+			var e *Engine
+			var src *cycleSource
+			fresh := func() {
+				if e != nil {
+					e.Finish()
+				}
+				e = NewEngine(cat, cfg)
+				src = &cycleSource{samples: samples, n: math.MaxInt}
+				for e.ingested < warm {
+					s, _ := src.Next()
+					e.Ingest(s)
+				}
+			}
+			fresh()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if e.ingested == warm+span {
+					b.StopTimer()
+					fresh()
+					b.StartTimer()
+				}
+				s, _ := src.Next()
+				e.Ingest(s)
+			}
+			b.StopTimer()
+			e.Finish()
 		})
 	}
 }

@@ -33,6 +33,52 @@ func trueRates(tr *measure.Trace) []timeseries.Series {
 	return out
 }
 
+// TestWindowEvictsWideCatalog: over a 70-event catalog, so that the
+// window's record of each interval spans two bitset words, every event's
+// ring holds exactly the finite readings of the intervals in the window
+// after every Push, while intervals read shifting event subsets with NaN
+// readings among them.
+func TestWindowEvictsWideCatalog(t *testing.T) {
+	spec := uarch.Spec{Arch: "wide", FixedCounters: 1, ProgCounters: 8}
+	for id := 0; id < 70; id++ {
+		spec.Events = append(spec.Events, uarch.EventSpec{Name: "E" + strconv.Itoa(id)})
+	}
+	cat, err := spec.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 8
+	w := NewWindow(cat, size)
+	read := func(ti, id int) (bool, float64) {
+		v := float64(ti + 1)
+		if (id*7+ti)%11 == 0 {
+			v = math.NaN()
+		}
+		return (id+ti)%3 != 0, v
+	}
+	for ti := 0; ti < 100; ti++ {
+		s := measure.IntervalSample{T: ti}
+		for id := 0; id < 70; id++ {
+			if ok, v := read(ti, id); ok {
+				s.Events = append(s.Events, uarch.EventID(id))
+				s.Values = append(s.Values, v)
+			}
+		}
+		w.Push(s)
+		for id := 0; id < 70; id++ {
+			want := 0
+			for tj := max(0, ti-size+1); tj <= ti; tj++ {
+				if ok, v := read(tj, id); ok && !math.IsNaN(v) {
+					want++
+				}
+			}
+			if got := w.ev[id].n; got != want {
+				t.Fatalf("interval %d event %d: ring holds %d readings, want %d", ti, id, got, want)
+			}
+		}
+	}
+}
+
 // TestWindowIncrementalMatchesBatch drives a window far enough to slide
 // many times, then checks that the incrementally maintained observation
 // snapshot equals one recomputed from scratch on the same intervals.

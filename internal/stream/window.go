@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"math/bits"
 
 	"bayesperf/internal/measure"
 	"bayesperf/internal/stats"
@@ -59,7 +60,7 @@ func (e *eventRing) pop() {
 		// Re-zero exactly so float drift cannot accumulate across an
 		// event's long absences.
 		e.sum, e.sq, e.ssd = 0, 0, 0
-	} else if !finite(e.sum) || !finite(e.sq) || !finite(e.ssd) {
+	} else if (e.sum-e.sum)+(e.sq-e.sq)+(e.ssd-e.ssd) != 0 { //bayesvet:bitwise x−x is +0 exactly when x is finite, NaN otherwise
 		// A finite reading whose sum or square overflowed left Inf (and,
 		// once evicted, Inf − Inf = NaN) behind; rebuild the sums from the
 		// buffer so the ring heals as soon as the reading slides out.
@@ -117,23 +118,33 @@ func (e *eventRing) filteredSums(gumbel stats.GumbelThreshold, scratch []float64
 // Window is the sliding accumulator of the streaming engine: it ingests the
 // last size intervals' multiplexed samples and derives, per event, the
 // scaled window total and its Student-t observation std incrementally —
-// each slide is O(live events), not O(window).
+// each slide is O(live events), not O(window). It keeps none of a sample's
+// slices: each event's readings live in its own ring, and the window's own
+// record of each interval it holds, the events whose reading it pushed, is
+// what eviction pops.
 type Window struct {
-	cat     *uarch.Catalog
-	size    int
-	samples []measure.IntervalSample // ring of the intervals in the window
+	cat  *uarch.Catalog
+	size int
+	// pushed is a ring of size bitsets over the catalog's events, one per
+	// interval held, each words uint64s long: bit id of slot i is set when
+	// that interval pushed a finite reading of event id.
+	pushed  []uint64
+	words   int
 	head    int
 	n       int
+	start   int // the T of the oldest interval held
 	ev      []eventRing
 	scratch []float64 // Gumbel-rejection snapshot buffer
 }
 
 // NewWindow builds an empty window accumulator of the given span.
 func NewWindow(cat *uarch.Catalog, size int) *Window {
+	words := (cat.NumEvents() + 63) / 64
 	w := &Window{
 		cat:     cat,
 		size:    size,
-		samples: make([]measure.IntervalSample, size),
+		pushed:  make([]uint64, size*words),
+		words:   words,
 		ev:      make([]eventRing, cat.NumEvents()),
 		scratch: make([]float64, 0, size),
 	}
@@ -151,40 +162,47 @@ func (w *Window) Span() (start, end int) {
 	if w.n == 0 {
 		return 0, 0
 	}
-	start = w.samples[w.head].T
-	return start, start + w.n
+	return w.start, w.start + w.n
 }
 
 // finite reports whether x is a usable reading (neither NaN nor ±Inf).
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Push slides the window forward by one interval: the oldest interval's
-// samples are retired (once the window is full) and the new interval's
+// readings are retired (once the window is full) and the new interval's
 // counted values are folded in. Non-finite readings (counter corruption)
 // never enter the rings: a single NaN — or an Inf, whose eviction leaves
 // Inf − Inf = NaN behind — would permanently poison the running sums long
-// after the reading itself slid out of the window. The skip is mirrored
-// on the eviction side so push/pop stay symmetric. Each event may appear
-// at most once per interval, so no ring holds more readings than the
-// window has intervals.
+// after the reading itself slid out of the window. Eviction pops exactly
+// the events whose reading the window pushed, from its own record, so push
+// and pop stay symmetric. Each event may appear at most once per interval,
+// so no ring holds more readings than the window has intervals. Intervals
+// are consecutive: the window's span starts at the first sample's T and
+// moves on by one with each eviction. Push reads nothing of s after it
+// returns: the caller may reuse s's Events and Values buffers.
 //
 //bayesperf:hotpath
 func (w *Window) Push(s measure.IntervalSample) {
 	if w.n == w.size {
-		old := w.samples[w.head]
-		for i, id := range old.Events {
-			if finite(old.Values[i]) {
-				w.ev[id].pop()
+		oldest := w.pushed[w.head*w.words:][:w.words]
+		for wi, word := range oldest {
+			for ; word != 0; word &= word - 1 {
+				w.ev[wi*64+bits.TrailingZeros64(word)].pop()
 			}
+			oldest[wi] = 0
 		}
 		w.head = wrap(w.head+1, w.size)
 		w.n--
+		w.start++
+	} else if w.n == 0 {
+		w.start = s.T
 	}
-	w.samples[wrap(w.head+w.n, w.size)] = s
+	set := w.pushed[wrap(w.head+w.n, w.size)*w.words:][:w.words]
 	w.n++
 	for i, id := range s.Events {
-		if finite(s.Values[i]) {
-			w.ev[id].push(s.Values[i])
+		if v := s.Values[i]; finite(v) {
+			w.ev[id].push(v)
+			set[uint(id)/64] |= 1 << (uint(id) % 64)
 		}
 	}
 }
@@ -277,7 +295,7 @@ func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig, gumbel stat
 
 		var std, disp float64
 		if n >= 2 {
-			disp = math.Sqrt(math.Max(sq-sum*sum/float64(n), 0) / float64(n-1))
+			disp = math.Sqrt(max(sq-sum*sum/float64(n), 0) / float64(n-1))
 		} else {
 			disp = math.Abs(mean) // a lone sample: stay maximally vague
 		}
@@ -299,9 +317,9 @@ func (w *Window) snapshotInto(job *windowJob, mux measure.MuxConfig, gumbel stat
 		case n == intervals:
 			// Full coverage: the total is a straight sum, so only the
 			// per-interval measurement noise remains: Σ(noise·xᵢ)².
-			std = mux.NoiseFrac * math.Sqrt(math.Max(sq, 0))
+			std = mux.NoiseFrac * math.Sqrt(max(sq, 0))
 		default:
-			spread := math.Sqrt(math.Max(ssd, 0) / (2 * float64(n-1)))
+			spread := math.Sqrt(max(ssd, 0) / (2 * float64(n-1)))
 			std = measure.TObsStd(spread, n, intervals)
 		}
 		if floor := mux.StdFloorFrac * math.Abs(total); std < floor {

@@ -417,33 +417,47 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // one value per event, every event inside the catalog and none twice. The
 // Session checks here, at its boundary, so neither mode indexes past a
 // catalog, and the stream engine's per-event window rings never hold more
-// readings than the window has intervals.
-func checkInterval(cat *Catalog, iv Interval, n int) error {
+// readings than the window has intervals. seen is the run's bitset of the
+// catalog's events (newSeen): each check sets one bit per event and clears
+// them again, so it is O(events in the interval) for any catalog size.
+func checkInterval(cat *Catalog, seen []uint64, iv Interval, n int) error {
 	if len(iv.Values) != len(iv.Events) {
 		return fmt.Errorf("bayesperf: source interval %d has %d values for %d events",
 			n, len(iv.Values), len(iv.Events))
 	}
-	for i, id := range iv.Events {
+	var err error
+	k := 0
+	for _, id := range iv.Events {
 		if id < 0 || int(id) >= cat.NumEvents() {
-			return fmt.Errorf("bayesperf: source interval %d emitted event %d outside catalog %s", n, id, cat.Arch)
+			err = fmt.Errorf("bayesperf: source interval %d emitted event %d outside catalog %s", n, id, cat.Arch)
+			break
 		}
-		for _, prev := range iv.Events[:i] {
-			if prev == id {
-				return fmt.Errorf("bayesperf: source interval %d emitted event %d twice", n, id)
-			}
+		w, bit := &seen[id/64], uint64(1)<<(id%64)
+		if *w&bit != 0 {
+			err = fmt.Errorf("bayesperf: source interval %d emitted event %d twice", n, id)
+			break
 		}
+		*w |= bit
+		k++
 	}
-	return nil
+	for _, id := range iv.Events[:k] {
+		seen[id/64] = 0
+	}
+	return err
 }
+
+// newSeen returns a run's bitset of cat's events for checkInterval.
+func newSeen(cat *Catalog) []uint64 { return make([]uint64, (cat.NumEvents()+63)/64) }
 
 // checkedSource feeds the stream engine from a Source until the first
 // malformed interval, keeping its error: the engine then finishes
 // normally, so its workers exit before RunStream reports the error.
 type checkedSource struct {
-	src Source
-	cat *Catalog
-	n   int
-	err error
+	src  Source
+	cat  *Catalog
+	seen []uint64
+	n    int
+	err  error
 }
 
 func (c *checkedSource) Next() (Interval, bool) {
@@ -454,7 +468,7 @@ func (c *checkedSource) Next() (Interval, bool) {
 	if !ok {
 		return Interval{}, false
 	}
-	if c.err = checkInterval(c.cat, iv, c.n); c.err != nil {
+	if c.err = checkInterval(c.cat, c.seen, iv, c.n); c.err != nil {
 		return Interval{}, false
 	}
 	c.n++
@@ -504,13 +518,14 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 	start := time.Now()
 
 	xs := make([][]float64, cat.NumEvents())
+	seen := newSeen(cat)
 	intervals := 0
 	for {
 		iv, ok := src.Next()
 		if !ok {
 			break
 		}
-		if err := checkInterval(cat, iv, intervals); err != nil {
+		if err := checkInterval(cat, seen, iv, intervals); err != nil {
 			return nil, err
 		}
 		for i, id := range iv.Events {
@@ -568,7 +583,7 @@ func (s *Session) RunStream(src Source) (*Report, error) {
 	sm.runs.Inc()
 
 	start := time.Now()
-	in := &checkedSource{src: src, cat: cat}
+	in := &checkedSource{src: src, cat: cat, seen: newSeen(cat)}
 	res := stream.Run(cat, in, sched, cfg)
 	dur := time.Since(start)
 	if in.err != nil {

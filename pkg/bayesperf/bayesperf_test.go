@@ -594,6 +594,103 @@ func TestSessionOverflowFailSoft(t *testing.T) {
 	}
 }
 
+// reusingSource replays recorded intervals with every 1009th reading set to
+// NaN (about 0.1%). With reuse set it overwrites one Values buffer on every
+// Next, and with events set one Events buffer too, as the Source contract
+// allows; otherwise every interval gets slices of its own.
+type reusingSource struct {
+	cat           *bayesperf.Catalog
+	ivs           []bayesperf.Interval
+	reuse, events bool
+	t, k          int
+	ev            []bayesperf.EventID
+	vals          []float64
+}
+
+func (s *reusingSource) Catalog() *bayesperf.Catalog { return s.cat }
+
+func (s *reusingSource) Next() (bayesperf.Interval, bool) {
+	if s.t == len(s.ivs) {
+		return bayesperf.Interval{}, false
+	}
+	iv := s.ivs[s.t]
+	s.t++
+	vals := s.vals[:0]
+	if !s.reuse {
+		vals = nil
+	}
+	for _, v := range iv.Values {
+		if s.k++; s.k%1009 == 0 {
+			v = math.NaN()
+		}
+		vals = append(vals, v)
+	}
+	iv.Values = vals
+	if s.reuse {
+		s.vals = vals
+		if s.events {
+			s.ev = append(s.ev[:0], iv.Events...)
+			iv.Events = s.ev
+		}
+	}
+	return iv, true
+}
+
+// TestSessionSourceReusesBuffers: RunStream copies every reading it keeps,
+// so a source that overwrites one Values buffer, or one Values and one
+// Events buffer, on every Next gets the same stream output bit for bit as
+// one that hands out fresh slices, at Workers 1 and 2, and at a Window of
+// 24, which round-robin's group cycle divides, and of 25, which it does not.
+func TestSessionSourceReusesBuffers(t *testing.T) {
+	cat := uarch.Skylake()
+	tr := measure.GroundTruth(cat, measure.DefaultWorkload(1000), rng.New(31))
+	smp := measure.NewSampler(tr, bayesperf.DefaultMuxConfig(), measure.NewRoundRobin(cat), rng.New(32))
+	var ivs []bayesperf.Interval
+	for {
+		iv, ok := smp.Next()
+		if !ok {
+			break
+		}
+		ivs = append(ivs, iv)
+	}
+	series := func(r *bayesperf.StreamResult) [][]timeseries.Series {
+		return [][]timeseries.Series{r.Corrected, r.CorrectedStd, r.WindowedRaw, r.NaiveRaw,
+			r.DerivedCorrected, r.DerivedCorrectedStd, r.DerivedWindowedRaw, r.DerivedNaive}
+	}
+	for _, c := range []struct{ window, workers int }{{24, 1}, {24, 2}, {25, 1}, {25, 2}} {
+		run := func(reuse, events bool) *bayesperf.StreamResult {
+			sess, err := bayesperf.New(bayesperf.WithCatalog(cat), bayesperf.WithWindow(c.window),
+				bayesperf.WithWorkers(c.workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sess.RunStream(&reusingSource{cat: cat, ivs: ivs, reuse: reuse, events: events})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.Stream
+		}
+		fresh := series(run(false, false))
+		for _, events := range []bool{false, true} {
+			diff, total := 0, 0
+			for k, group := range series(run(true, events)) {
+				for id, s := range group {
+					for ti, v := range s {
+						total++
+						if math.Float64bits(v) != math.Float64bits(fresh[k][id][ti]) {
+							diff++
+						}
+					}
+				}
+			}
+			if diff > 0 {
+				t.Errorf("window=%d workers=%d, reused events buffer %v: %d of %d values differ from fresh buffers",
+					c.window, c.workers, events, diff, total)
+			}
+		}
+	}
+}
+
 // malformedSource emits n Skylake intervals that count every event at 1e6,
 // except interval bad, which carries the given events and values.
 type malformedSource struct {

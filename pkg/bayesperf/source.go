@@ -15,7 +15,9 @@ import (
 // of stream. Values index-parallel Events, which name each event at most
 // once; non-finite values are treated as corrupted readings and dropped by
 // the consumers. Catalog reports the catalog whose EventIDs the intervals
-// are expressed in.
+// are expressed in. The Session copies every reading it keeps, in both run
+// modes, so a source may reuse its Events and Values buffers: once Next is
+// called again, nothing reads the interval it returned before.
 type Source interface {
 	Catalog() *Catalog
 	Next() (Interval, bool)
