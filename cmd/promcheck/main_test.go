@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"bayesperf/internal/obs"
 )
 
 const valid = `=== skylake · streaming ===
@@ -42,8 +44,10 @@ func TestMissingRequired(t *testing.T) {
 	}
 }
 
+const withoutType = "# HELP x a\nundeclared_total 1\n"
+
 func TestSampleWithoutType(t *testing.T) {
-	errs := check(t, "# HELP x a\nundeclared_total 1\n")
+	errs := check(t, withoutType)
 	found := false
 	for _, e := range errs {
 		if strings.Contains(e, "no preceding # TYPE") {
@@ -55,8 +59,7 @@ func TestSampleWithoutType(t *testing.T) {
 	}
 }
 
-func TestNonCumulativeBuckets(t *testing.T) {
-	input := `# HELP h x
+const nonCumulative = `# HELP h x
 # TYPE h histogram
 h_bucket{le="1"} 5
 h_bucket{le="2"} 3
@@ -64,7 +67,9 @@ h_bucket{le="+Inf"} 5
 h_sum 1
 h_count 5
 `
-	errs := check(t, input)
+
+func TestNonCumulativeBuckets(t *testing.T) {
+	errs := check(t, nonCumulative)
 	found := false
 	for _, e := range errs {
 		if strings.Contains(e, "not cumulative") {
@@ -76,14 +81,15 @@ h_count 5
 	}
 }
 
-func TestMissingInfBucket(t *testing.T) {
-	input := `# HELP h x
+const missingInf = `# HELP h x
 # TYPE h histogram
 h_bucket{le="1"} 5
 h_sum 1
 h_count 5
 `
-	errs := check(t, input)
+
+func TestMissingInfBucket(t *testing.T) {
+	errs := check(t, missingInf)
 	found := false
 	for _, e := range errs {
 		if strings.Contains(e, `+Inf`) {
@@ -95,14 +101,15 @@ h_count 5
 	}
 }
 
-func TestCountBucketMismatch(t *testing.T) {
-	input := `# HELP h x
+const countMismatch = `# HELP h x
 # TYPE h histogram
 h_bucket{le="+Inf"} 5
 h_sum 1
 h_count 9
 `
-	errs := check(t, input)
+
+func TestCountBucketMismatch(t *testing.T) {
+	errs := check(t, countMismatch)
 	found := false
 	for _, e := range errs {
 		if strings.Contains(e, "_count") {
@@ -114,8 +121,10 @@ h_count 9
 	}
 }
 
+const badValue = "# HELP x a\n# TYPE x counter\nx notanumber\n"
+
 func TestBadValue(t *testing.T) {
-	errs := check(t, "# HELP x a\n# TYPE x counter\nx notanumber\n")
+	errs := check(t, badValue)
 	found := false
 	for _, e := range errs {
 		if strings.Contains(e, "bad sample value") {
@@ -127,16 +136,17 @@ func TestBadValue(t *testing.T) {
 	}
 }
 
+const metricFree = "just a summary line, no metrics\n"
+
 func TestEmptyInput(t *testing.T) {
-	if errs := check(t, "just a summary line, no metrics\n"); len(errs) == 0 {
+	if errs := check(t, metricFree); len(errs) == 0 {
 		t.Fatal("want no-samples error for metric-free input")
 	}
 }
 
 // Histogram ladders with the same family but different label sets must be
 // validated per series, not mixed.
-func TestLabelledLadders(t *testing.T) {
-	input := `# HELP h x
+const labelledLadders = `# HELP h x
 # TYPE h histogram
 h_bucket{stage="a",le="1"} 2
 h_bucket{stage="a",le="+Inf"} 3
@@ -147,26 +157,34 @@ h_bucket{stage="b",le="+Inf"} 1
 h_sum{stage="b"} 9
 h_count{stage="b"} 1
 `
-	if errs := check(t, input, "h"); len(errs) != 0 {
+
+func TestLabelledLadders(t *testing.T) {
+	if errs := check(t, labelledLadders, "h"); len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
 }
+
+// incompleteSeries are histogram series missing a part, each after a
+// "# HELP h x" and "# TYPE h histogram" header, with the errors they report.
+var incompleteSeries = []struct {
+	input string
+	want  []string
+}{
+	{"h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n", []string{"h: histogram missing _sum"}},
+	{"h_sum 1.5\nh_count 3\n", []string{"h: histogram missing _bucket ladder"}},
+	{"h_sum{s=\"z\"} 1\nh_count{s=\"z\"} 0\nh_sum{s=\"y\"} 1\nh_count{s=\"y\"} 0\n",
+		[]string{`h{s="y",}: histogram missing _bucket`, `h{s="z",}: histogram missing _bucket`}},
+}
+
+const histogramHeader = "# HELP h x\n# TYPE h histogram\n"
 
 // TestIncompleteHistogramSeries: a histogram series needs a bucket ladder,
 // _sum and _count, whatever else it has. Broken series report in sorted
 // order, the same on every run.
 func TestIncompleteHistogramSeries(t *testing.T) {
-	for _, tc := range []struct {
-		input string
-		want  []string
-	}{
-		{"h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n", []string{"h: histogram missing _sum"}},
-		{"h_sum 1.5\nh_count 3\n", []string{"h: histogram missing _bucket ladder"}},
-		{"h_sum{s=\"z\"} 1\nh_count{s=\"z\"} 0\nh_sum{s=\"y\"} 1\nh_count{s=\"y\"} 0\n",
-			[]string{`h{s="y",}: histogram missing _bucket`, `h{s="z",}: histogram missing _bucket`}},
-	} {
+	for _, tc := range incompleteSeries {
 		for run := 0; run < 5; run++ {
-			errs := check(t, "# HELP h x\n# TYPE h histogram\n"+tc.input)
+			errs := check(t, histogramHeader+tc.input)
 			if len(errs) != len(tc.want) {
 				t.Fatalf("%q: errors %v, want %d", tc.input, errs, len(tc.want))
 			}
@@ -177,4 +195,46 @@ func TestIncompleteHistogramSeries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPromcheck checks two properties. run never panics, whatever the
+// input: it returns errors or a read error. And the exposition that
+// obs.(*Registry).WritePrometheus writes always validates with no error,
+// for any label value (quotes, backslashes, newlines and invalid UTF-8
+// included) and any counter value, gauge value or histogram observation
+// (NaN and ±Inf included). The seed corpus is every input of the tests
+// above.
+func FuzzPromcheck(f *testing.F) {
+	seeds := []string{valid, withoutType, nonCumulative, missingInf, countMismatch, badValue, metricFree, labelledLadders}
+	for _, tc := range incompleteSeries {
+		seeds = append(seeds, histogramHeader+tc.input)
+	}
+	for i, input := range seeds {
+		f.Add(input, `a b"c\d`+"\n"+"e", uint64(i), 2.5, -0.25)
+	}
+	f.Fuzz(func(t *testing.T, input, label string, n uint64, v, w float64) {
+		// Validation errors and a read error (an over-long line) are both
+		// fine here; a panic is not.
+		_, _ = run(strings.NewReader(input), []string{"demo_total", "h"})
+
+		reg := obs.NewRegistry()
+		reg.Counter("fuzz_events_total", "Events.", obs.Label{Key: "kind", Value: label}).Add(n)
+		reg.Counter("fuzz_events_total", "Events.").Inc()
+		reg.Gauge("fuzz_level", "Level.", obs.Label{Key: "kind", Value: label}).Set(v)
+		for _, stage := range []string{label, "fixed"} {
+			h := reg.Histogram("fuzz_seconds", "Latency.", obs.LatencyBuckets(),
+				obs.Label{Key: "stage", Value: stage}, obs.Label{Key: "kind", Value: label})
+			h.Observe(v)
+			h.Observe(w)
+		}
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		errs, err := run(strings.NewReader(text), []string{"fuzz_events_total", "fuzz_level", "fuzz_seconds"})
+		if err != nil || len(errs) != 0 {
+			t.Fatalf("registry exposition fails validation: %v %v\n%s", err, errs, text)
+		}
+	})
 }

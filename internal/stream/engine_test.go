@@ -122,13 +122,12 @@ func liveRecords(e *Engine) int {
 // workers than CPUs, where one descheduled worker lets the others race
 // ahead. The unsettled span and the live records are sampled after every
 // interval: the span must always fit the interval ring, and the live
-// records the record ring, so no live record is ever overwritten. Where
-// the pool runs the stream's inference, the long stream's settle blocks
-// must go to the pool too (at 10³ intervals a batch of 64 windows is not
-// back before Finish); with a Flush every 24 intervals, as the adaptive
-// epoch loop runs it, each epoch's 6 windows never fill a batch of 8,
-// Flush runs every batch on the calling goroutine, and no block may be
-// posted.
+// records the record ring, so no live record is ever overwritten. The
+// long stream's settle blocks must go to the pool in every configuration
+// (at 10³ intervals a batch of 64 windows is not back before Finish),
+// including with a Flush every 24 intervals, as the adaptive epoch loop
+// runs it: each epoch's 6 windows never fill a batch of 8, so Flush runs
+// every batch on the calling goroutine and the pool only settles.
 func TestEngineStateBounded(t *testing.T) {
 	cat := uarch.Skylake()
 	long := 100_000
@@ -148,7 +147,7 @@ func TestEngineStateBounded(t *testing.T) {
 		// Hop = Window: the interval ring spans more windows than the record
 		// ring holds, so the record ring's own wait is what bounds it.
 		{"tumbling", func(c *Config) { c.Hop, c.Workers = 24, 2 }, 0, true},
-		{"epoch-inline", func(c *Config) { c.Workers = 2 }, 24, false},
+		{"epoch", func(c *Config) { c.Workers = 2 }, 24, true},
 	}
 	for _, c := range configs {
 		cfg := DefaultConfig()
@@ -288,7 +287,8 @@ func TestEngineRetainedBytes(t *testing.T) {
 // buffers, and the adaptive scheduler's Reprioritize rebuilds its plan in
 // place. Each measured epoch holds one pool batch and one partial batch
 // (6 windows at Batch 4), and no epoch opens an output chunk or settles
-// the first block of one, which allocates its rows.
+// the first block of one, which allocates its rows. Settle blocks still go
+// to the pool; posting one allocates nothing.
 func TestEpochBoundaryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -315,12 +315,17 @@ func TestEpochBoundaryAllocs(t *testing.T) {
 		ad.Reprioritize(mean, std, obsStd)
 	}
 	epoch := ad.EpochLen()
-	// Warm up until an interval of output chunk 4 is final, so its rows
-	// exist, then measure the epochs that fit inside the chunk. Each
-	// AllocsPerRun call runs two epochs: a warm-up and the measured one.
-	for e.final <= 4*chunkLen {
+	// Warm up until the first block of output chunk 4 is posted, and take
+	// back the settle jobs still out, so that block is final and the
+	// chunk's rows exist; then measure the epochs that fit inside the
+	// chunk. Each AllocsPerRun call runs two epochs: a warm-up and the
+	// measured one.
+	for e.posted <= 4*chunkLen {
 		ingest(epoch)
 		boundary()
+	}
+	for len(e.settling) > 0 {
+		e.absorb(<-e.results)
 	}
 	measured := 0
 	for e.ingested+2*epoch <= 5*chunkLen {

@@ -22,15 +22,16 @@
 // when it is emitted, its posterior rates and stds when it is stitched.
 // Each interval then gathers its covering windows' records, in window
 // order, when it settles: once no window can still change it. Settling
-// runs where the last batch of inference ran: once a full batch has gone
-// to the pool, Ingest posts each ready block of intervals to a worker as a
-// settle job; once Flush has run a partial batch on the calling goroutine,
-// Ingest settles inline. Engine state is bounded by the windows in flight,
-// not by the stream length: the records live in a ring indexed by window,
-// the live readings in a ring of one row per interval, and a settled
-// interval goes to chunked output, whose rows the goroutine that first
-// settles into a chunk allocates, so that while the pool settles the
-// producer allocates no output. Windows emitted but not yet stitched stay
+// runs on the pool: once all of a block of intervals is ready, Ingest posts
+// it to a worker as a settle job, whether the batches run on the pool or in
+// Flush. The calling goroutine settles only the stream's tail, in Finish,
+// and, should the pool fall behind, the ready intervals whose ring space
+// Ingest must reuse. Engine state is bounded by the windows in flight, not
+// by the stream length: the records live in a ring indexed by window, the
+// live readings in a ring of one row per interval, and a settled interval
+// goes to chunked output, whose rows the goroutine that first settles into
+// a chunk allocates, so the producer allocates no output in the steady
+// state. Windows emitted but not yet stitched stay
 // below a bound derived from Workers and Batch, and the steady state
 // allocates nothing per window. No state keeps a slice of a sample: the
 // Window evicts from its own record of what it pushed, so a source may
@@ -75,8 +76,9 @@ type Config struct {
 	// makes the windows overlap and the stitched trace smoother.
 	Hop int
 	// Workers is the number of parallel EP engines (0 = all cores, capped
-	// at 8 — windows are small, so more engines stop paying off). While
-	// they run the stream's inference they also settle its final intervals.
+	// at 8 — windows are small, so more engines stop paying off). Besides
+	// the stream's full batches of windows, they settle its intervals as
+	// they become final, Flush or no Flush.
 	// It also sets Finish's width: once the pool is drained, its Workers
 	// goroutines help the caller assemble the Result's series, then exit.
 	Workers int
@@ -255,18 +257,14 @@ type Engine struct {
 	br          *graph.BatchResult
 	asm         *assembly // Finish's shared state, published by closing jobs
 
-	// Settle jobs travel on the same channels as lane-less hand-offs.
-	// poolSettles records where the last batch ran: after a full batch has
-	// gone to the pool, Ingest posts ready intervals to it a block at a
-	// time; after Flush ran one on the calling goroutine, it settles them
-	// inline. Every interval below posted is settled or being settled, and
-	// every one below final is settled. settling holds the jobs out, in
-	// posting order, and final advances past each run of returned ones at
-	// its front; the rest wait in settleFree.
-	poolSettles bool
-	posted      int
-	settling    []*handoff
-	settleFree  []*handoff
+	// Settle jobs travel to the pool on the same channels, as lane-less
+	// hand-offs, one per ready block. Every interval below posted is settled
+	// or being settled, and every one below final is settled. settling holds
+	// the jobs out, in posting order, and final advances past each run of
+	// returned ones at its front; the rest wait in settleFree.
+	posted     int
+	settling   []*handoff
+	settleFree []*handoff
 
 	// Tracked posterior-correlation pairs (Config.Covariance): the derived
 	// formulas' input pairs that share a relation clique. derivedPairs maps
@@ -391,9 +389,9 @@ const (
 )
 
 // outChunk is one output chunk's header. Its rows are allocated by the
-// goroutine that first settles into it, once: a worker while the pool
-// settles, so the producer never zeroes them, or the caller when settling
-// inline. Finish reads rows only once every interval is settled.
+// goroutine that first settles into it, once: a worker, so the producer
+// never zeroes them, or the caller where it settles inline (see reserve and
+// Finish). Finish reads rows only once every interval is settled.
 type outChunk struct {
 	mu   sync.Mutex
 	rows []float64
@@ -717,11 +715,11 @@ func (e *Engine) readPosteriors(h *handoff, br *graph.BatchResult) {
 //
 // Interval t is ready once both t < ingested − Window (every window not
 // yet emitted starts at or after that point) and t < stitched·Hop (the
-// first unstitched regular window starts there). Settling starts here,
-// before the interval is added, and ends in Finish — never while
+// first unstitched regular window starts there). Ingest posts each block
+// to the pool once all of it is ready, here, before the interval is added;
+// it settles inline only when it must reuse ring space that ready
+// intervals still hold (see reserve). Nothing is settled or posted while
 // absorbing posteriors, which would put it inside every epoch's Flush.
-// While the pool runs the stream's inference, Ingest posts each ready
-// block to the pool instead of settling it.
 func (e *Engine) Ingest(s measure.IntervalSample) {
 	// Ingest is the only per-interval stage, so its latency span is sampled
 	// 1-in-16: two clock reads per interval would be the single largest
@@ -798,15 +796,10 @@ func (e *Engine) liveRow(t int) []float64 { return e.live[(t&(e.ringCap-1))*e.ne
 // Ingest).
 func (e *Engine) ready() int { return min(e.ingested-e.cfg.Window, e.stitched*e.cfg.Hop) }
 
-// settleReady settles the ready intervals inline, or, while the pool runs
-// the stream's inference, posts each settle block to the pool once all of
-// it is ready.
+// settleReady posts each settle block to the pool once all of it is
+// ready.
 func (e *Engine) settleReady() {
 	upTo := e.ready()
-	if !e.poolSettles {
-		e.settleInline(upTo)
-		return
-	}
 	for hi := blockEnd(e.posted); hi <= upTo; hi = blockEnd(e.posted) {
 		e.post(hi)
 	}
@@ -859,14 +852,21 @@ func (e *Engine) settled(h *handoff) {
 }
 
 // reserve makes every interval below t final before the producer reuses
-// ring space they hold. While a job carrying final is out it waits for
-// the pool's hand-offs, counting each; once none is, it settles the ready
-// intervals inline. The rings are sized so that every interval below t is
-// ready by then; only a bug can leave one that is not.
+// ring space they hold. While a job carrying final is out it absorbs the
+// pool's hand-offs, counting each it has to wait for: where no batch goes
+// to the pool, as in the adaptive epoch loop, nothing else collects the
+// returned settle jobs, so most are back already. Once none is out, it
+// settles the ready intervals inline. The rings are sized so that every
+// interval below t is ready by then; only a bug can leave one that is not.
 func (e *Engine) reserve(t int) {
 	for e.final < t && len(e.settling) > 0 {
-		e.m.settleWaits.Inc()
-		e.absorb(<-e.results)
+		select {
+		case h := <-e.results:
+			e.absorb(h)
+		default:
+			e.m.settleWaits.Inc()
+			e.absorb(<-e.results)
+		}
 	}
 	if e.final < t {
 		e.settleInline(e.ready())
@@ -1111,12 +1111,10 @@ func (e *Engine) takeHandoff() *handoff {
 // dispatch hands the full hand-off being filled to the pool, then absorbs
 // until fewer than maxInFlight windows remain unstitched. The bound keeps
 // the record ring and the hand-off pool small even when one worker is
-// descheduled while the others keep returning later windows. The pool now
-// runs the stream's inference, so Ingest posts settling to it too.
+// descheduled while the others keep returning later windows.
 func (e *Engine) dispatch() {
 	h := e.cur
 	e.cur = nil
-	e.poolSettles = true
 	e.m.batches.Inc()
 	e.m.fillRatio.Observe(float64(h.n) / float64(e.cfg.Batch))
 	sp := obs.StartSpan(e.m.stDispatch)
@@ -1178,12 +1176,11 @@ func (e *Engine) absorb(h *handoff) {
 // boundaries before reading EpochPosterior, so the scheduler feedback does
 // not depend on worker timing (or on where the epoch falls within a
 // batch). Flush stitches O(events) per window and settles and posts no
-// interval; the intervals it makes ready are settled by the next Ingest,
-// inline once Flush has run a batch here.
+// interval; the next Ingest calls post the blocks it makes ready to the
+// pool.
 func (e *Engine) Flush() {
 	if h := e.cur; h != nil {
 		e.cur = nil
-		e.poolSettles = false
 		e.m.batches.Inc()
 		e.m.fillRatio.Observe(float64(h.n) / float64(e.cfg.Batch))
 		e.br = e.execute(e.batch, e.br, h)

@@ -154,21 +154,27 @@ func BenchmarkSettle(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest times Ingest alone, in ns per interval (one interval per
-// op), on a warmed engine at Workers 2 fed a pre-sampled round-robin
-// stream, in the configurations of two of the repository benchmark's
-// workloads: rr-exact (Skylake, hop 4) and tumbling-fast (the Neoverse JSON
-// catalog, hop 24). The workers run the stream's inference and settle its
-// intervals meanwhile, so this is the producer's cost per interval. Every
-// 2¹⁴ intervals a fresh engine replaces the old one with the timer
-// stopped, so the output an engine holds stays small for any b.N.
+// BenchmarkIngest times the producer's cost per interval, in ns per
+// interval (one interval per op), on a warmed engine at Workers 2 fed a
+// pre-sampled round-robin stream, in the configurations of three of the
+// repository benchmark's workloads: rr-exact (Skylake, hop 4) and
+// tumbling-fast (the Neoverse JSON catalog, hop 24) time Ingest alone;
+// adaptive-epoch (Skylake, hop 4) also runs Flush and EpochPosterior after
+// every 24th interval, as the adaptive epoch loop does, so each epoch's
+// partial batch of 6 windows runs on the producer inside the timed loop.
+// The workers settle the stream's intervals meanwhile, and run its full
+// batches. Every 2¹⁴ intervals a fresh engine replaces the old one with
+// the timer stopped, so the output an engine holds stays small for any
+// b.N.
 func BenchmarkIngest(b *testing.B) {
 	for _, w := range []struct {
 		name, cat string
 		hop       int
+		epoch     int // Flush and EpochPosterior after every epoch-th interval (0: never)
 	}{
-		{"rr-exact", "skylake", 4},
-		{"tumbling-fast", "neoverse.json", 24},
+		{"rr-exact", "skylake", 4, 0},
+		{"tumbling-fast", "neoverse.json", 24, 0},
+		{"adaptive-epoch", "skylake", 4, 24},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			cat := testCatalog(b, w.cat)
@@ -179,6 +185,14 @@ func BenchmarkIngest(b *testing.B) {
 			const warm, span = 4 * chunkLen, 1 << 14
 			var e *Engine
 			var src *cycleSource
+			ingest := func() {
+				s, _ := src.Next()
+				e.Ingest(s)
+				if w.epoch > 0 && e.ingested%w.epoch == 0 {
+					e.Flush()
+					e.EpochPosterior()
+				}
+			}
 			fresh := func() {
 				if e != nil {
 					e.Finish()
@@ -186,8 +200,7 @@ func BenchmarkIngest(b *testing.B) {
 				e = NewEngine(cat, cfg)
 				src = &cycleSource{samples: samples, n: math.MaxInt}
 				for e.ingested < warm {
-					s, _ := src.Next()
-					e.Ingest(s)
+					ingest()
 				}
 			}
 			fresh()
@@ -199,8 +212,7 @@ func BenchmarkIngest(b *testing.B) {
 					fresh()
 					b.StartTimer()
 				}
-				s, _ := src.Next()
-				e.Ingest(s)
+				ingest()
 			}
 			b.StopTimer()
 			e.Finish()

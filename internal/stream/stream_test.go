@@ -294,8 +294,12 @@ func TestPosteriorBeatsObservationsPerWindow(t *testing.T) {
 // fan-out fills every series in a task of its own. The first stream spans
 // more than four output chunks. The second is the golden late-pool input:
 // one event's first reading at interval 500 rewrites intervals that the
-// pool may still be settling. No run may leave a goroutine behind: the
-// pool's workers, which also help Finish, all exit.
+// pool may still be settling. The third is the adaptive epoch loop over the
+// first one's trace: Run flushes every 24-interval epoch, whose 6 windows
+// Flush executes on the calling goroutine, while the pool settles each
+// block and the producer takes the jobs back whenever ring space runs out.
+// No run may leave a goroutine behind: the pool's workers, which also help
+// Finish, all exit.
 func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	cat := uarch.Skylake() // Power9's formulas share no relation clique, so its covariance path is inert
 	long := measure.GroundTruth(cat, measure.DefaultWorkload(400), rng.New(5))
@@ -308,21 +312,27 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 	readLate(late, 500)
 	inputs := []struct {
-		name string
-		tr   *measure.Trace
-		cov  bool
-		seed uint64 // the sampler's
+		name     string
+		tr       *measure.Trace
+		cov      bool
+		adaptive bool   // schedule with measure.NewAdaptive, flushing every epoch
+		seed     uint64 // the sampler's
 	}{
-		{"long-cov", long, true, 6},
-		{"late-pool", late, false, 12},
+		{"long-cov", long, true, false, 6},
+		{"late-pool", late, false, false, 12},
+		{"long-epoch", long, false, true, 7},
 	}
 	for _, in := range inputs {
 		var base *Result
 		for _, workers := range []int{1, 2, 8} {
 			cfg := testConfig(workers)
 			cfg.Covariance = in.cov
+			var sched measure.Scheduler = measure.NewRoundRobin(cat)
+			if in.adaptive {
+				sched = measure.NewAdaptive(cat, cfg.Window)
+			}
 			before := runtime.NumGoroutine()
-			res := RunTrace(in.tr, measure.NewRoundRobin(cat), cfg, rng.New(in.seed))
+			res := RunTrace(in.tr, sched, cfg, rng.New(in.seed))
 			// A goroutine that has signalled its WaitGroup may not have exited yet.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -331,11 +341,14 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 			if n := runtime.NumGoroutine(); n > before {
 				t.Errorf("%s workers=%d: %d goroutines after the run, %d before", in.name, workers, n, before)
 			}
+			if in.adaptive && res.Reprioritizations == 0 {
+				t.Errorf("%s workers=%d: the scheduler never reprioritized", in.name, workers)
+			}
 			if base == nil {
 				base = res
 				continue
 			}
-			if hashResult(res) != hashResult(base) {
+			if hashResult(res) != hashResult(base) || res.Reprioritizations != base.Reprioritizations {
 				t.Errorf("%s workers=%d: output differs from workers=1", in.name, workers)
 			}
 			if res.InferIters != base.InferIters || res.TotalSweeps != base.TotalSweeps ||
