@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"bayesperf/internal/measure"
 	"bayesperf/internal/obs"
@@ -192,6 +193,67 @@ func TestEngineStateBounded(t *testing.T) {
 			if n == long && pooled != c.pooled {
 				t.Errorf("%s n=%d: settle blocks posted to the pool: %v, want %v", c.name, n, pooled, c.pooled)
 			}
+		}
+	}
+}
+
+// TestProducerRunsQueuedJobs: a producer that must wait on the pool runs
+// the jobs still queued itself, so a stream goes on while every worker is
+// busy. Before the first Ingest, the lone worker of a Workers-1 engine is
+// handed a settle job of one interval into a chunk whose mutex the test
+// holds, so the worker blocks in take; the producer must then ingest all
+// 3,000 intervals alone, running every batch and settle block it waits on.
+// Once the worker is released, Finish must return the Result of an
+// unhindered Run bit for bit, and the caller job counter must show both
+// kinds of job run. A producer that only blocks on the pool stalls in
+// dispatch; the worker is then released after 10 s, so the test fails
+// instead of hanging.
+func TestProducerRunsQueuedJobs(t *testing.T) {
+	cat := uarch.Skylake()
+	tr := measure.GroundTruth(cat, measure.DefaultWorkload(1000), rng.New(41))
+	samples := presample(tr, 42)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	want := hashResult(Run(cat, &cycleSource{samples: samples, n: len(samples)}, nil, cfg))
+
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	e := NewEngine(cat, cfg)
+	held := &outChunk{}
+	held.mu.Lock()
+	e.jobs <- &handoff{lo: 0, hi: 1, chunk: held}
+	for len(e.jobs) > 0 { // the worker has taken the job once the queue is empty
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, s := range samples {
+			e.Ingest(s)
+		}
+	}()
+	stalled := false
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		stalled = true
+	}
+	held.mu.Unlock()
+	<-done
+	res := e.Finish()
+	if stalled {
+		t.Errorf("%d intervals not ingested within 10 s while the lone worker was held", len(samples))
+	}
+	if got := hashResult(res); got != want {
+		t.Errorf("output hash %#x with the worker held, %#x from an unhindered Run", got, want)
+	}
+	snap := reg.Snapshot()
+	for _, kind := range []string{"batch", "settle"} {
+		m := snap.Find("bayesperf_stream_caller_jobs_total", obs.Label{Key: "kind", Value: kind})
+		if m == nil || m.Value == 0 {
+			t.Errorf("caller %s jobs %+v, want > 0", kind, m)
+		} else {
+			t.Logf("the producer ran %v %s jobs", m.Value, kind)
 		}
 	}
 }

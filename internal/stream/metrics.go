@@ -23,6 +23,10 @@ type engineMetrics struct {
 	liveOutliers *obs.Counter
 	quarantined  *obs.Counter
 	settleWaits  *obs.Counter
+	// Queued jobs the producer ran itself while it waited on the pool, by
+	// kind.
+	callerBatches *obs.Counter
+	callerSettles *obs.Counter
 
 	// Per-stage latency histograms along the ingest → window-snapshot →
 	// batch-dispatch → infer-sweep → stitch → settle → report path, one
@@ -30,7 +34,8 @@ type engineMetrics struct {
 	// batch, window, settled range and run respectively). Flush executes
 	// its partial batch on the calling goroutine, so dispatch times pool
 	// dispatches only; infer and settle are recorded on whichever goroutine
-	// runs them.
+	// runs them. Dispatch and the sampled ingest stage include the queued
+	// jobs the producer ran while it waited on the pool.
 	stIngest   *obs.Histogram
 	stSnapshot *obs.Histogram
 	stDispatch *obs.Histogram
@@ -52,13 +57,18 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Latency per pipeline stage execution (ingest=interval sampled 1-in-16, snapshot/stitch=window sampled 1-in-8, dispatch=pool batch, infer=batch, settle=settled range, report=run).",
 			obs.LatencyBuckets(), obs.Label{Key: "stage", Value: name})
 	}
+	callerJobs := func(kind string) *obs.Counter {
+		return r.Counter("bayesperf_stream_caller_jobs_total",
+			"Queued pool jobs the producer ran itself while it waited on the worker pool (kind=batch: a batch of windows, kind=settle: a settle block).",
+			obs.Label{Key: "kind", Value: kind})
+	}
 	return engineMetrics{
 		intervals: r.Counter("bayesperf_stream_intervals_total",
 			"Interval samples ingested by the streaming engine."),
 		windows: r.Counter("bayesperf_stream_windows_total",
 			"Sliding windows snapshotted and dispatched for inference."),
 		batches: r.Counter("bayesperf_stream_batches_total",
-			"Window batches executed: full ones by the worker pool, partial ones by Flush on the calling goroutine."),
+			"Window batches executed: full ones by the worker pool, or by the producer while it waits on the pool, partial ones by Flush on the calling goroutine."),
 		fillRatio: r.Histogram("bayesperf_stream_batch_fill_ratio",
 			"Fraction of an executed batch's lanes actually filled with windows (partial batches come from Flush/Finish).",
 			obs.RatioBuckets()),
@@ -70,6 +80,9 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Window observations left for the invariants to infer because the window total or variance overflowed."),
 		settleWaits: r.Counter("bayesperf_stream_settle_waits_total",
 			"Hand-offs the producer waited for before reusing ring space that a settle job on the worker pool still held."),
+		callerBatches: callerJobs("batch"),
+		callerSettles: callerJobs("settle"),
+
 		stIngest:   stage("ingest"),
 		stSnapshot: stage("snapshot"),
 		stDispatch: stage("dispatch"),

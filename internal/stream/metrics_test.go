@@ -91,6 +91,11 @@ func TestStreamMetricsEndToEnd(t *testing.T) {
 	if snap.Find("bayesperf_stream_settle_waits_total") == nil {
 		t.Error("settle wait counter not registered")
 	}
+	for _, kind := range []string{"batch", "settle"} {
+		if snap.Find("bayesperf_stream_caller_jobs_total", obs.Label{Key: "kind", Value: kind}) == nil {
+			t.Errorf("caller job counter for kind %s not registered", kind)
+		}
+	}
 }
 
 // TestStreamMetricsDoNotChangeResults pins the instrumentation invariant:

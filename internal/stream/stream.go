@@ -10,7 +10,10 @@
 // reusable graph.Batch over the catalog's shared compiled plan. The worker
 // writes the posteriors back into the same hand-off. Flush runs the
 // epoch's partially filled hand-off on the calling goroutine instead,
-// which would otherwise only wait for a worker. The engine re-orders
+// which would otherwise only wait for a worker. Wherever else the producer
+// must wait on the pool, it runs the oldest queued job itself, batch or
+// settle block, and blocks only once every job is on a worker; a job
+// computes the same bits wherever it runs. The engine re-orders
 // returned hand-offs and stitches overlapping windows into one corrected
 // trace by precision weighting. The posterior uncertainty also closes the
 // measurement loop: a measure.AdaptiveScheduler fed the epoch-averaged
@@ -24,14 +27,15 @@
 // order, when it settles: once no window can still change it. Settling
 // runs on the pool: once all of a block of intervals is ready, Ingest posts
 // it to a worker as a settle job, whether the batches run on the pool or in
-// Flush. The calling goroutine settles only the stream's tail, in Finish,
-// and, should the pool fall behind, the ready intervals whose ring space
-// Ingest must reuse. Engine state is bounded by the windows in flight, not
-// by the stream length: the records live in a ring indexed by window, the
+// Flush. Besides the queued jobs it runs while it waits, the calling
+// goroutine settles only the stream's tail, in Finish, and, should the pool
+// fall behind, the ready intervals whose ring space Ingest must reuse.
+// Engine state is bounded by the windows in flight, not by the stream
+// length: the records live in a ring indexed by window, the
 // live readings in a ring of one row per interval, and a settled interval
 // goes to chunked output, whose rows the goroutine that first settles into
-// a chunk allocates, so the producer allocates no output in the steady
-// state. Windows emitted but not yet stitched stay
+// a chunk allocates, so the producer allocates output only where it
+// settles into a chunk first. Windows emitted but not yet stitched stay
 // below a bound derived from Workers and Batch, and the steady state
 // allocates nothing per window. No state keeps a slice of a sample: the
 // Window evicts from its own record of what it pushed, so a source may
@@ -78,7 +82,9 @@ type Config struct {
 	// Workers is the number of parallel EP engines (0 = all cores, capped
 	// at 8 — windows are small, so more engines stop paying off). Besides
 	// the stream's full batches of windows, they settle its intervals as
-	// they become final, Flush or no Flush.
+	// they become final, Flush or no Flush. Whenever the producer would
+	// wait on them, outside Flush, it runs the oldest queued job itself, so
+	// a pool that lags the stream shares its work with the producer.
 	// It also sets Finish's width: once the pool is drained, its Workers
 	// goroutines help the caller assemble the Result's series, then exit.
 	Workers int
@@ -390,8 +396,9 @@ const (
 
 // outChunk is one output chunk's header. Its rows are allocated by the
 // goroutine that first settles into it, once: a worker, so the producer
-// never zeroes them, or the caller where it settles inline (see reserve and
-// Finish). Finish reads rows only once every interval is settled.
+// does not zero them, or the caller where it settles inline (see reserve
+// and Finish) or runs a queued settle job (see wait). Finish reads rows
+// only once every interval is settled.
 type outChunk struct {
 	mu   sync.Mutex
 	rows []float64
@@ -650,14 +657,22 @@ func (e *Engine) newBatch() *graph.Batch {
 func (e *Engine) worker(g int, batch *graph.Batch, br *graph.BatchResult, cover *coverScratch) {
 	defer e.wg.Done()
 	for h := range e.jobs {
-		if h.n > 0 {
-			br = e.execute(batch, br, h)
-		} else {
-			e.settle(cover, h.chunk.take(e.chunkRows), h.lo, h.hi, h.winEnd)
-		}
+		br = e.run(batch, br, cover, h)
 		e.results <- h
 	}
 	e.assemble(g)
+}
+
+// run runs job h on the calling goroutine, with its own batch, result and
+// cover scratch: a hand-off's windows on batch, reusing br, or a settle
+// job's intervals through cover. The workers run every job they receive
+// with it, and the producer the jobs it takes off the queue (see wait).
+func (e *Engine) run(batch *graph.Batch, br *graph.BatchResult, cover *coverScratch, h *handoff) *graph.BatchResult {
+	if h.n > 0 {
+		return e.execute(batch, br, h)
+	}
+	e.settle(cover, h.chunk.take(e.chunkRows), h.lo, h.hi, h.winEnd)
+	return br
 }
 
 // execute observes a hand-off's lanes into batch, executes them in a
@@ -718,8 +733,10 @@ func (e *Engine) readPosteriors(h *handoff, br *graph.BatchResult) {
 // first unstitched regular window starts there). Ingest posts each block
 // to the pool once all of it is ready, here, before the interval is added;
 // it settles inline only when it must reuse ring space that ready
-// intervals still hold (see reserve). Nothing is settled or posted while
-// absorbing posteriors, which would put it inside every epoch's Flush.
+// intervals still hold (see reserve), besides the queued settle jobs it
+// runs while it waits on the pool (see wait). Nothing is settled or posted
+// while absorbing posteriors, which would put it inside every epoch's
+// Flush.
 func (e *Engine) Ingest(s measure.IntervalSample) {
 	// Ingest is the only per-interval stage, so its latency span is sampled
 	// 1-in-16: two clock reads per interval would be the single largest
@@ -852,20 +869,17 @@ func (e *Engine) settled(h *handoff) {
 }
 
 // reserve makes every interval below t final before the producer reuses
-// ring space they hold. While a job carrying final is out it absorbs the
-// pool's hand-offs, counting each it has to wait for: where no batch goes
-// to the pool, as in the adaptive epoch loop, nothing else collects the
-// returned settle jobs, so most are back already. Once none is out, it
+// ring space they hold. While a job carrying final is out it waits on the
+// pool, so it takes back the hand-offs already returned, runs the jobs
+// still queued itself, and counts each time it has to block: where no batch
+// goes to the pool, as in the adaptive epoch loop, nothing else collects
+// the returned settle jobs, so most are back already. Once none is out, it
 // settles the ready intervals inline. The rings are sized so that every
 // interval below t is ready by then; only a bug can leave one that is not.
 func (e *Engine) reserve(t int) {
 	for e.final < t && len(e.settling) > 0 {
-		select {
-		case h := <-e.results:
-			e.absorb(h)
-		default:
+		if e.wait() {
 			e.m.settleWaits.Inc()
-			e.absorb(<-e.results)
 		}
 	}
 	if e.final < t {
@@ -1108,10 +1122,11 @@ func (e *Engine) takeHandoff() *handoff {
 	return newHandoff(e.ne, len(e.covPairs), e.cfg.Batch)
 }
 
-// dispatch hands the full hand-off being filled to the pool, then absorbs
-// until fewer than maxInFlight windows remain unstitched. The bound keeps
-// the record ring and the hand-off pool small even when one worker is
-// descheduled while the others keep returning later windows.
+// dispatch hands the full hand-off being filled to the pool, then waits
+// on it until fewer than maxInFlight windows remain unstitched, running
+// queued jobs meanwhile (see wait). The bound keeps the record ring and
+// the hand-off pool small even when one worker is descheduled while the
+// others keep returning later windows.
 func (e *Engine) dispatch() {
 	h := e.cur
 	e.cur = nil
@@ -1121,7 +1136,7 @@ func (e *Engine) dispatch() {
 	defer sp.End()
 	e.send(h)
 	for e.nextIdx-e.stitched >= e.maxInFlight {
-		e.absorb(<-e.results)
+		e.wait()
 	}
 }
 
@@ -1136,6 +1151,33 @@ func (e *Engine) send(h *handoff) {
 			e.absorb(r)
 		}
 	}
+}
+
+// wait is where the producer waits on the pool. It absorbs one returned
+// hand-off if one is ready; otherwise it takes the oldest queued job, runs
+// it on the calling goroutine with the engine's own batch, result and cover
+// scratch, and absorbs it, instead of idling while the job waits for a busy
+// worker. A job computes the same bits wherever it runs. Only when the
+// queue is empty does it block on the pool; it reports whether it did.
+func (e *Engine) wait() (blocked bool) {
+	var h *handoff
+	select {
+	case h = <-e.results:
+	default:
+		select {
+		case h = <-e.jobs:
+			e.br = e.run(e.batch, e.br, e.cover, h)
+			if h.n > 0 {
+				e.m.callerBatches.Inc()
+			} else {
+				e.m.callerSettles.Inc()
+			}
+		default:
+			h, blocked = <-e.results, true
+		}
+	}
+	e.absorb(h)
+	return blocked
 }
 
 // absorb takes one returned hand-off. A settle job advances final; a
@@ -1177,7 +1219,9 @@ func (e *Engine) absorb(h *handoff) {
 // not depend on worker timing (or on where the epoch falls within a
 // batch). Flush stitches O(events) per window and settles and posts no
 // interval; the next Ingest calls post the blocks it makes ready to the
-// pool.
+// pool. Unlike the producer's other waits it runs no queued job, so the
+// epoch decision path never settles: it only receives until the pool
+// returns the windows.
 func (e *Engine) Flush() {
 	if h := e.cur; h != nil {
 		e.cur = nil
@@ -1289,12 +1333,13 @@ func (e *Engine) EpochPosterior() (mean, std, obsStd []float64, ok bool) {
 }
 
 // Finish emits a final window over the stream's tail (so every interval is
-// covered), executes it with any partial batch and drains the pool, waits
-// for the settle blocks still on the pool, settles the remaining intervals
-// inline, and assembles the stitched result on the calling goroutine plus
-// the pool's Workers goroutines, which exit once it is done: the settled
-// series, then NaiveRaw replayed from the reading log a chunk at a time
-// (with the windowed raw values that hold it), then the derived formulas.
+// covered), executes it with any partial batch and drains the pool, takes
+// back the settle blocks still on the pool, running those still queued
+// itself (see wait), settles the remaining intervals inline, and assembles
+// the stitched result on the calling goroutine plus the pool's Workers
+// goroutines, which exit once it is done: the settled series, then
+// NaiveRaw replayed from the reading log a chunk at a time (with the
+// windowed raw values that hold it), then the derived formulas.
 // The engine cannot be used after Finish.
 func (e *Engine) Finish() *Result {
 	if e.ingested > 0 && e.lastEmitEnd < e.ingested {
@@ -1305,7 +1350,7 @@ func (e *Engine) Finish() *Result {
 	defer sp.End()
 
 	for len(e.settling) > 0 { // the settle blocks still on the pool
-		e.absorb(<-e.results)
+		e.wait()
 	}
 	e.settleInline(e.ingested)
 	ne, nd := e.ne, len(e.cat.Derived)

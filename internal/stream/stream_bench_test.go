@@ -155,33 +155,37 @@ func BenchmarkSettle(b *testing.B) {
 }
 
 // BenchmarkIngest times the producer's cost per interval, in ns per
-// interval (one interval per op), on a warmed engine at Workers 2 fed a
-// pre-sampled round-robin stream, in the configurations of three of the
-// repository benchmark's workloads: rr-exact (Skylake, hop 4) and
+// interval (one interval per op), on a warmed engine fed a pre-sampled
+// round-robin stream, in the configurations of three of the repository
+// benchmark's workloads at Workers 2: rr-exact (Skylake, hop 4) and
 // tumbling-fast (the Neoverse JSON catalog, hop 24) time Ingest alone;
 // adaptive-epoch (Skylake, hop 4) also runs Flush and EpochPosterior after
 // every 24th interval, as the adaptive epoch loop does, so each epoch's
 // partial batch of 6 windows runs on the producer inside the timed loop.
-// The workers settle the stream's intervals meanwhile, and run its full
-// batches. Every 2¹⁴ intervals a fresh engine replaces the old one with
-// the timer stopped, so the output an engine holds stays small for any
-// b.N.
+// rr-exact/workers=1 is rr-exact with one worker, which lags the stream, so
+// the producer's waits on the pool dominate it. The workers settle the
+// stream's intervals and run its full batches, but whenever the producer
+// would wait on the pool it runs the queued jobs itself, inside the timed
+// loop. Every 2¹⁴ intervals a fresh engine replaces the old one with the
+// timer stopped, so the output an engine holds stays small for any b.N.
 func BenchmarkIngest(b *testing.B) {
 	for _, w := range []struct {
 		name, cat string
 		hop       int
 		epoch     int // Flush and EpochPosterior after every epoch-th interval (0: never)
+		workers   int
 	}{
-		{"rr-exact", "skylake", 4, 0},
-		{"tumbling-fast", "neoverse.json", 24, 0},
-		{"adaptive-epoch", "skylake", 4, 24},
+		{"rr-exact", "skylake", 4, 0, 2},
+		{"rr-exact/workers=1", "skylake", 4, 0, 1},
+		{"tumbling-fast", "neoverse.json", 24, 0, 2},
+		{"adaptive-epoch", "skylake", 4, 24, 2},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			cat := testCatalog(b, w.cat)
 			tr := measure.GroundTruth(cat, measure.DefaultWorkload(1000), rng.New(5))
 			samples := presample(tr, 6)
 			cfg := DefaultConfig()
-			cfg.Hop, cfg.Workers = w.hop, 2
+			cfg.Hop, cfg.Workers = w.hop, w.workers
 			const warm, span = 4 * chunkLen, 1 << 14
 			var e *Engine
 			var src *cycleSource
