@@ -14,12 +14,13 @@
 //
 //	Cov(xⱼ, xₗ) = δⱼₗ·dⱼ − dⱼcⱼ · cₗdₗ / (σ_r² + Σᵢ cᵢ²dᵢ),  dⱼ = 1/pⱼ.
 //
-// Execute extracts these k×k blocks after convergence for every lane that
-// ran message passing; lanes the direct solver answered read the exact
+// ExecuteInto extracts these k×k blocks after convergence for every lane
+// that ran message passing; lanes the direct solver answered read the exact
 // blocks from its selected inverse instead (solve.go), in the same layout.
-// Result.Cov and Result.Corr expose them, and DerivedPosteriorCov feeds
-// them to the delta method so e.g. a ratio whose numerator and denominator
-// share an invariant stops over- (or under-) counting their coupling.
+// BatchResult.Corr exposes them, and the derived-metric delta method
+// (uarch.Derived.PropagateStdCov) consumes them so e.g. a ratio whose
+// numerator and denominator share an invariant stops over- (or under-)
+// counting their coupling.
 package graph
 
 import (
@@ -41,7 +42,7 @@ func (b *Batch) extractCovariances(res *BatchResult) {
 	}
 	n, B := res.n, b.lanes
 	d, cd := b.covD, b.covCD
-	denom := b.muJ[:n] // reuse Execute scratch: σ_r² + Σ c²·d per lane
+	denom := b.muJ[:n] // reuse ExecuteInto scratch: σ_r² + Σ c²·d per lane
 	solved := b.solved[:n]
 
 	for ri := 0; ri < p.nRels; ri++ {
@@ -89,25 +90,6 @@ func (b *Batch) extractCovariances(res *BatchResult) {
 	}
 }
 
-// Cov returns the posterior covariance of two events: the marginal variance
-// on the diagonal, the clique covariance when the pair shares at least one
-// relation factor (the first declaring relation wins), and 0 otherwise —
-// events not coupled by any invariant carry no tracked covariance.
-func (r *Result) Cov(i, j uarch.EventID) float64 {
-	if i == j {
-		return r.Std[i] * r.Std[i]
-	}
-	if r.plan == nil || r.cov == nil {
-		return 0
-	}
-	loc, ok := r.plan.pairLoc[pairKey(i, j)]
-	if !ok {
-		return 0
-	}
-	k := r.plan.factorOff[loc.rel+1] - r.plan.factorOff[loc.rel]
-	return r.cov[r.plan.covOff[loc.rel]+loc.a*k+loc.b]
-}
-
 // corrOf normalizes one clique covariance entry against its diagonal into
 // a ±1-clamped correlation, guarding degenerate variances.
 func corrOf(cab, caa, cbb float64) float64 {
@@ -127,29 +109,11 @@ func corrOf(cab, caa, cbb float64) float64 {
 	return rho
 }
 
-// Corr returns the posterior correlation of two events, computed within
-// their shared clique's covariance block (so it is ±1-bounded by
-// construction) and clamped against floating-point spill. Pairs sharing no
-// relation return 0.
-func (r *Result) Corr(i, j uarch.EventID) float64 {
-	if i == j {
-		return 1
-	}
-	if r.plan == nil || r.cov == nil {
-		return 0
-	}
-	loc, ok := r.plan.pairLoc[pairKey(i, j)]
-	if !ok {
-		return 0
-	}
-	base := r.plan.covOff[loc.rel]
-	k := r.plan.factorOff[loc.rel+1] - r.plan.factorOff[loc.rel]
-	return corrOf(r.cov[base+loc.a*k+loc.b], r.cov[base+loc.a*k+loc.a], r.cov[base+loc.b*k+loc.b])
-}
-
-// Corr is Result.Corr read straight from one lane of the batch's
-// clique-entry-major covariance slab, with the same arithmetic, so callers
-// that only need a few correlations per window skip Window's copies.
+// Corr returns one lane's posterior correlation of two events, computed
+// within the covariance block of the first relation declaring both (so it
+// is ±1-bounded by construction) and clamped against floating-point spill.
+// Pairs sharing no relation, and every pair when EnableCovariance is off,
+// return 0.
 func (r *BatchResult) Corr(lane int, i, j uarch.EventID) float64 {
 	if lane < 0 || lane >= r.n {
 		panic(fmt.Sprintf("graph: Corr on lane %d of a %d-window result", lane, r.n))
@@ -169,21 +133,4 @@ func (r *BatchResult) Corr(lane int, i, j uarch.EventID) float64 {
 	n := r.n
 	return corrOf(r.cov[(base+loc.a*k+loc.b)*n+lane],
 		r.cov[(base+loc.a*k+loc.a)*n+lane], r.cov[(base+loc.b*k+loc.b)*n+lane])
-}
-
-// DerivedPosteriorCov propagates the posterior through a derived-event
-// formula like DerivedPosterior, but feeds the delta method the full
-// posterior covariance over the formula's inputs: clique correlations from
-// the factor graph times the marginal stds. Input pairs that share no
-// invariant contribute no cross term, so on a catalog whose derived inputs
-// are uncoupled this reduces bit-for-bit to the diagonal DerivedPosterior.
-func (r *Result) DerivedPosteriorCov(d *uarch.Derived) (mean, std float64) {
-	in := make([]float64, len(d.Inputs))
-	sd := make([]float64, len(d.Inputs))
-	for i, id := range d.Inputs {
-		in[i] = r.Mean[id]
-		sd[i] = r.Std[id]
-	}
-	corr := func(i, j int) float64 { return r.Corr(d.Inputs[i], d.Inputs[j]) }
-	return d.Eval(in), d.PropagateStdCov(in, sd, corr)
 }

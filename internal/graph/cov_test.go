@@ -40,12 +40,12 @@ func TestCliqueCovarianceGolden2x2(t *testing.T) {
 	})
 	a, sa := 2.0e8, 0.04*2.0e8
 	b, sb := 1.9e8, 0.02*1.9e8
-	g := Build(cat)
-	g.Observe(cat.MustEvent("A"), a, sa)
-	g.Observe(cat.MustEvent("B"), b, sb)
-	res := g.Infer(500, 1e-12)
-	if !res.Converged {
-		t.Fatalf("toy graph did not converge in %d iters", res.Iters)
+	g := solo(cat)
+	g.Observe(0, cat.MustEvent("A"), a, sa)
+	g.Observe(0, cat.MustEvent("B"), b, sb)
+	res := g.ExecuteInto(nil, 1, 500, 1e-12)
+	if !res.Converged[0] {
+		t.Fatalf("toy graph did not converge in %d iters", res.Iters[0])
 	}
 
 	// Hand-computed joint posterior, mirroring the engine's scaled units.
@@ -64,12 +64,12 @@ func TestCliqueCovarianceGolden2x2(t *testing.T) {
 	wantVarB := lamA / det * scale * scale
 
 	idA, idB := cat.MustEvent("A"), cat.MustEvent("B")
-	gotAB := res.Cov(idA, idB)
+	gotAB := laneCov(res, 0, idA, idB)
 	if e := math.Abs(gotAB-wantCovAB) / wantCovAB; e > 1e-9 {
 		t.Errorf("Cov(A,B) = %g, hand-computed %g (rel err %g)", gotAB, wantCovAB, e)
 	}
-	if res.Cov(idB, idA) != gotAB {
-		t.Errorf("Cov not symmetric: %g vs %g", res.Cov(idB, idA), gotAB)
+	if laneCov(res, 0, idB, idA) != gotAB {
+		t.Errorf("Cov not symmetric: %g vs %g", laneCov(res, 0, idB, idA), gotAB)
 	}
 	if gotAB <= 0 {
 		t.Errorf("equality-coupled pair has non-positive covariance %g", gotAB)
@@ -82,7 +82,7 @@ func TestCliqueCovarianceGolden2x2(t *testing.T) {
 	if e := math.Abs(res.Std[idB]*res.Std[idB]-wantVarB) / wantVarB; e > 1e-6 {
 		t.Errorf("Var(B) = %g, joint inverse %g (rel err %g)", res.Std[idB]*res.Std[idB], wantVarB, e)
 	}
-	rho := res.Corr(idA, idB)
+	rho := res.Corr(0, idA, idB)
 	wantRho := wantCovAB / math.Sqrt(wantVarA*wantVarB)
 	if math.Abs(rho-wantRho) > 1e-6 {
 		t.Errorf("Corr(A,B) = %g, want %g", rho, wantRho)
@@ -91,7 +91,7 @@ func TestCliqueCovarianceGolden2x2(t *testing.T) {
 		t.Errorf("Corr(A,B) = %g, want in (0,1)", rho)
 	}
 	// Events outside any shared clique carry no tracked covariance.
-	if got := res.Cov(idA, idA); got != res.Std[idA]*res.Std[idA] {
+	if got := laneCov(res, 0, idA, idA); got != res.Std[idA]*res.Std[idA] {
 		t.Errorf("Cov(A,A) = %g, want marginal variance %g", got, res.Std[idA]*res.Std[idA])
 	}
 }
@@ -138,27 +138,27 @@ func TestCovarianceAwareIPCStd(t *testing.T) {
 	aID, bID := cat.MustEvent("comp_a"), cat.MustEvent("comp_b")
 	cycID := cat.MustEvent("cycles")
 
-	g := Build(cat)
-	g.Observe(instID, 1.0e9, 0.001*1.0e9) // tight total pins the sum
-	g.Observe(aID, 6.2e8, 0.06*6.2e8)     // loose components
-	g.Observe(bID, 3.9e8, 0.05*3.9e8)
-	g.Observe(cycID, 8.0e8, 0.02*8.0e8)
-	res := g.Infer(500, 1e-11)
-	if !res.Converged {
-		t.Fatalf("toy graph did not converge in %d iters", res.Iters)
+	g := solo(cat)
+	g.Observe(0, instID, 1.0e9, 0.001*1.0e9) // tight total pins the sum
+	g.Observe(0, aID, 6.2e8, 0.06*6.2e8)     // loose components
+	g.Observe(0, bID, 3.9e8, 0.05*3.9e8)
+	g.Observe(0, cycID, 8.0e8, 0.02*8.0e8)
+	res := g.ExecuteInto(nil, 1, 500, 1e-11)
+	if !res.Converged[0] {
+		t.Fatalf("toy graph did not converge in %d iters", res.Iters[0])
 	}
 
-	rho := res.Corr(aID, bID)
+	rho := res.Corr(0, aID, bID)
 	if rho >= -0.5 {
 		t.Fatalf("sum-pinned components correlate at %g, want strongly negative", rho)
 	}
-	if res.Corr(aID, cycID) != 0 || res.Corr(bID, cycID) != 0 {
+	if res.Corr(0, aID, cycID) != 0 || res.Corr(0, bID, cycID) != 0 {
 		t.Fatalf("cycles share no clique with the components, Corr must be 0")
 	}
 
 	d := cat.DerivedByName("IPC")
-	diagMean, diagStd := res.DerivedPosterior(d)
-	covMean, covStd := res.DerivedPosteriorCov(d)
+	diagMean, diagStd := d.PosteriorFrom(res.Mean, res.Std)
+	covMean, covStd := derivedPosteriorCov(res, d)
 	if covMean != diagMean {
 		t.Errorf("covariance-aware mean %g differs from diagonal %g", covMean, diagMean)
 	}
@@ -169,9 +169,9 @@ func TestCovarianceAwareIPCStd(t *testing.T) {
 	// Sampled ground truth for the std: draw (comp_a, comp_b) from the
 	// clique's bivariate posterior and cycles from its independent
 	// marginal, push each draw through the formula.
-	muA, sdA := res.Posterior(aID)
-	muB, sdB := res.Posterior(bID)
-	muC, sdC := res.Posterior(cycID)
+	muA, sdA := res.Mean[aID], res.Std[aID]
+	muB, sdB := res.Mean[bID], res.Std[bID]
+	muC, sdC := res.Mean[cycID], res.Std[cycID]
 	r := rng.New(99)
 	const draws = 400000
 	var sum, sumSq float64
@@ -208,15 +208,15 @@ func TestCovarianceAwareIPCStd(t *testing.T) {
 func TestDerivedPosteriorCovUncoupledFallback(t *testing.T) {
 	cat := uarch.Skylake()
 	truth := skylakeTruth(cat)
-	g := Build(cat)
+	g := solo(cat)
 	for id, want := range truth {
-		g.Observe(uarch.EventID(id), want, 0.01*want)
+		g.Observe(0, uarch.EventID(id), want, 0.01*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := g.ExecuteInto(nil, 1, 200, 1e-9)
 
 	d := cat.DerivedByName("IPC")
-	dm, ds := res.DerivedPosterior(d)
-	cm, cs := res.DerivedPosteriorCov(d)
+	dm, ds := d.PosteriorFrom(res.Mean, res.Std)
+	cm, cs := derivedPosteriorCov(res, d)
 	if cm != dm || cs != ds {
 		t.Errorf("uncoupled IPC: covariance-aware (%v, %v) differs from diagonal (%v, %v)", cm, cs, dm, ds)
 	}
@@ -225,8 +225,8 @@ func TestDerivedPosteriorCovUncoupledFallback(t *testing.T) {
 	// covariance-aware std must differ (the coupling is real) yet stay
 	// finite and positive.
 	br := cat.DerivedByName("Branch_Misp_Rate")
-	bdm, bds := res.DerivedPosterior(br)
-	bcm, bcs := res.DerivedPosteriorCov(br)
+	bdm, bds := br.PosteriorFrom(res.Mean, res.Std)
+	bcm, bcs := derivedPosteriorCov(res, br)
 	if bcm != bdm {
 		t.Errorf("Branch_Misp_Rate mean changed: %v vs %v", bcm, bdm)
 	}
@@ -238,34 +238,54 @@ func TestDerivedPosteriorCovUncoupledFallback(t *testing.T) {
 	}
 }
 
-// TestBatchResultCorrMatchesWindow: the lane-indexed BatchResult.Corr reads
-// the same slab entries with the same arithmetic as Window(lane).Corr, so
-// every pair agrees bit for bit — on lanes with events left to the
-// invariants, and for pairs that share no clique.
+// TestBatchResultCorrMatchesWindow: the lane-indexed BatchResult.Corr of a
+// wide batch reads the same slab entries with the same arithmetic as the
+// window's own one-lane solve, so every pair agrees bit for bit — on lanes
+// with events left to the invariants, and for pairs that share no clique.
+// Corr is also symmetric, 1 on the diagonal, within [−1, 1], and 0 exactly
+// for the pairs SharesClique rules out.
 func TestBatchResultCorrMatchesWindow(t *testing.T) {
 	cat := uarch.Skylake()
 	r := rng.New(17)
 	plan := Compile(cat)
-	b := plan.NewBatch(5)
+	nv := cat.NumEvents()
+	const lanes = 5
+	b := plan.NewBatch(lanes)
 	b.EnableCovariance()
-	for lane := 0; lane < 5; lane++ {
-		for id := 0; id < cat.NumEvents(); id++ {
+	alone := solo(cat)
+	want := make([]*BatchResult, lanes)
+	for lane := 0; lane < lanes; lane++ {
+		alone.ClearObservations()
+		for id := 0; id < nv; id++ {
 			if (id+lane)%4 == 0 {
 				continue // leave some events to the invariants
 			}
 			m := 1e6 * (1 + r.Float64())
 			b.Observe(lane, uarch.EventID(id), m, 0.03*m)
+			alone.Observe(0, uarch.EventID(id), m, 0.03*m)
 		}
+		want[lane] = alone.ExecuteInto(nil, 1, 500, 1e-9)
 	}
-	res := b.Execute(5, 500, 1e-9)
+	res := b.ExecuteInto(nil, lanes, 500, 1e-9)
 	checked := 0
-	for lane := 0; lane < 5; lane++ {
-		w := res.Window(lane)
-		for i := 0; i < cat.NumEvents(); i++ {
-			for j := 0; j < cat.NumEvents(); j++ {
-				got, want := res.Corr(lane, uarch.EventID(i), uarch.EventID(j)), w.Corr(uarch.EventID(i), uarch.EventID(j))
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("lane %d Corr(%d,%d) = %v, Window gives %v", lane, i, j, got, want)
+	for lane := 0; lane < lanes; lane++ {
+		for i := 0; i < nv; i++ {
+			for j := 0; j < nv; j++ {
+				a, c := uarch.EventID(i), uarch.EventID(j)
+				got, exp := res.Corr(lane, a, c), want[lane].Corr(0, a, c)
+				if math.Float64bits(got) != math.Float64bits(exp) {
+					t.Fatalf("lane %d Corr(%d,%d) = %v, the window alone gives %v", lane, i, j, got, exp)
+				}
+				if sym := res.Corr(lane, c, a); math.Float64bits(sym) != math.Float64bits(got) {
+					t.Fatalf("lane %d Corr(%d,%d) = %v but Corr(%d,%d) = %v", lane, i, j, got, j, i, sym)
+				}
+				switch {
+				case i == j && got != 1:
+					t.Fatalf("lane %d Corr(%d,%d) = %v on the diagonal", lane, i, i, got)
+				case got < -1 || got > 1 || math.IsNaN(got):
+					t.Fatalf("lane %d Corr(%d,%d) = %v out of [-1, 1]", lane, i, j, got)
+				case !plan.SharesClique(a, c) && got != 0:
+					t.Fatalf("lane %d Corr(%d,%d) = %v for a pair sharing no clique", lane, i, j, got)
 				}
 				if got != 0 && i != j {
 					checked++

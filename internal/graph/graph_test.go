@@ -35,6 +35,44 @@ func skylakeTruth(c *uarch.Catalog) []float64 {
 	return v
 }
 
+// solo returns a one-lane batch with clique-covariance extraction on: one
+// window's inference, as batch mode runs it.
+func solo(cat *uarch.Catalog) *Batch {
+	b := Compile(cat).NewBatch(1)
+	b.EnableCovariance()
+	return b
+}
+
+// laneCov returns one lane's posterior covariance of two events: the
+// marginal variance on the diagonal, the clique covariance when the pair
+// shares a relation (the first declaring relation wins), and 0 otherwise.
+func laneCov(res *BatchResult, lane int, i, j uarch.EventID) float64 {
+	n := res.n
+	if i == j {
+		return res.Std[int(i)*n+lane] * res.Std[int(i)*n+lane]
+	}
+	loc, ok := res.plan.pairLoc[pairKey(i, j)]
+	if !ok || res.cov == nil {
+		return 0
+	}
+	k := res.plan.factorOff[loc.rel+1] - res.plan.factorOff[loc.rel]
+	return res.cov[(res.plan.covOff[loc.rel]+loc.a*k+loc.b)*n+lane]
+}
+
+// derivedPosteriorCov is batch mode's covariance-aware derived posterior
+// on one lane of a one-lane result: the formula at the posterior mean, and
+// the delta method over the marginal stds and the lane's clique
+// correlations.
+func derivedPosteriorCov(res *BatchResult, d *uarch.Derived) (mean, std float64) {
+	in := make([]float64, len(d.Inputs))
+	sd := make([]float64, len(d.Inputs))
+	for i, id := range d.Inputs {
+		in[i], sd[i] = res.Mean[id], res.Std[id]
+	}
+	corr := func(i, j int) float64 { return res.Corr(0, d.Inputs[i], d.Inputs[j]) }
+	return d.Eval(in), d.PropagateStdCov(in, sd, corr)
+}
+
 func TestTruthVectorIsConsistent(t *testing.T) {
 	c := uarch.Skylake()
 	v := skylakeTruth(c)
@@ -53,17 +91,17 @@ func TestInferRecoversTruth(t *testing.T) {
 	truth := skylakeTruth(c)
 	r := rng.New(11)
 
-	g := Build(c)
+	g := solo(c)
 	var rawErr stats.Running
 	for id, want := range truth {
 		std := 0.01 * want
 		obs := r.Gaussian(want, std)
-		g.Observe(uarch.EventID(id), obs, std)
+		g.Observe(0, uarch.EventID(id), obs, std)
 		rawErr.Add(stats.RelErr(obs, want, 1))
 	}
-	res := g.Infer(200, 1e-9)
-	if !res.Converged {
-		t.Fatalf("inference did not converge in %d iters", res.Iters)
+	res := g.ExecuteInto(nil, 1, 200, 1e-9)
+	if !res.Converged[0] {
+		t.Fatalf("inference did not converge in %d iters", res.Iters[0])
 	}
 
 	var postErr stats.Running
@@ -86,14 +124,14 @@ func TestInferFillsUnobserved(t *testing.T) {
 	truth := skylakeTruth(c)
 	missing := c.MustEvent("MEM_LOAD_RETIRED.L1_MISS")
 
-	g := Build(c)
+	g := solo(c)
 	for id, want := range truth {
 		if uarch.EventID(id) == missing {
 			continue
 		}
-		g.Observe(uarch.EventID(id), want, 0.005*want)
+		g.Observe(0, uarch.EventID(id), want, 0.005*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := g.ExecuteInto(nil, 1, 200, 1e-9)
 	got, want := res.Mean[missing], truth[missing]
 	if e := stats.RelErr(got, want, 1); e > 0.05 {
 		t.Errorf("unobserved %s inferred as %.4g, want %.4g (rel err %.3f)",
@@ -109,7 +147,7 @@ func TestInferFillsUnobserved(t *testing.T) {
 // invariants.
 func TestInferTightensUncertainty(t *testing.T) {
 	c := uarch.Power9()
-	g := Build(c)
+	g := solo(c)
 	// A consistent Power9 vector.
 	v := make([]float64, c.NumEvents())
 	set := func(name string, x float64) { v[c.MustEvent(name)] = x }
@@ -133,9 +171,9 @@ func TestInferTightensUncertainty(t *testing.T) {
 	obsStd := make([]float64, c.NumEvents())
 	for id, want := range v {
 		obsStd[id] = 0.02 * want
-		g.Observe(uarch.EventID(id), want, obsStd[id])
+		g.Observe(0, uarch.EventID(id), want, obsStd[id])
 	}
-	res := g.Infer(200, 1e-9)
+	res := g.ExecuteInto(nil, 1, 200, 1e-9)
 	ld := c.MustEvent("PM_LD_CMPL")
 	if res.Std[ld] >= obsStd[ld] {
 		t.Errorf("posterior std %.4g not tighter than observation std %.4g",
@@ -143,17 +181,17 @@ func TestInferTightensUncertainty(t *testing.T) {
 	}
 }
 
-// TestClearObservationsReuse is the graph-reuse contract the stream workers
+// TestClearObservationsReuse is the batch-reuse contract the stream workers
 // rely on: clearing observations and re-observing must reproduce exactly
-// what a freshly built graph infers, with no cross-window leakage.
+// what a freshly built batch infers, with no cross-window leakage.
 func TestClearObservationsReuse(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
-	reused := Build(c)
+	reused := solo(c)
 
 	r := rng.New(21)
 	for round := 0; round < 3; round++ {
-		fresh := Build(c)
+		fresh := solo(c)
 		reused.ClearObservations()
 		for id, want := range truth {
 			std := 0.02 * want
@@ -163,20 +201,20 @@ func TestClearObservationsReuse(t *testing.T) {
 			if id == round {
 				continue
 			}
-			fresh.Observe(uarch.EventID(id), obs, std)
-			reused.Observe(uarch.EventID(id), obs, std)
+			fresh.Observe(0, uarch.EventID(id), obs, std)
+			reused.Observe(0, uarch.EventID(id), obs, std)
 		}
-		fr := fresh.Infer(200, 1e-9)
-		rr := reused.Infer(200, 1e-9)
+		fr := fresh.ExecuteInto(nil, 1, 200, 1e-9)
+		rr := reused.ExecuteInto(nil, 1, 200, 1e-9)
 		for id := range truth {
 			if fr.Mean[id] != rr.Mean[id] || fr.Std[id] != rr.Std[id] {
-				t.Fatalf("round %d: reused graph diverged on event %d: mean %v vs %v, std %v vs %v",
+				t.Fatalf("round %d: reused batch diverged on event %d: mean %v vs %v, std %v vs %v",
 					round, id, rr.Mean[id], fr.Mean[id], rr.Std[id], fr.Std[id])
 			}
 		}
-		if fr.Iters != rr.Iters || fr.Converged != rr.Converged {
+		if fr.Iters[0] != rr.Iters[0] || fr.Converged[0] != rr.Converged[0] {
 			t.Fatalf("round %d: iteration trace diverged (%d/%v vs %d/%v)",
-				round, rr.Iters, rr.Converged, fr.Iters, fr.Converged)
+				round, rr.Iters[0], rr.Converged[0], fr.Iters[0], fr.Converged[0])
 		}
 	}
 }
@@ -188,16 +226,17 @@ func TestClearObservationsReuse(t *testing.T) {
 func TestDerivedPosteriorDeltaMethod(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
-	g := Build(c)
+	g := solo(c)
 	for id, want := range truth {
-		g.Observe(uarch.EventID(id), want, 0.01*want)
+		g.Observe(0, uarch.EventID(id), want, 0.01*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := g.ExecuteInto(nil, 1, 200, 1e-9)
 
 	d := c.DerivedByName("IPC")
-	mean, std := res.DerivedPosterior(d)
-	instr, sigI := res.Posterior(c.MustEvent("INST_RETIRED.ANY"))
-	cyc, sigC := res.Posterior(c.MustEvent("CPU_CLK_UNHALTED.THREAD"))
+	mean, std := d.PosteriorFrom(res.Mean, res.Std)
+	instID, cycID := c.MustEvent("INST_RETIRED.ANY"), c.MustEvent("CPU_CLK_UNHALTED.THREAD")
+	instr, sigI := res.Mean[instID], res.Std[instID]
+	cyc, sigC := res.Mean[cycID], res.Std[cycID]
 	if want := instr / cyc; math.Abs(mean-want) > 1e-12*want {
 		t.Errorf("IPC posterior mean = %v, formula at posterior mean = %v", mean, want)
 	}
@@ -215,7 +254,7 @@ func TestDerivedPosteriorDeltaMethod(t *testing.T) {
 	}
 	// Every derived event in the catalog gets a finite, positive std.
 	for di := range c.Derived {
-		dm, ds := res.DerivedPosterior(&c.Derived[di])
+		dm, ds := c.Derived[di].PosteriorFrom(res.Mean, res.Std)
 		if math.IsNaN(dm) || math.IsInf(dm, 0) {
 			t.Errorf("%s posterior mean = %v", c.Derived[di].Name, dm)
 		}
@@ -233,18 +272,18 @@ func TestDerivedPosteriorUnobservedDenominator(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 	cycID := c.MustEvent("CPU_CLK_UNHALTED.THREAD")
-	g := Build(c)
+	g := solo(c)
 	for id, want := range truth {
 		if uarch.EventID(id) == cycID {
 			continue // cycles take part in no invariant: posterior stays at the prior
 		}
-		g.Observe(uarch.EventID(id), want, 0.01*want)
+		g.Observe(0, uarch.EventID(id), want, 0.01*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := g.ExecuteInto(nil, 1, 200, 1e-9)
 	if res.Mean[cycID] != 0 {
 		t.Fatalf("unconstrained unobserved cycles inferred as %v, want prior 0", res.Mean[cycID])
 	}
-	mean, std := res.DerivedPosterior(c.DerivedByName("IPC"))
+	mean, std := c.DerivedByName("IPC").PosteriorFrom(res.Mean, res.Std)
 	if mean != 0 {
 		t.Errorf("IPC with zero denominator = %v, want safeDiv's 0", mean)
 	}
@@ -253,36 +292,12 @@ func TestDerivedPosteriorUnobservedDenominator(t *testing.T) {
 	}
 }
 
-// benchObserveAll observes every event with noisy values.
-func benchObserveAll(g *Graph, truth []float64, r *rng.Rand) {
-	for id, want := range truth {
-		std := 0.05 * want
-		g.Observe(uarch.EventID(id), r.Gaussian(want, std), std)
-	}
-}
-
-func BenchmarkInfer(b *testing.B) {
-	c := uarch.Skylake()
-	truth := skylakeTruth(c)
-	r := rng.New(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := Build(c)
-		benchObserveAll(g, truth, r)
-		res := g.Infer(100, 1e-8)
-		if math.IsNaN(res.Mean[0]) {
-			b.Fatal("NaN posterior")
-		}
-	}
-}
-
 // BenchmarkInferBatch is the inference trajectory's headline number: ns per
 // window for batched closed-form inference at B ∈ {1, 8, 64} on the Skylake
-// catalog. B=1 runs the legacy Build/Observe/Infer wrapper (the
-// bit-identical baseline every batch lane is measured against); the wider
-// batches walk the compiled schedule once for the whole batch, reusing one
-// result via ExecuteInto the way the stream workers do. The per-window
+// catalog, with clique-covariance extraction on. Every width observes its
+// windows into one long-lived batch and walks the compiled schedule once
+// per call, reusing one result via ExecuteInto the way the stream workers
+// do; B=1 is one window per call, as batch mode runs it. The per-window
 // metric is emitted as ns/window so the trajectory stays comparable across
 // PRs and batch widths; the "/exact" suffix keeps the names of the committed
 // BENCH_graph.json rows, which cmd/benchjson gates regressions against.
@@ -306,61 +321,25 @@ func BenchmarkInferBatch(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if width == 1 {
-				g := Build(c)
-				for i := 0; i < b.N; i++ {
-					g.ClearObservations()
+			batch := Compile(c).NewBatch(width)
+			// Every width pays for covariance extraction, so the ns/window
+			// ratio between widths credits schedule amortization only.
+			batch.EnableCovariance()
+			var res *BatchResult
+			for i := 0; i < b.N; i++ {
+				batch.ClearObservations()
+				for w := 0; w < width; w++ {
 					for id := range truth {
-						g.Observe(uarch.EventID(id), obsMean[0][id], obsStd[0][id])
-					}
-					res := g.Infer(100, 1e-8)
-					if math.IsNaN(res.Mean[0]) {
-						b.Fatal("NaN posterior")
+						batch.Observe(w, uarch.EventID(id), obsMean[w][id], obsStd[w][id])
 					}
 				}
-			} else {
-				batch := Compile(c).NewBatch(width)
-				// Build() enables covariance extraction on the B=1 wrapper,
-				// so the wide batches must pay for it too — otherwise the
-				// ns/window ratio would credit skipped work, not schedule
-				// amortization.
-				batch.EnableCovariance()
-				var res *BatchResult
-				for i := 0; i < b.N; i++ {
-					batch.ClearObservations()
-					for w := 0; w < width; w++ {
-						for id := range truth {
-							batch.Observe(w, uarch.EventID(id), obsMean[w][id], obsStd[w][id])
-						}
-					}
-					res = batch.ExecuteInto(res, width, 100, 1e-8)
-					if math.IsNaN(res.Mean[0]) {
-						b.Fatal("NaN posterior")
-					}
+				res = batch.ExecuteInto(res, width, 100, 1e-8)
+				if math.IsNaN(res.Mean[0]) {
+					b.Fatal("NaN posterior")
 				}
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/window")
 		})
-	}
-}
-
-// BenchmarkInferReuse measures the window-to-window hot path of the stream
-// workers: ClearObservations + re-Observe + Infer on a long-lived graph,
-// against BenchmarkInfer's build-per-window baseline.
-func BenchmarkInferReuse(b *testing.B) {
-	c := uarch.Skylake()
-	truth := skylakeTruth(c)
-	r := rng.New(3)
-	g := Build(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ClearObservations()
-		benchObserveAll(g, truth, r)
-		res := g.Infer(100, 1e-8)
-		if math.IsNaN(res.Mean[0]) {
-			b.Fatal("NaN posterior")
-		}
 	}
 }

@@ -5,7 +5,8 @@ import "bayesperf/internal/obs"
 // Metrics is the inference layer's instrument set. Construct once per
 // registry with NewMetrics and attach to any number of Batches (instruments
 // are atomic, so concurrent stream workers share one Metrics safely); a nil
-// *Metrics — the metrics-off state — costs one pointer compare per Execute.
+// *Metrics — the metrics-off state — costs one pointer compare per
+// ExecuteInto.
 type Metrics struct {
 	windows      *obs.Counter
 	unconverged  *obs.Counter
@@ -45,7 +46,7 @@ func ExponentialSweepBuckets() []float64 {
 	return obs.ExponentialBuckets(1, 2, 10)
 }
 
-// recordExecute folds one Execute call's outcome into the instruments. It
+// recordExecute folds one ExecuteInto call's outcome into the instruments. It
 // runs after the solve and any message passing, reading final state only —
 // never inside them — so instrumentation cannot perturb any posterior bit,
 // and costs nothing on the per-sweep hot path. The cavity-floor scan mirrors the moments()

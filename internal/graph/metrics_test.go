@@ -8,18 +8,26 @@ import (
 	"bayesperf/internal/uarch"
 )
 
+// observeAll observes every event of a one-lane batch with noisy values.
+func observeAll(g *Batch, truth []float64, r *rng.Rand) {
+	for id, want := range truth {
+		std := 0.05 * want
+		g.Observe(0, uarch.EventID(id), r.Gaussian(want, std), std)
+	}
+}
+
 // TestGraphMetricsRecording runs instrumented single-window inference and
-// checks the execution counters agree with the returned Result — and that
+// checks the execution counters agree with the returned result — and that
 // attaching metrics leaves the posterior bit identical.
 func TestGraphMetricsRecording(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 
-	infer := func(m *Metrics) Result {
-		g := Build(c)
+	infer := func(m *Metrics) *BatchResult {
+		g := solo(c)
 		g.SetMetrics(m)
-		benchObserveAll(g, truth, rng.New(3))
-		return g.Infer(200, 1e-9)
+		observeAll(g, truth, rng.New(3))
+		return g.ExecuteInto(nil, 1, 200, 1e-9)
 	}
 
 	reg := obs.NewRegistry()
@@ -45,18 +53,18 @@ func TestGraphMetricsRecording(t *testing.T) {
 	if got := counter("bayesperf_graph_windows_total"); got != 1 {
 		t.Errorf("windows counter = %v, want 1", got)
 	}
-	if got := counter("bayesperf_graph_sweeps_total"); got != float64(res.Iters) {
-		t.Errorf("sweeps counter = %v, want Result.Iters %d", got, res.Iters)
+	if got := counter("bayesperf_graph_sweeps_total"); got != float64(res.Iters[0]) {
+		t.Errorf("sweeps counter = %v, want Iters %d", got, res.Iters[0])
 	}
 	unconv := counter("bayesperf_graph_unconverged_windows_total")
-	if want := float64(0); !res.Converged {
+	if want := float64(0); !res.Converged[0] {
 		want = 1
 	} else if unconv != want {
-		t.Errorf("unconverged counter = %v with Converged=%v", unconv, res.Converged)
+		t.Errorf("unconverged counter = %v with Converged=%v", unconv, res.Converged[0])
 	}
 	hist := snap.Find("bayesperf_graph_sweeps_per_window")
-	if hist == nil || hist.Count != 1 || hist.Sum != float64(res.Iters) {
-		t.Errorf("sweeps histogram = %+v, want count 1 sum %d", hist, res.Iters)
+	if hist == nil || hist.Count != 1 || hist.Sum != float64(res.Iters[0]) {
+		t.Errorf("sweeps histogram = %+v, want count 1 sum %d", hist, res.Iters[0])
 	}
 }
 
@@ -67,15 +75,15 @@ func TestGraphMetricsRecording(t *testing.T) {
 func TestGraphMetricsDirectFallback(t *testing.T) {
 	c := uarch.Skylake()
 	base := truthWindows(c, 1, 43)[0]
-	run := func(win []obsEntry) (Result, bool, obs.RegistrySnapshot) {
+	run := func(win []obsEntry) (*BatchResult, bool, obs.RegistrySnapshot) {
 		reg := obs.NewRegistry()
-		g := Build(c)
+		g := solo(c)
 		g.SetMetrics(NewMetrics(reg))
 		for _, o := range win {
-			g.Observe(o.id, o.mean, o.std)
+			g.Observe(0, o.id, o.mean, o.std)
 		}
-		res := g.Infer(200, 1e-9)
-		return res, g.batch.solved[0], reg.Snapshot()
+		res := g.ExecuteInto(nil, 1, 200, 1e-9)
+		return res, g.solved[0], reg.Snapshot()
 	}
 	value := func(snap obs.RegistrySnapshot, name string) float64 {
 		t.Helper()
@@ -87,9 +95,9 @@ func TestGraphMetricsDirectFallback(t *testing.T) {
 	}
 
 	res, solved, snap := run(base)
-	if !solved || res.Iters != 1 || !res.Converged {
+	if !solved || res.Iters[0] != 1 || !res.Converged[0] {
 		t.Fatalf("fully observed window: solved=%v iters=%d converged=%v, want a one-step solve",
-			solved, res.Iters, res.Converged)
+			solved, res.Iters[0], res.Converged[0])
 	}
 	if got := value(snap, "bayesperf_graph_direct_fallback_windows_total"); got != 0 {
 		t.Errorf("fallback counter = %v after a solved window", got)
@@ -110,8 +118,8 @@ func TestGraphMetricsDirectFallback(t *testing.T) {
 		if got := value(snap, "bayesperf_graph_direct_fallback_windows_total"); got != 1 {
 			t.Errorf("fallback counter = %v after one uncertified window, want 1", got)
 		}
-		if got := value(snap, "bayesperf_graph_sweeps_total"); got != float64(res.Iters) || res.Iters < 2 {
-			t.Errorf("sweeps counter = %v, Result.Iters = %d, want equal message-passing sweeps", got, res.Iters)
+		if got := value(snap, "bayesperf_graph_sweeps_total"); got != float64(res.Iters[0]) || res.Iters[0] < 2 {
+			t.Errorf("sweeps counter = %v, Iters = %d, want equal message-passing sweeps", got, res.Iters[0])
 		}
 		return
 	}
@@ -125,10 +133,10 @@ func TestGraphMetricsNilSafe(t *testing.T) {
 		t.Fatalf("NewMetrics(nil) = %v, want nil", m)
 	}
 	c := uarch.Skylake()
-	g := Build(c)
+	g := solo(c)
 	g.SetMetrics(nil)
-	benchObserveAll(g, skylakeTruth(c), rng.New(3))
-	if res := g.Infer(50, 1e-9); len(res.Mean) == 0 {
+	observeAll(g, skylakeTruth(c), rng.New(3))
+	if res := g.ExecuteInto(nil, 1, 50, 1e-9); len(res.Mean) == 0 {
 		t.Fatal("inference with nil metrics returned no posterior")
 	}
 }

@@ -1,6 +1,6 @@
 // Compiled inference: Compile lowers a catalog's factor graph once into a
 // flat Plan — dense variable/factor index arrays, a precomputed message
-// schedule, and a sparse elimination schedule (solve.go) — and Execute
+// schedule, and a sparse elimination schedule (solve.go) — and ExecuteInto
 // infers many windows simultaneously over contiguous structure-of-arrays
 // slabs. Each window is solved in closed form (sparse Cholesky plus a
 // selected inverse); windows whose factorization is not certified run
@@ -12,9 +12,9 @@
 // message-passing schedule's per-lane arithmetic is elementwise, and the
 // message-passing schedule reproduces the classic per-window loop operation
 // for operation, so a lane's posterior is bit-identical whether it runs
-// alone (the legacy Build/Observe/Infer wrapper) or packed into a 64-wide
-// batch. That invariance is what lets the streaming engine batch windows
-// freely without perturbing a single stitched output bit.
+// alone in a one-lane batch or packed into a 64-wide batch. That invariance
+// is what lets the streaming engine batch windows freely without perturbing
+// a single stitched output bit.
 package graph
 
 import (
@@ -47,7 +47,7 @@ type Plan struct {
 	covOff []int
 	nCov   int
 	// pairLoc resolves an event pair (lower ID first) to the first relation
-	// clique containing both, for Result.Cov/Corr lookups.
+	// clique containing both, for BatchResult.Corr lookups.
 	pairLoc map[uint64]pairLoc
 
 	// solve is the direct solver's elimination schedule (solve.go).
@@ -111,9 +111,6 @@ func Compile(cat *uarch.Catalog) *Plan {
 	return p
 }
 
-// Catalog returns the catalog the plan was compiled from.
-func (p *Plan) Catalog() *uarch.Catalog { return p.cat }
-
 // maxCliqueSize returns the largest relation's term count.
 func (p *Plan) maxCliqueSize() int {
 	maxK := 0
@@ -126,8 +123,8 @@ func (p *Plan) maxCliqueSize() int {
 }
 
 // SharesClique reports whether two events appear together in at least one
-// relation factor, i.e. whether Execute extracts a posterior covariance for
-// the pair.
+// relation factor, i.e. whether ExecuteInto extracts a posterior covariance
+// for the pair.
 func (p *Plan) SharesClique(i, j uarch.EventID) bool {
 	if i == j {
 		return true
@@ -140,8 +137,9 @@ func (p *Plan) SharesClique(i, j uarch.EventID) bool {
 // up to `lanes` independent inference windows over one Plan, in
 // structure-of-arrays layout: quantity q of lane b lives at q*lanes+b, so
 // the per-schedule-step inner loops run over contiguous float64 runs. A
-// Batch is reusable (ClearObservations between rounds) and, like the legacy
-// Graph, not safe for concurrent use.
+// Batch is reusable (ClearObservations between rounds) and not safe for
+// concurrent use: concurrent callers each build their own (see
+// internal/stream's worker pool).
 type Batch struct {
 	plan  *Plan
 	lanes int
@@ -165,14 +163,14 @@ type Batch struct {
 	// mean in elimination order, reciprocal pivots, certification
 	// thresholds (nv·lanes each), and 1/σ_r² (nRels·lanes).
 	lf, zinv, xv, linv, pivMin, invVar []float64
-	// solved marks the lanes the last Execute answered in closed form;
+	// solved marks the lanes the last ExecuteInto answered in closed form;
 	// nSolved counts them and uncertified counts the lanes that fell back
 	// to message passing because their factorization was not certified.
 	solved      []bool
 	nSolved     int
 	uncertified int
-	// m, when non-nil, records per-Execute outcomes (windows, sweeps,
-	// convergence, fallbacks, cavity-floor hits) after each Execute
+	// m, when non-nil, records per-call outcomes (windows, sweeps,
+	// convergence, fallbacks, cavity-floor hits) after each ExecuteInto
 	// finishes — see SetMetrics.
 	m *Metrics
 
@@ -180,7 +178,7 @@ type Batch struct {
 	obsStd   []float64
 	observed []bool
 
-	// Execute scratch, allocated once.
+	// ExecuteInto scratch, allocated once.
 	scale      []float64 // lanes
 	scaled     []float64 // nv*lanes: observed means / scale
 	unaryPrec  []float64 // nv*lanes
@@ -231,16 +229,12 @@ func (p *Plan) NewBatch(lanes int) *Batch {
 	}
 }
 
-// Lanes returns the batch width.
-func (b *Batch) Lanes() int { return b.lanes }
-
-// EnableCovariance makes every subsequent Execute extract the per-relation
-// clique posterior covariances (Result.Cov/Corr/DerivedPosteriorCov).
-// Off by default for plain batches: extraction costs O(Σk² · lanes) per
-// Execute plus a covariance slab per result, which pure marginal consumers
-// should not pay. The one-lane Graph wrapper enables it, preserving the
-// single-window Result contract. The extraction scratch is sized here, so
-// a batch's first message-passing window allocates nothing.
+// EnableCovariance makes every subsequent ExecuteInto extract the
+// per-relation clique posterior covariances (BatchResult.Corr). Off by
+// default: extraction costs O(Σk² · lanes) per call plus a covariance slab
+// per result, which pure marginal consumers should not pay. The extraction
+// scratch is sized here, so a batch's first message-passing window
+// allocates nothing.
 func (b *Batch) EnableCovariance() {
 	b.needCov = true
 	maxK := b.plan.maxCliqueSize()
@@ -248,17 +242,17 @@ func (b *Batch) EnableCovariance() {
 	b.covCD = make([]float64, maxK*b.lanes)
 }
 
-// Plan returns the compiled plan the batch executes.
-func (b *Batch) Plan() *Plan { return b.plan }
-
 // SetMetrics attaches (or with nil detaches) an instrument set that every
-// subsequent Execute records into. Recording happens strictly after the
+// subsequent ExecuteInto records into. Recording happens strictly after the
 // sweep loop and reads converged state only, so posteriors are bitwise
 // unaffected by whether metrics are on.
 func (b *Batch) SetMetrics(m *Metrics) { b.m = m }
 
 // Observe attaches (or replaces) the measurement factor for an event in one
-// lane's window; the semantics and validity checks match Graph.Observe.
+// lane's window: the event's value is measured as N(mean, std²). For
+// multiplexed counters the std comes from the §4.2 Student-t marginal of
+// the event's per-interval samples (measure.EstimateSample); mean must not
+// be NaN and std must be positive.
 func (b *Batch) Observe(lane int, id uarch.EventID, mean, std float64) {
 	if lane < 0 || lane >= b.lanes {
 		panic(fmt.Sprintf("graph: Observe on lane %d of a %d-lane batch", lane, b.lanes))
@@ -284,9 +278,9 @@ func (b *Batch) ClearObservations() {
 	}
 }
 
-// BatchResult is the outcome of one Execute call: per-lane posterior
+// BatchResult is the outcome of one ExecuteInto call: per-lane posterior
 // marginals plus the per-relation clique covariances, all in the batch's
-// lane-strided layout. Use Window to extract one lane as a Result.
+// lane-strided layout (event i of lane b at i*n+b for n executed lanes).
 type BatchResult struct {
 	plan *Plan
 	n    int // executed lanes
@@ -297,58 +291,28 @@ type BatchResult struct {
 	cov       []float64 // nCov*n, clique-entry-major
 }
 
-// Window copies one lane's posterior out as a standalone Result (the
-// returned slices are freshly allocated and safe to retain).
-func (r *BatchResult) Window(lane int) Result {
-	if lane < 0 || lane >= r.n {
-		panic(fmt.Sprintf("graph: Window(%d) of a %d-window result", lane, r.n))
-	}
-	nv := r.plan.nv
-	res := Result{
-		Mean:      make([]float64, nv),
-		Std:       make([]float64, nv),
-		Iters:     r.Iters[lane],
-		Converged: r.Converged[lane],
-		plan:      r.plan,
-	}
-	for i := 0; i < nv; i++ {
-		res.Mean[i] = r.Mean[i*r.n+lane]
-		res.Std[i] = r.Std[i*r.n+lane]
-	}
-	if r.cov != nil {
-		res.cov = make([]float64, r.plan.nCov)
-		for e := 0; e < r.plan.nCov; e++ {
-			res.cov[e] = r.cov[e*r.n+lane]
-		}
-	}
-	return res
-}
-
-// Execute infers the first n lanes of the batch. Every lane is solved in
-// closed form by one walk of the compiled elimination schedule (solve.go)
-// and reports one converged iteration. Lanes whose factorization is not
-// certified run damped Gaussian message passing instead, walking the
+// ExecuteInto infers the first n lanes of the batch. Every lane is solved
+// in closed form by one walk of the compiled elimination schedule
+// (solve.go) and reports one converged iteration. Lanes whose factorization
+// is not certified run damped Gaussian message passing instead, walking the
 // message schedule once per sweep; each converges (and freezes)
-// independently against the same per-window criterion as Graph.Infer,
-// within maxIter sweeps to tol. Either way lane posteriors do not depend on
-// n or on which other windows share the batch.
+// independently once the largest change in any of its posterior means
+// (relative to the lane's problem scale) drops below tol, or after maxIter
+// sweeps. Unobserved events are inferred purely from the invariants (with
+// a weak zero-mean prior keeping their marginals proper). Either way lane
+// posteriors do not depend on n or on which other windows share the batch.
 //
-//bayesperf:hotpath
-func (b *Batch) Execute(n, maxIter int, tol float64) *BatchResult {
-	return b.ExecuteInto(nil, n, maxIter, tol)
-}
-
-// ExecuteInto is Execute writing its output into res's slabs, reallocating
-// only when a capacity is short — the steady state of a long-lived caller
-// (the streaming workers) allocates nothing here. A nil res allocates a
-// fresh result. The returned value is res (or the fresh result) and is
-// only valid until the next ExecuteInto call that reuses it; callers that
-// retain a lane's posterior copy it out first (Window does).
+// The output goes into res's slabs, reallocated only when a capacity is
+// short — the steady state of a long-lived caller (the streaming workers)
+// allocates nothing here. A nil res allocates a fresh result. The returned
+// value is res (or the fresh result) and is only valid until the next
+// ExecuteInto call that reuses it; callers that retain a lane's posterior
+// copy it out first.
 //
 //bayesperf:hotpath
 func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *BatchResult {
 	if n < 1 || n > b.lanes {
-		panic(fmt.Sprintf("graph: Execute of %d lanes on a %d-lane batch", n, b.lanes))
+		panic(fmt.Sprintf("graph: ExecuteInto of %d lanes on a %d-lane batch", n, b.lanes))
 	}
 	p := b.plan
 	nv, B := p.nv, b.lanes
@@ -589,7 +553,7 @@ func sized[T any](s []T, n int) []T {
 // NewResult returns a result with room for every lane of the batch, and
 // for its clique covariances once EnableCovariance is on, and readies the
 // batch's solve scratch: ExecuteInto on it allocates nothing from the
-// first Execute on.
+// first call on.
 func (b *Batch) NewResult() *BatchResult {
 	b.ensureSolveScratch()
 	p := b.plan

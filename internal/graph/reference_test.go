@@ -11,10 +11,10 @@ import (
 
 // This file freezes the pre-compilation message-passing implementation
 // (the per-window, slice-of-slices loop that shipped before the
-// compile/execute refactor) verbatim, as the bit-exactness oracle: the
-// legacy Build/Observe/Infer wrapper — and therefore every lane of a
-// compiled batch — must reproduce its posteriors bit for bit on every
-// catalog, observed subset, and inference budget.
+// compile/execute refactor) verbatim, as the bit-exactness oracle: a
+// one-lane batch — and therefore every lane of a wider batch — must
+// reproduce its posteriors bit for bit on every catalog, observed subset,
+// and inference budget.
 
 type refObservation struct {
 	mean float64
@@ -41,8 +41,15 @@ func (g *refGraph) observe(id uarch.EventID, mean, std float64) {
 	g.observed[id] = true
 }
 
+// refResult is the legacy single-window posterior.
+type refResult struct {
+	Mean, Std []float64
+	Iters     int
+	Converged bool
+}
+
 // refInfer is the legacy Infer, byte-for-byte in its arithmetic.
-func (g *refGraph) refInfer(maxIter int, tol float64) Result {
+func (g *refGraph) refInfer(maxIter int, tol float64) refResult {
 	nv := g.cat.NumEvents()
 	rels := g.cat.Rels
 
@@ -131,7 +138,7 @@ func (g *refGraph) refInfer(maxIter int, tol float64) Result {
 		iters = maxIter
 	}
 
-	res := Result{
+	res := refResult{
 		Mean:      make([]float64, nv),
 		Std:       make([]float64, nv),
 		Iters:     iters,
@@ -179,8 +186,8 @@ func observeRound(cat *uarch.Catalog, r *rng.Rand, observe func(id uarch.EventID
 }
 
 // TestInferBitIdenticalToReference pins the message-passing schedule: with
-// the direct solver switched off, the B=1 plan wrapper reproduces the
-// legacy implementation's posteriors bit for bit — Mean, Std, Iters and
+// the direct solver switched off, a one-lane batch reproduces the legacy
+// implementation's posteriors bit for bit — Mean, Std, Iters and
 // Converged — on both builder catalogs and both shipped JSON catalogs,
 // across observed subsets and inference budgets (including budgets too
 // small to converge). TestFallbackBitIdenticalToReference pins the same
@@ -188,14 +195,14 @@ func observeRound(cat *uarch.Catalog, r *rng.Rand, observe func(id uarch.EventID
 func TestInferBitIdenticalToReference(t *testing.T) {
 	forceMessagePassing(t)
 	for _, cat := range identityCatalogs(t) {
-		g := Build(cat)
+		g := solo(cat)
 		for round := 0; round < 4; round++ {
 			r := rng.New(uint64(100*round) + 7)
 			ref := refBuild(cat)
 			g.ClearObservations()
 			observeRound(cat, r, func(id uarch.EventID, mean, std float64) {
 				ref.observe(id, mean, std)
-				g.Observe(id, mean, std)
+				g.Observe(0, id, mean, std)
 			})
 			maxIter, tol := 200, 1e-9
 			if round == 2 {
@@ -205,10 +212,10 @@ func TestInferBitIdenticalToReference(t *testing.T) {
 				tol = 1e-4
 			}
 			want := ref.refInfer(maxIter, tol)
-			got := g.Infer(maxIter, tol)
-			if got.Iters != want.Iters || got.Converged != want.Converged {
+			got := g.ExecuteInto(nil, 1, maxIter, tol)
+			if got.Iters[0] != want.Iters || got.Converged[0] != want.Converged {
 				t.Fatalf("%s round %d: iteration trace (%d, %v) vs reference (%d, %v)",
-					cat.Arch, round, got.Iters, got.Converged, want.Iters, want.Converged)
+					cat.Arch, round, got.Iters[0], got.Converged[0], want.Iters, want.Converged)
 			}
 			for id := range want.Mean {
 				if got.Mean[id] != want.Mean[id] || got.Std[id] != want.Std[id] {
@@ -222,19 +229,22 @@ func TestInferBitIdenticalToReference(t *testing.T) {
 }
 
 // TestExecuteLaneInvariance is the batching contract: a window's posterior
-// is bit-identical whether it runs through the one-lane wrapper or packed
-// into any lane of any wider batch, including partially filled ones. Every
-// third window leaves a whole relation unobserved, so batches mix windows
-// the direct solver certifies with windows that fall back to message
-// passing, and neither kind may perturb the other.
+// is bit-identical whether it runs alone in a one-lane batch or packed into
+// any lane of any wider batch, including partially filled ones — Mean,
+// Std, Iters, Converged, every clique covariance entry, and BatchResult.Corr
+// for every event pair (pairs sharing no clique included). Every third
+// window leaves a whole relation unobserved, so batches mix windows the
+// direct solver certifies with windows that fall back to message passing,
+// and neither kind may perturb the other.
 func TestExecuteLaneInvariance(t *testing.T) {
 	for _, cat := range identityCatalogs(t) {
 		plan := Compile(cat)
+		nv := cat.NumEvents()
 		const windows = 13
 		jobs := make([][]obsEntry, windows)
-		solo := make([]Result, windows)
-		soloSolved := make([]bool, windows)
-		g := Build(cat)
+		alone := make([]*BatchResult, windows)
+		aloneSolved := make([]bool, windows)
+		g := solo(cat)
 		for w := 0; w < windows; w++ {
 			r := rng.New(uint64(w)*31 + 5)
 			observeRound(cat, r, func(id uarch.EventID, mean, std float64) {
@@ -249,14 +259,15 @@ func TestExecuteLaneInvariance(t *testing.T) {
 			}
 			g.ClearObservations()
 			for _, o := range jobs[w] {
-				g.Observe(o.id, o.mean, o.std)
+				g.Observe(0, o.id, o.mean, o.std)
 			}
-			solo[w] = g.Infer(200, 1e-9)
-			soloSolved[w] = g.batch.solved[0]
+			alone[w] = g.ExecuteInto(nil, 1, 200, 1e-9)
+			aloneSolved[w] = g.solved[0]
 		}
+		coupled := 0
 		for _, lanes := range []int{2, 5, 64} {
 			batch := plan.NewBatch(lanes)
-			batch.EnableCovariance() // solo Results carry cov; compare it too
+			batch.EnableCovariance()
 			mixed := false
 			for start := 0; start < windows; start += lanes {
 				n := windows - start
@@ -269,35 +280,48 @@ func TestExecuteLaneInvariance(t *testing.T) {
 						batch.Observe(lane, o.id, o.mean, o.std)
 					}
 				}
-				res := batch.Execute(n, 200, 1e-9)
+				res := batch.ExecuteInto(nil, n, 200, 1e-9)
 				if batch.nSolved > 0 && batch.nSolved < n {
 					mixed = true
 				}
 				for lane := 0; lane < n; lane++ {
-					if batch.solved[lane] != soloSolved[start+lane] {
+					w := start + lane
+					want := alone[w]
+					if batch.solved[lane] != aloneSolved[w] {
 						t.Fatalf("%s lanes=%d window %d: solved=%v in the batch, %v alone",
-							cat.Arch, lanes, start+lane, batch.solved[lane], soloSolved[start+lane])
+							cat.Arch, lanes, w, batch.solved[lane], aloneSolved[w])
 					}
-					got := res.Window(lane)
-					want := solo[start+lane]
-					if got.Iters != want.Iters || got.Converged != want.Converged {
-						t.Fatalf("%s lanes=%d window %d: iteration trace (%d, %v) vs solo (%d, %v)",
-							cat.Arch, lanes, start+lane, got.Iters, got.Converged, want.Iters, want.Converged)
+					if res.Iters[lane] != want.Iters[0] || res.Converged[lane] != want.Converged[0] {
+						t.Fatalf("%s lanes=%d window %d: iteration trace (%d, %v) vs alone (%d, %v)",
+							cat.Arch, lanes, w, res.Iters[lane], res.Converged[lane], want.Iters[0], want.Converged[0])
 					}
-					for id := range want.Mean {
-						if got.Mean[id] != want.Mean[id] || got.Std[id] != want.Std[id] {
+					for id := 0; id < nv; id++ {
+						gm, gs := res.Mean[id*n+lane], res.Std[id*n+lane]
+						if gm != want.Mean[id] || gs != want.Std[id] {
 							t.Fatalf("%s lanes=%d window %d event %d: mean %v vs %v, std %v vs %v",
-								cat.Arch, lanes, start+lane, id,
-								got.Mean[id], want.Mean[id], got.Std[id], want.Std[id])
+								cat.Arch, lanes, w, id, gm, want.Mean[id], gs, want.Std[id])
 						}
 					}
 					for ri := range cat.Rels {
 						for _, ta := range cat.Rels[ri].Terms {
 							for _, tb := range cat.Rels[ri].Terms {
-								if got.Cov(ta.Event, tb.Event) != want.Cov(ta.Event, tb.Event) {
+								if laneCov(res, lane, ta.Event, tb.Event) != laneCov(want, 0, ta.Event, tb.Event) {
 									t.Fatalf("%s lanes=%d window %d: clique cov (%d,%d) diverged",
-										cat.Arch, lanes, start+lane, ta.Event, tb.Event)
+										cat.Arch, lanes, w, ta.Event, tb.Event)
 								}
+							}
+						}
+					}
+					for i := 0; i < nv; i++ {
+						for j := 0; j < nv; j++ {
+							a, b := uarch.EventID(i), uarch.EventID(j)
+							got, exp := res.Corr(lane, a, b), want.Corr(0, a, b)
+							if math.Float64bits(got) != math.Float64bits(exp) {
+								t.Fatalf("%s lanes=%d window %d: Corr(%d,%d) = %v, alone %v",
+									cat.Arch, lanes, w, i, j, got, exp)
+							}
+							if got != 0 && i != j {
+								coupled++
 							}
 						}
 					}
@@ -306,6 +330,9 @@ func TestExecuteLaneInvariance(t *testing.T) {
 			if !mixed {
 				t.Fatalf("%s lanes=%d: no batch mixed certified and fallback windows", cat.Arch, lanes)
 			}
+		}
+		if coupled == 0 {
+			t.Fatalf("%s: no coupled pair had a nonzero correlation", cat.Arch)
 		}
 	}
 }

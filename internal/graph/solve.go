@@ -17,7 +17,7 @@
 //
 // The selected inverse yields Λ⁻¹ on L's pattern, which contains every
 // relation clique, so the marginal variances and the clique covariances
-// behind Result.Cov/Corr are exact. Loopy message passing converges to the
+// behind BatchResult.Corr are exact. Loopy message passing converges to the
 // same means but not to the same variances.
 //
 // A window whose factorization loses more than eight digits to
@@ -43,7 +43,7 @@ import (
 // eight digits to cancellation, and its lane falls back to message passing.
 const certifyTol = 1e-8
 
-// directSolveEnabled gates the closed-form kernel behind Execute. It is
+// directSolveEnabled gates the closed-form kernel behind ExecuteInto. It is
 // always true in the program; tests clear it to pin the message-passing
 // schedule against its frozen reference.
 var directSolveEnabled = true

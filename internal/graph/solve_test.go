@@ -18,12 +18,13 @@ func forceMessagePassing(t *testing.T) {
 	t.Cleanup(func() { directSolveEnabled = saved })
 }
 
-// executeMessagePassing runs one Execute on the message-passing schedule.
+// executeMessagePassing runs one ExecuteInto on the message-passing
+// schedule.
 func executeMessagePassing(b *Batch, n, maxIter int, tol float64) *BatchResult {
 	saved := directSolveEnabled
 	directSolveEnabled = false
 	defer func() { directSolveEnabled = saved }()
-	return b.Execute(n, maxIter, tol)
+	return b.ExecuteInto(nil, n, maxIter, tol)
 }
 
 // obsEntry is one observation of a test window.
@@ -82,7 +83,7 @@ type oracleWindow struct {
 	cov       [][]float64
 }
 
-// denseOracle solves one lane of the batch's last Execute independently of
+// denseOracle solves one lane of the batch's last ExecuteInto independently of
 // the compiled schedule: it assembles the scaled Λ and h as plain
 // [][]float64 from the batch's unary and relation-noise slabs, inverts Λ by
 // Gauss-Jordan elimination with partial pivoting, and rescales.
@@ -147,7 +148,7 @@ const directOracleTol = 1e-9
 func checkAgainstOracle(t *testing.T, label string, b *Batch, res *BatchResult, lane int) float64 {
 	t.Helper()
 	want := denseOracle(b, lane)
-	got := res.Window(lane)
+	n := res.n
 	worst := 0.0
 	note := func(what string, dev float64) {
 		t.Helper()
@@ -158,13 +159,13 @@ func checkAgainstOracle(t *testing.T, label string, b *Batch, res *BatchResult, 
 	}
 	cat := b.plan.cat
 	for i := range want.mean {
-		note(cat.Events[i].Name+" mean", math.Abs(got.Mean[i]-want.mean[i])/math.Max(math.Abs(want.mean[i]), 1))
-		note(cat.Events[i].Name+" std", math.Abs(got.Std[i]-want.std[i])/want.std[i])
+		note(cat.Events[i].Name+" mean", math.Abs(res.Mean[i*n+lane]-want.mean[i])/math.Max(math.Abs(want.mean[i]), 1))
+		note(cat.Events[i].Name+" std", math.Abs(res.Std[i*n+lane]-want.std[i])/want.std[i])
 	}
 	for _, r := range cat.Rels {
 		for _, ta := range r.Terms {
 			for _, tb := range r.Terms {
-				dev := math.Abs(got.Cov(ta.Event, tb.Event)-want.cov[ta.Event][tb.Event]) /
+				dev := math.Abs(laneCov(res, lane, ta.Event, tb.Event)-want.cov[ta.Event][tb.Event]) /
 					(want.std[ta.Event] * want.std[tb.Event])
 				note("clique covariance "+cat.Events[ta.Event].Name+"/"+cat.Events[tb.Event].Name, dev)
 			}
@@ -194,7 +195,7 @@ func TestDirectSolveMatchesDenseOracle(t *testing.T) {
 			n := len(chunk)
 			observeLanes(solver, chunk)
 			observeLanes(bp, chunk)
-			res := solver.Execute(n, 200, 1e-9)
+			res := solver.ExecuteInto(nil, n, 200, 1e-9)
 			ref := executeMessagePassing(bp, n, 200, 1e-9)
 			for lane := 0; lane < n; lane++ {
 				if !solver.solved[lane] {
@@ -225,7 +226,7 @@ func TestDirectSolveMatchesDenseOracle(t *testing.T) {
 					solver.Observe(lane, id, mean, std)
 				})
 			}
-			res := solver.Execute(lanes, 200, 1e-9)
+			res := solver.ExecuteInto(nil, lanes, 200, 1e-9)
 			for lane := 0; lane < lanes; lane++ {
 				if !solver.solved[lane] {
 					fellBack++
@@ -266,16 +267,16 @@ func unobservedCases(cat *uarch.Catalog) (names []string, drops [][]uarch.EventI
 func TestPartialObservationFinite(t *testing.T) {
 	for _, cat := range identityCatalogs(t) {
 		base := truthWindows(cat, 1, 41)[0]
-		g := Build(cat)
+		g := solo(cat)
 		names, drops := unobservedCases(cat)
 		fellBack := 0
 		for ci, drop := range drops {
 			g.ClearObservations()
 			for _, o := range without(base, drop...) {
-				g.Observe(o.id, o.mean, o.std)
+				g.Observe(0, o.id, o.mean, o.std)
 			}
-			res := g.Infer(200, 1e-9)
-			if !g.batch.solved[0] {
+			res := g.ExecuteInto(nil, 1, 200, 1e-9)
+			if !g.solved[0] {
 				fellBack++
 			}
 			for id := range res.Mean {
@@ -288,7 +289,7 @@ func TestPartialObservationFinite(t *testing.T) {
 			for _, r := range cat.Rels {
 				for _, ta := range r.Terms {
 					for _, tb := range r.Terms {
-						if c := res.Corr(ta.Event, tb.Event); math.IsNaN(c) || c < -1 || c > 1 {
+						if c := res.Corr(0, ta.Event, tb.Event); math.IsNaN(c) || c < -1 || c > 1 {
 							t.Fatalf("%s %s: Corr(%d,%d) = %v", cat.Arch, names[ci], ta.Event, tb.Event, c)
 						}
 					}
@@ -308,7 +309,7 @@ func TestPartialObservationFinite(t *testing.T) {
 func TestFallbackBitIdenticalToReference(t *testing.T) {
 	for _, cat := range identityCatalogs(t) {
 		base := truthWindows(cat, 1, 43)[0]
-		g := Build(cat)
+		g := solo(cat)
 		_, drops := unobservedCases(cat)
 		compared := 0
 		for _, drop := range drops {
@@ -316,17 +317,17 @@ func TestFallbackBitIdenticalToReference(t *testing.T) {
 			g.ClearObservations()
 			for _, o := range without(base, drop...) {
 				ref.observe(o.id, o.mean, o.std)
-				g.Observe(o.id, o.mean, o.std)
+				g.Observe(0, o.id, o.mean, o.std)
 			}
-			got := g.Infer(200, 1e-9)
-			if g.batch.solved[0] {
+			got := g.ExecuteInto(nil, 1, 200, 1e-9)
+			if g.solved[0] {
 				continue
 			}
 			compared++
 			want := ref.refInfer(200, 1e-9)
-			if got.Iters != want.Iters || got.Converged != want.Converged {
+			if got.Iters[0] != want.Iters || got.Converged[0] != want.Converged {
 				t.Fatalf("%s: iteration trace (%d, %v) vs reference (%d, %v)",
-					cat.Arch, got.Iters, got.Converged, want.Iters, want.Converged)
+					cat.Arch, got.Iters[0], got.Converged[0], want.Iters, want.Converged)
 			}
 			for id := range want.Mean {
 				if got.Mean[id] != want.Mean[id] || got.Std[id] != want.Std[id] {
@@ -357,13 +358,13 @@ func TestScaleEquivariance(t *testing.T) {
 		for _, drop := range drops {
 			cases = append(cases, without(base, drop...))
 		}
-		g := Build(cat)
-		infer := func(win []obsEntry, k float64) (Result, bool) {
+		g := solo(cat)
+		infer := func(win []obsEntry, k float64) (*BatchResult, bool) {
 			g.ClearObservations()
 			for _, o := range win {
-				g.Observe(o.id, k*o.mean, k*o.std)
+				g.Observe(0, o.id, k*o.mean, k*o.std)
 			}
-			return g.Infer(200, 1e-9), g.batch.solved[0]
+			return g.ExecuteInto(nil, 1, 200, 1e-9), g.solved[0]
 		}
 		for ci, win := range cases {
 			largest := 0.0
@@ -381,9 +382,9 @@ func TestScaleEquivariance(t *testing.T) {
 						cat.Arch, ci, largest, k)
 				}
 				got, gotSolved := infer(win, k)
-				if gotSolved != solved || got.Iters != want.Iters || got.Converged != want.Converged {
+				if gotSolved != solved || got.Iters[0] != want.Iters[0] || got.Converged[0] != want.Converged[0] {
 					t.Fatalf("%s case %d ×%v: (solved, iters, converged) = (%v, %d, %v), unscaled (%v, %d, %v)",
-						cat.Arch, ci, k, gotSolved, got.Iters, got.Converged, solved, want.Iters, want.Converged)
+						cat.Arch, ci, k, gotSolved, got.Iters[0], got.Converged[0], solved, want.Iters[0], want.Converged[0])
 				}
 				for id := range want.Mean {
 					if got.Mean[id] != k*want.Mean[id] || got.Std[id] != k*want.Std[id] {
@@ -394,7 +395,7 @@ func TestScaleEquivariance(t *testing.T) {
 				for _, r := range cat.Rels {
 					for _, ta := range r.Terms {
 						for _, tb := range r.Terms {
-							if c, w := got.Cov(ta.Event, tb.Event), k*k*want.Cov(ta.Event, tb.Event); c != w {
+							if c, w := laneCov(got, 0, ta.Event, tb.Event), k*k*laneCov(want, 0, ta.Event, tb.Event); c != w {
 								t.Fatalf("%s case %d ×%v: clique cov (%d,%d) = %v, want %v",
 									cat.Arch, ci, k, ta.Event, tb.Event, c, w)
 							}

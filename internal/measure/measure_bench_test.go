@@ -7,44 +7,6 @@ import (
 	"bayesperf/internal/uarch"
 )
 
-// BenchmarkMultiplex tracks the batch measurement hot path: one full
-// multiplexed run (group scheduling, per-interval sampling, Student-t std
-// estimation) over the default three-phase workload.
-func BenchmarkMultiplex(b *testing.B) {
-	cat := uarch.Skylake()
-	tr := GroundTruth(cat, DefaultWorkload(200), rng.New(1))
-	cfg := DefaultMuxConfig()
-	r := rng.New(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := Multiplex(tr, cfg, r)
-		if res.Est[0].Std <= 0 {
-			b.Fatal("degenerate estimate")
-		}
-	}
-}
-
-// BenchmarkMultiplexGumbel measures the added cost of CounterMiner-style
-// outlier rejection on the same run.
-func BenchmarkMultiplexGumbel(b *testing.B) {
-	cat := uarch.Skylake()
-	tr := GroundTruth(cat, DefaultWorkload(200), rng.New(1))
-	cfg := DefaultMuxConfig()
-	cfg.OutlierProb = 0.02
-	cfg.OutlierMag = 8
-	cfg.GumbelReject = true
-	r := rng.New(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := Multiplex(tr, cfg, r)
-		if res.Est[0].Std <= 0 {
-			b.Fatal("degenerate estimate")
-		}
-	}
-}
-
 // BenchmarkGroundTruth tracks trace generation: a 15,000-interval Skylake
 // trace, the size of one benchmark session.
 func BenchmarkGroundTruth(b *testing.B) {

@@ -255,16 +255,34 @@ func TestCanScheduleRejectsConflicts(t *testing.T) {
 	}
 }
 
+// multiplexRun simulates one whole multiplexed run the way
+// pkg/bayesperf.Session.RunBatch consumes it: a round-robin Sampler over the
+// trace, then one §4.2 estimate per event from its counted readings.
+func multiplexRun(tr *Trace, cfg MuxConfig, r *rng.Rand) []Sample {
+	smp := NewSampler(tr, cfg, NewRoundRobin(tr.Cat), r)
+	xss := make([][]float64, tr.Cat.NumEvents())
+	for {
+		s, ok := smp.Next()
+		if !ok {
+			break
+		}
+		for i, id := range s.Events {
+			xss[id] = append(xss[id], s.Values[i])
+		}
+	}
+	return EstimateSamples(xss, tr.Intervals(), cfg)
+}
+
 func TestMultiplexEstimates(t *testing.T) {
 	for _, cat := range uarch.Catalogs() {
 		r := rng.New(7)
 		tr := GroundTruth(cat, DefaultWorkload(60), r.Split())
-		mux := Multiplex(tr, DefaultMuxConfig(), r.Split())
+		ests := multiplexRun(tr, DefaultMuxConfig(), r.Split())
 		truth := tr.Totals()
 		intervals := tr.Intervals()
 
 		var rawErr stats.Running
-		for id, est := range mux.Est {
+		for id, est := range ests {
 			ev := cat.Event(uarch.EventID(id))
 			if est.Std <= 0 || math.IsNaN(est.Std) {
 				t.Errorf("%s: %s std = %g", cat.Arch, ev.Name, est.Std)
@@ -307,12 +325,11 @@ func TestMultiplexShortRun(t *testing.T) {
 		BaseCPI: 0.4, Jitter: 0.05,
 	}}}
 	tr := GroundTruth(cat, wl, rng.New(2))
-	mux := Multiplex(tr, DefaultMuxConfig(), rng.New(3))
-	if len(mux.Groups) <= 3 {
-		t.Skipf("need more groups than intervals to exercise the path (got %d)", len(mux.Groups))
+	if groups := len(NewRoundRobin(cat).Groups()); groups <= 3 {
+		t.Skipf("need more groups than intervals to exercise the path (got %d)", groups)
 	}
 	sawUncounted := false
-	for id, est := range mux.Est {
+	for id, est := range multiplexRun(tr, DefaultMuxConfig(), rng.New(3)) {
 		if math.IsNaN(est.Std) || math.IsNaN(est.Total) {
 			t.Errorf("event %d has NaN estimate %+v", id, est)
 		}
@@ -325,45 +342,6 @@ func TestMultiplexShortRun(t *testing.T) {
 	}
 	if !sawUncounted {
 		t.Error("3-interval run with 4 groups produced no uncounted events")
-	}
-}
-
-// TestMultiplexCorruptedSeries: corrupted readings (NaN or Inf) are
-// dropped at collection regardless of the Gumbel switch. An event whose
-// every reading is corrupted comes back with no estimate (N=0, the
-// never-counted convention) instead of panicking in the extrapolation or
-// shipping NaN totals downstream; a single corrupted reading merely costs
-// one sample.
-func TestMultiplexCorruptedSeries(t *testing.T) {
-	for _, reject := range []bool{false, true} {
-		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-			cat := uarch.Skylake()
-			tr := GroundTruth(cat, DefaultWorkload(40), rng.New(1))
-			allBad := cat.MustEvent("MEM_INST_RETIRED.ALL_LOADS")
-			for ti := range tr.Series[allBad] {
-				tr.Series[allBad][ti] = bad
-			}
-			oneBad := cat.MustEvent("MEM_INST_RETIRED.ALL_STORES")
-			tr.Series[oneBad][7] = bad
-
-			cfg := DefaultMuxConfig()
-			cfg.GumbelReject = reject
-			res := Multiplex(tr, cfg, rng.New(3))
-			if est := res.Est[allBad]; est.N != 0 {
-				t.Errorf("reject=%v bad=%v: fully corrupted event has N=%d, want 0", reject, bad, est.N)
-			}
-			// Every estimate that exists is finite and usable.
-			for id, est := range res.Est {
-				if est.N == 0 {
-					continue
-				}
-				if math.IsNaN(est.Total) || math.IsInf(est.Total, 0) ||
-					math.IsNaN(est.Std) || math.IsInf(est.Std, 0) || est.Std <= 0 {
-					t.Errorf("reject=%v bad=%v: event %d estimate poisoned: total=%v std=%v",
-						reject, bad, id, est.Total, est.Std)
-				}
-			}
-		}
 	}
 }
 
@@ -394,10 +372,10 @@ func TestMuxConfigValidate(t *testing.T) {
 func TestMultiplexDeterminism(t *testing.T) {
 	cat := uarch.Skylake()
 	tr := GroundTruth(cat, DefaultWorkload(30), rng.New(5))
-	a := Multiplex(tr, DefaultMuxConfig(), rng.New(9))
-	b := Multiplex(tr, DefaultMuxConfig(), rng.New(9))
-	for id := range a.Est {
-		if a.Est[id] != b.Est[id] {
+	a := multiplexRun(tr, DefaultMuxConfig(), rng.New(9))
+	b := multiplexRun(tr, DefaultMuxConfig(), rng.New(9))
+	for id := range a {
+		if a[id] != b[id] {
 			t.Fatalf("estimates diverged for event %d", id)
 		}
 	}
@@ -416,23 +394,23 @@ func TestGumbelRejectionReducesError(t *testing.T) {
 		cfg.OutlierProb = 0.02
 		cfg.OutlierMag = 8
 
-		plain := Multiplex(tr, cfg, rng.New(17))
+		plain := multiplexRun(tr, cfg, rng.New(17))
 		cfg.GumbelReject = true
-		filtered := Multiplex(tr, cfg, rng.New(17))
+		filtered := multiplexRun(tr, cfg, rng.New(17))
 
 		var plainErr, filteredErr stats.Running
 		sawRejection := false
 		for id := range truth {
-			plainErr.Add(stats.RelErr(plain.Est[id].Total, truth[id], 1))
-			filteredErr.Add(stats.RelErr(filtered.Est[id].Total, truth[id], 1))
-			if plain.Est[id].Rejected != 0 {
+			plainErr.Add(stats.RelErr(plain[id].Total, truth[id], 1))
+			filteredErr.Add(stats.RelErr(filtered[id].Total, truth[id], 1))
+			if plain[id].Rejected != 0 {
 				t.Errorf("%s: rejection reported with GumbelReject off", cat.Arch)
 			}
-			if filtered.Est[id].Rejected > 0 {
+			if filtered[id].Rejected > 0 {
 				sawRejection = true
 			}
 			// Coverage bookkeeping counts counted intervals, not kept ones.
-			if filtered.Est[id].N != plain.Est[id].N {
+			if filtered[id].N != plain[id].N {
 				t.Errorf("%s: event %d counted-interval count changed under rejection", cat.Arch, id)
 			}
 		}
@@ -446,10 +424,10 @@ func TestGumbelRejectionReducesError(t *testing.T) {
 	}
 }
 
-// TestSamplerMatchesMultiplexLiveness: the streaming sampler under a
-// round-robin scheduler must reproduce exactly the liveness pattern the
-// batch simulator uses (group g live at t ≡ g mod numGroups), with fixed
-// events present in every interval.
+// TestSamplerMatchesMultiplexLiveness: the sampler under a round-robin
+// scheduler must reproduce exactly perf's multiplexing liveness pattern
+// (group g live at t ≡ g mod numGroups), with fixed events present in every
+// interval.
 func TestSamplerMatchesMultiplexLiveness(t *testing.T) {
 	cat := uarch.Skylake()
 	tr := GroundTruth(cat, DefaultWorkload(20), rng.New(3))

@@ -5,12 +5,13 @@ import (
 	"math"
 	"math/bits"
 
-	"bayesperf/internal/rng"
 	"bayesperf/internal/stats"
 	"bayesperf/internal/uarch"
 )
 
-// MuxConfig controls the multiplexing simulator.
+// MuxConfig is the multiplexed-measurement observation model: the noise
+// and injected outliers a Sampler applies to the readings it delivers, and
+// the outlier filter and std floor the §4.2 estimators apply to them.
 type MuxConfig struct {
 	// NoiseFrac is the relative std of the per-interval measurement noise
 	// (OS jitter, interrupt skid) applied to every counted value.
@@ -102,25 +103,6 @@ type Sample struct {
 	// Rejected counts samples dropped by the Gumbel outlier filter
 	// (always 0 unless MuxConfig.GumbelReject).
 	Rejected int
-}
-
-// MuxResult is the output of one simulated multiplexed run.
-type MuxResult struct {
-	// Groups are the round-robin event groups; group g is live during
-	// intervals t with t ≡ g (mod len(Groups)). Fixed events are live in
-	// every interval and appear in no group.
-	Groups [][]uarch.EventID
-	// Est holds the per-event estimate, indexed by EventID.
-	Est []Sample
-}
-
-// Coverage returns the fraction of intervals during which the event was
-// counted.
-func (m *MuxResult) Coverage(id uarch.EventID, intervals int) float64 {
-	if intervals == 0 {
-		return 0
-	}
-	return float64(m.Est[id].N) / float64(intervals)
 }
 
 // canSchedule reports whether the event set can run concurrently on the
@@ -229,7 +211,7 @@ func extrapolationStd(xs []float64, intervals int) float64 {
 // TObsStd converts a per-interval sample spread into the §4.2 Student-t
 // observation std of the inverse-coverage extrapolated total:
 // std = (spread/√n) · √(ν/(ν−2)) · intervals with ν = n−1. It is shared by
-// the whole-run simulator and the stream layer's sliding windows so both
+// the whole-run estimator and the stream layer's sliding windows so both
 // observation models agree. n must be ≥ 2 (a single sample has no spread).
 func TObsStd(spread float64, n, intervals int) float64 {
 	nu := float64(n - 1)
@@ -241,90 +223,33 @@ func TObsStd(spread float64, n, intervals int) float64 {
 }
 
 // EstimateSamples is the batch surface over EstimateSample: one §4.2
-// estimate per event from that event's counted readings, in EventID order.
-// It exists so whole-run consumers (pkg/bayesperf.Session.RunBatch) and
-// the simulator share a single call producing the full observation vector
-// the factor graph is observed from.
+// estimate per event from that event's counted readings, in EventID order —
+// the full observation vector a whole-run consumer
+// (pkg/bayesperf.Session.RunBatch) observes the factor graph from.
 func EstimateSamples(xss [][]float64, intervals int, cfg MuxConfig) []Sample {
 	out := make([]Sample, len(xss))
 	gumbel := cfg.RejectThreshold()
 	for id, xs := range xss {
-		out[id] = estimateSample(xs, nil, intervals, cfg, gumbel)
+		out[id] = estimateSample(xs, intervals, cfg, gumbel)
 	}
 	return out
-}
-
-// Multiplex simulates one multiplexed run over the ground-truth trace:
-// fixed events are counted in every interval; programmable events are
-// round-robin scheduled in groups and only counted in their group's
-// intervals; every counted value carries relative measurement noise. Each
-// event's whole-run total is then extrapolated by inverse coverage (the
-// linear scaling perf applies), and its observation std follows the paper's
-// §4.2 Student-t model: std = (S/√N) · √(ν/(ν−2)) · intervals, ν = N−1.
-func Multiplex(tr *Trace, cfg MuxConfig, r *rng.Rand) *MuxResult {
-	cat := tr.Cat
-	groups := scheduleGroups(cat)
-	intervals := tr.Intervals()
-	res := &MuxResult{Groups: groups, Est: make([]Sample, cat.NumEvents())}
-
-	// groupOf[id] = index of the event's group, -1 for fixed events.
-	groupOf := make([]int, cat.NumEvents())
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for gi, g := range groups {
-		for _, id := range g {
-			groupOf[id] = gi
-		}
-	}
-
-	numGroups := len(groups)
-	gumbel := cfg.RejectThreshold()
-	for id := 0; id < cat.NumEvents(); id++ {
-		gi := groupOf[id]
-		var xs []float64
-		for t := 0; t < intervals; t++ {
-			if gi >= 0 && numGroups > 0 && t%numGroups != gi {
-				continue // counter not live for this event
-			}
-			truth := tr.Series[id][t]
-			noisy := truth * (1 + r.Gaussian(0, cfg.NoiseFrac))
-			if noisy < 0 {
-				noisy = 0
-			}
-			if cfg.OutlierProb > 0 && r.Float64() < cfg.OutlierProb {
-				noisy *= 1 + cfg.OutlierMag
-			}
-			if math.IsNaN(noisy) || math.IsInf(noisy, 0) {
-				// Corrupted reading (mirrors the stream layer's ingestion
-				// guard): drop it regardless of the Gumbel switch — one
-				// NaN would otherwise poison the whole estimate.
-				continue
-			}
-			xs = append(xs, noisy)
-		}
-		res.Est[id] = estimateSample(xs, xs[:0], intervals, cfg, gumbel)
-	}
-	return res
 }
 
 // EstimateSample turns one event's counted per-interval readings into the
 // §4.2 whole-run estimate: Gumbel outlier rejection when configured,
 // inverse-coverage extrapolated total, and the Student-t observation std
-// (measurement-noise-only at full coverage). It is the single estimator
-// shared by the batch simulator (Multiplex) and any Source-draining batch
-// consumer (pkg/bayesperf.Session.RunBatch). xs must hold only finite
-// readings; an empty xs yields the zero Sample (never counted — callers
+// (measurement-noise-only at full coverage). Batch mode
+// (pkg/bayesperf.Session.RunBatch) estimates every event with it, through
+// EstimateSamples. xs must hold only finite readings and is never
+// modified; an empty xs yields the zero Sample (never counted — callers
 // must not observe it into the factor graph).
 func EstimateSample(xs []float64, intervals int, cfg MuxConfig) Sample {
-	return estimateSample(xs, nil, intervals, cfg, cfg.RejectThreshold())
+	return estimateSample(xs, intervals, cfg, cfg.RejectThreshold())
 }
 
 // estimateSample is EstimateSample with the Gumbel threshold computed once
-// by the caller for all of its events. The Gumbel filter's survivors go to
-// buf (see stats.GumbelThreshold.FilterMax): a caller that owns xs passes
-// xs[:0] to filter it in place; nil leaves xs untouched.
-func estimateSample(xs, buf []float64, intervals int, cfg MuxConfig, gumbel stats.GumbelThreshold) Sample {
+// by the caller for all of its events.
+func estimateSample(xs []float64, intervals int, cfg MuxConfig, gumbel stats.GumbelThreshold) Sample {
 	counted := len(xs)
 	if counted == 0 {
 		return Sample{}
@@ -333,7 +258,7 @@ func estimateSample(xs, buf []float64, intervals int, cfg MuxConfig, gumbel stat
 	if cfg.GumbelReject {
 		// xs holds only finite readings (corrupted ones were dropped at
 		// collection), so the filter always keeps at least one.
-		xs, rejected = gumbel.FilterMax(xs, buf)
+		xs, rejected = gumbel.FilterMax(xs, nil)
 	}
 	n := len(xs)
 	meanRate := stats.Mean(xs)

@@ -129,9 +129,6 @@ const hysteresis = 1.1
 // Moves returns how many slot moves the gradient descent has made.
 func (a *AdaptiveScheduler) Moves() int { return a.moves }
 
-// Slots returns a copy of the current per-group slot allocation.
-func (a *AdaptiveScheduler) Slots() []int { return append([]int(nil), a.slots...) }
-
 // Reprioritize updates the slot plan from posterior marginals (indexed by
 // EventID; ideally averaged over the last epoch's windows, see
 // stream.Engine.EpochPosterior). std is the posterior std; obsStd is the
@@ -298,7 +295,9 @@ type IntervalSample struct {
 // multiplexed PMU would deliver: each interval it asks the scheduler which
 // group owns the counters, reads fixed events plus that group with
 // measurement noise (and optional injected outliers), and emits an
-// IntervalSample. It is the streaming counterpart of Multiplex.
+// IntervalSample. It drives both run modes: the stream engine windows its
+// samples, and batch mode estimates whole-run totals from all of them
+// (EstimateSamples).
 type Sampler struct {
 	tr    *Trace
 	cfg   MuxConfig

@@ -1,14 +1,12 @@
 // Package rng provides the deterministic, high-throughput pseudo-random
 // number generators used throughout the BayesPerf reproduction.
 //
-// The BayesPerf accelerator (paper §5) relies on "high-throughput random
-// number generators" feeding its MCMC sampler pipelines. We model those with
-// xoshiro256**, a small-state generator with excellent statistical quality
-// and a few-ns step cost, seeded via splitmix64 so that any 64-bit seed
-// yields a well-mixed state. Every stochastic component in this repository
-// (workload generators, OS-noise injection, MCMC chains, RL exploration)
-// draws from an explicitly seeded *rng.Rand so experiments are reproducible
-// run-to-run.
+// The generator is xoshiro256**, a small-state generator with excellent
+// statistical quality and a few-ns step cost, seeded via splitmix64 so that
+// any 64-bit seed yields a well-mixed state. Every stochastic component in
+// this repository (ground-truth workload generation, measurement noise and
+// injected outliers) draws uniform and Gaussian variates from an explicitly
+// seeded *rng.Rand, so experiments are reproducible run to run.
 package rng
 
 import "math"
@@ -51,7 +49,8 @@ func (r *Rand) Seed(seed uint64) {
 
 // Split returns a new generator whose stream is independent of r's
 // continuation. It is used to hand child components their own streams (one
-// per MCMC sampler pipeline, one per workload, ...) without sharing state.
+// for the ground-truth trace, one for the sampler, ...) without sharing
+// state.
 func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xd1342543de82ef95)
 }
@@ -76,19 +75,6 @@ func (r *Rand) Uint64() uint64 {
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
-
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	// Lemire's nearly-divisionless bounded generation would be faster, but
-	// modulo bias is negligible for the n used here and clarity wins.
-	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // NormFloat64 returns a standard Gaussian variate via Box–Muller, caching
 // the second variate of each transform.
@@ -116,65 +102,4 @@ func (r *Rand) NormFloat64() float64 {
 // deviation.
 func (r *Rand) Gaussian(mean, std float64) float64 {
 	return mean + std*r.NormFloat64()
-}
-
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-func (r *Rand) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
-}
-
-// Poisson returns a Poisson variate with the given mean using Knuth's
-// method for small means and a Gaussian approximation for large ones (the
-// counts we model are large enough that the approximation is exact for all
-// practical purposes).
-func (r *Rand) Poisson(mean float64) int64 {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := r.Gaussian(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int64(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	var k int64
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle performs a Fisher–Yates shuffle using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -69,30 +69,6 @@ func TestFloat64RangeProperty(t *testing.T) {
 	}
 }
 
-func TestIntnBounds(t *testing.T) {
-	r := New(11)
-	seen := make(map[int]bool)
-	for i := 0; i < 10000; i++ {
-		v := r.Intn(10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Intn(10) = %d out of range", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("Intn(10) only produced %d distinct values in 10k draws", len(seen))
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(5)
 	const n = 200000
@@ -124,66 +100,6 @@ func TestGaussianShiftScale(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(17)
-	for _, mean := range []float64{0.5, 4, 30, 500} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		tol := 4 * math.Sqrt(mean/float64(n)) // 4σ of the sample mean
-		if math.Abs(got-mean) > tol+0.02 {
-			t.Errorf("Poisson(%v) mean = %v, want within %v", mean, got, tol)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	prop := func(seed uint64) bool {
-		r := New(seed)
-		for i := 0; i < 32; i++ {
-			if r.Poisson(100) < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	for n := 0; n < 30; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := New(29)
 	child := r.Split()
@@ -196,24 +112,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("parent and split child matched %d/1000 outputs", same)
-	}
-}
-
-func TestShuffleCoversArrangements(t *testing.T) {
-	r := New(31)
-	counts := map[[3]int]int{}
-	for i := 0; i < 6000; i++ {
-		a := [3]int{0, 1, 2}
-		r.Shuffle(3, func(i, j int) { a[i], a[j] = a[j], a[i] })
-		counts[a]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("Shuffle of 3 elements produced %d/6 arrangements", len(counts))
-	}
-	for arr, c := range counts {
-		if c < 700 || c > 1300 {
-			t.Errorf("arrangement %v count %d far from uniform 1000", arr, c)
-		}
 	}
 }
 

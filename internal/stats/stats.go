@@ -1,14 +1,13 @@
 // Package stats provides the statistical primitives shared across the
-// BayesPerf reproduction: running moments, robust summaries, and the
-// distribution functions (Gaussian, Student-t, Gumbel) that appear in the
-// paper's observation model (§4.2) and in the CounterMiner baseline's
-// Gumbel outlier test (§6).
+// BayesPerf reproduction: running and batch moments, the relative-error
+// metric, and the distribution functions that appear in the paper's
+// observation model (§4.2: Gaussian densities and the Student-t std factor)
+// and in the CounterMiner baseline's Gumbel outlier test (§6).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates streaming mean and variance using Welford's algorithm.
@@ -124,41 +123,6 @@ func sumSqDev(xs []float64, m float64) float64 {
 // Std returns the unbiased sample standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It copies xs; the input is not
-// modified. NaN samples are dropped up front — sort.Float64s leaves them
-// in an arbitrary position, which would silently shift every order
-// statistic. Quantile of an empty slice is 0; of an all-NaN slice, NaN.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			s = append(s, x)
-		}
-	}
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // --- Gaussian ---
 
 // NormalPDF returns the density of N(mean, std²) at x.
@@ -187,112 +151,11 @@ func NormalLogPDF(x, mean, std float64) float64 {
 	return -0.5*z*z - math.Log(std) - 0.5*math.Log(2*math.Pi)
 }
 
-// NormalCDF returns P(X ≤ x) for X ~ N(mean, std²).
-func NormalCDF(x, mean, std float64) float64 {
-	return 0.5 * math.Erfc(-(x-mean)/(std*math.Sqrt2))
-}
-
-// NormalQuantile returns the q-quantile of the standard Gaussian using the
-// Acklam rational approximation (|relative error| < 1.15e-9), refined with
-// one Halley step against math.Erfc.
-func NormalQuantile(q float64) float64 {
-	if q <= 0 {
-		return math.Inf(-1)
-	}
-	if q >= 1 {
-		return math.Inf(1)
-	}
-	// Acklam's coefficients.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const pLow = 0.02425
-	var x float64
-	switch {
-	case q < pLow:
-		u := math.Sqrt(-2 * math.Log(q))
-		x = (((((c[0]*u+c[1])*u+c[2])*u+c[3])*u+c[4])*u + c[5]) /
-			((((d[0]*u+d[1])*u+d[2])*u+d[3])*u + 1)
-	case q <= 1-pLow:
-		u := q - 0.5
-		t := u * u
-		x = (((((a[0]*t+a[1])*t+a[2])*t+a[3])*t+a[4])*t + a[5]) * u /
-			(((((b[0]*t+b[1])*t+b[2])*t+b[3])*t+b[4])*t + 1)
-	default:
-		u := math.Sqrt(-2 * math.Log(1-q))
-		x = -(((((c[0]*u+c[1])*u+c[2])*u+c[3])*u+c[4])*u + c[5]) /
-			((((d[0]*u+d[1])*u+d[2])*u+d[3])*u + 1)
-	}
-	// One Halley refinement step.
-	e := 0.5*math.Erfc(-x/math.Sqrt2) - q
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x -= u / (1 + x*u/2)
-	return x
-}
-
 // --- Student-t ---
 //
 // The paper (§4.2) models the marginal of an event's unknown true mean,
 // after marginalizing the unknown variance, as a scaled/shifted Student-t:
 // v_c ~ μ + S/√N · Student(ν = N−1), with the confidence level set to 95%.
-
-// StudentTPDF returns the density of the standard Student-t with nu degrees
-// of freedom at x.
-func StudentTPDF(x, nu float64) float64 {
-	if nu <= 0 {
-		return 0
-	}
-	lg1, _ := math.Lgamma((nu + 1) / 2)
-	lg2, _ := math.Lgamma(nu / 2)
-	logc := lg1 - lg2 - 0.5*math.Log(nu*math.Pi)
-	return math.Exp(logc - (nu+1)/2*math.Log(1+x*x/nu))
-}
-
-// StudentTCDF returns P(T ≤ x) for a standard Student-t with nu degrees of
-// freedom, via the regularized incomplete beta function.
-func StudentTCDF(x, nu float64) float64 {
-	if nu <= 0 {
-		return math.NaN()
-	}
-	if x == 0 { //bayesvet:bitwise exact symmetry point of the t CDF
-		return 0.5
-	}
-	ib := RegIncBeta(nu/2, 0.5, nu/(nu+x*x))
-	if x > 0 {
-		return 1 - 0.5*ib
-	}
-	return 0.5 * ib
-}
-
-// StudentTQuantile returns the q-quantile of a standard Student-t with nu
-// degrees of freedom, by bisection on the CDF (the quantile is only needed
-// at setup time, so simplicity beats speed here).
-func StudentTQuantile(q, nu float64) float64 {
-	if q <= 0 {
-		return math.Inf(-1)
-	}
-	if q >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := -1e6, 1e6
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if StudentTCDF(mid, nu) < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
 
 // StudentTStdFactor returns the standard deviation of a standard Student-t
 // with nu degrees of freedom (√(ν/(ν−2)) for ν>2, +Inf otherwise). BayesPerf
@@ -442,88 +305,6 @@ func (t GumbelThreshold) FilterMax(xs, buf []float64) (kept []float64, rejected 
 		}
 	}
 	return kept, rejected + nan
-}
-
-// --- Regularized incomplete beta (for the t CDF) ---
-
-// RegIncBeta computes the regularized incomplete beta function I_x(a, b)
-// using the continued-fraction expansion (Numerical Recipes betacf).
-func RegIncBeta(a, b, x float64) float64 {
-	switch {
-	case x <= 0:
-		return 0
-	case x >= 1:
-		return 1
-	}
-	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b)
-	front := math.Exp(lbeta + a*math.Log(x) + b*math.Log(1-x))
-	if x < (a+1)/(a+b+2) {
-		return front * betacf(a, b, x) / a
-	}
-	return 1 - front*betacf(b, a, 1-x)/b
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-func betacf(a, b, x float64) float64 {
-	const (
-		maxIter = 300
-		eps     = 3e-14
-		fpmin   = 1e-300
-	)
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // RelErr returns |got−want| / max(|want|, floor): the relative error metric

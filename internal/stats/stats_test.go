@@ -81,72 +81,6 @@ func TestRunningMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Input must not be modified.
-	if xs[0] != 5 {
-		t.Error("Quantile modified its input")
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile(nil) != 0")
-	}
-}
-
-// TestQuantileNaN is the NaN-hardening regression test: NaN samples used
-// to poison sort.Float64s ordering and shift every order statistic.
-func TestQuantileNaN(t *testing.T) {
-	// NaNs mixed in must not change the result.
-	xs := []float64{5, math.NaN(), 1, 3, math.NaN(), 2, 4}
-	for _, c := range []struct{ q, want float64 }{
-		{0, 1}, {0.5, 3}, {1, 5},
-	} {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) with NaNs = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// All-NaN input signals corruption instead of inventing a 0.
-	if got := Quantile([]float64{math.NaN(), math.NaN()}, 0.5); !math.IsNaN(got) {
-		t.Errorf("Quantile(all-NaN) = %v, want NaN", got)
-	}
-	// Empty input keeps its documented 0.
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile(nil) != 0")
-	}
-}
-
-func TestMedianInterpolates(t *testing.T) {
-	if got := Median([]float64{1, 2, 3, 4}); !almostEq(got, 2.5, 1e-12) {
-		t.Errorf("Median = %v, want 2.5", got)
-	}
-}
-
-func TestNormalCDFQuantileRoundTrip(t *testing.T) {
-	for _, q := range []float64{0.001, 0.025, 0.1, 0.5, 0.9, 0.975, 0.999} {
-		x := NormalQuantile(q)
-		back := NormalCDF(x, 0, 1)
-		if !almostEq(back, q, 1e-8) {
-			t.Errorf("CDF(Quantile(%v)) = %v", q, back)
-		}
-	}
-}
-
-func TestNormalQuantileKnownValues(t *testing.T) {
-	if got := NormalQuantile(0.975); !almostEq(got, 1.959963985, 1e-6) {
-		t.Errorf("z(0.975) = %v, want 1.96", got)
-	}
-	if got := NormalQuantile(0.5); !almostEq(got, 0, 1e-9) {
-		t.Errorf("z(0.5) = %v, want 0", got)
-	}
-}
-
 func TestNormalPDFIntegratesToOne(t *testing.T) {
 	var sum float64
 	const dx = 0.001
@@ -174,50 +108,6 @@ func TestNormalLogPDFDegenerateStd(t *testing.T) {
 		if got := NormalLogPDF(3, 2, std); !math.IsInf(got, -1) {
 			t.Errorf("NormalLogPDF(x!=mean, std=%v) = %v, want -Inf", std, got)
 		}
-	}
-}
-
-func TestStudentTCDFSymmetry(t *testing.T) {
-	prop := func(xRaw int16, nuRaw uint8) bool {
-		x := float64(xRaw) / 1000
-		nu := float64(nuRaw%30) + 1
-		return almostEq(StudentTCDF(x, nu)+StudentTCDF(-x, nu), 1, 1e-9)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStudentTApproachesNormal(t *testing.T) {
-	// For large ν the t CDF approaches the Gaussian CDF.
-	for _, x := range []float64{-2, -1, 0.5, 1.5} {
-		tv := StudentTCDF(x, 1000)
-		nv := NormalCDF(x, 0, 1)
-		if !almostEq(tv, nv, 2e-3) {
-			t.Errorf("t(1000) CDF(%v) = %v, normal = %v", x, tv, nv)
-		}
-	}
-}
-
-func TestStudentTQuantileKnown(t *testing.T) {
-	// t(ν=4) 97.5% quantile is 2.776.
-	if got := StudentTQuantile(0.975, 4); !almostEq(got, 2.776, 2e-3) {
-		t.Errorf("t4 quantile(0.975) = %v, want 2.776", got)
-	}
-	// Heavier tails than the Gaussian for small ν.
-	if StudentTQuantile(0.975, 3) <= NormalQuantile(0.975) {
-		t.Error("t(3) should have heavier tails than the Gaussian")
-	}
-}
-
-func TestStudentTPDFIntegratesToOne(t *testing.T) {
-	var sum float64
-	const dx = 0.01
-	for x := -60.0; x < 60; x += dx {
-		sum += StudentTPDF(x, 3) * dx
-	}
-	if !almostEq(sum, 1, 2e-3) {
-		t.Errorf("∫t3 pdf = %v, want 1", sum)
 	}
 }
 
@@ -353,28 +243,6 @@ func TestGumbelFilterMaxNaN(t *testing.T) {
 	kept, rejected = GumbelFilterMax([]float64{math.NaN(), math.NaN()}, 0.995)
 	if rejected != 2 || len(kept) != 0 {
 		t.Errorf("all-NaN sample: kept %v rejected %d", kept, rejected)
-	}
-}
-
-func TestRegIncBetaBounds(t *testing.T) {
-	if RegIncBeta(2, 3, 0) != 0 || RegIncBeta(2, 3, 1) != 1 {
-		t.Error("I_0 or I_1 wrong")
-	}
-	// I_x(1,1) = x (uniform CDF).
-	for _, x := range []float64{0.1, 0.42, 0.9} {
-		if got := RegIncBeta(1, 1, x); !almostEq(got, x, 1e-10) {
-			t.Errorf("I_%v(1,1) = %v", x, got)
-		}
-	}
-	// Symmetry: I_x(a,b) = 1 − I_{1−x}(b,a).
-	if got := RegIncBeta(2.5, 4, 0.3) + RegIncBeta(4, 2.5, 0.7); !almostEq(got, 1, 1e-10) {
-		t.Errorf("symmetry violated: %v", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp wrong")
 	}
 }
 

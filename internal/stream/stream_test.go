@@ -248,7 +248,7 @@ func TestPosteriorBeatsObservationsPerWindow(t *testing.T) {
 		cfg := testConfig(0)
 		smp := measure.NewSampler(tr, cfg.Mux, measure.NewRoundRobin(cat), r.Split())
 		win := NewWindow(cat, cfg.Window)
-		g := graph.Build(cat)
+		g := graph.Compile(cat).NewBatch(1)
 		var obsErr, postErr stats.Running
 		for {
 			s, ok := smp.Next()
@@ -263,10 +263,10 @@ func TestPosteriorBeatsObservationsPerWindow(t *testing.T) {
 			g.ClearObservations()
 			for id, observed := range job.observed {
 				if observed {
-					g.Observe(uarch.EventID(id), job.obsMean[id], job.obsStd[id])
+					g.Observe(0, uarch.EventID(id), job.obsMean[id], job.obsStd[id])
 				}
 			}
-			res := g.Infer(cfg.MaxIter, cfg.Tol)
+			res := g.ExecuteInto(nil, 1, cfg.MaxIter, cfg.Tol)
 			for id := range job.observed {
 				var truthTot float64
 				for tt := job.start; tt < job.end; tt++ {

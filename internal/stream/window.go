@@ -255,7 +255,7 @@ type windowJob struct {
 }
 
 // snapshotInto derives each event's observation from the window's running
-// sums, mirroring the batch simulator's §4.2 model: inverse-coverage
+// sums, mirroring measure.EstimateSample's §4.2 model: inverse-coverage
 // extrapolated total, Student-t std from the successive-difference spread
 // (noise-only std at full coverage), optional Gumbel outlier rejection,
 // and the same std floors; gumbel is mux's rejection threshold

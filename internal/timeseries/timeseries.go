@@ -166,21 +166,6 @@ func AlignedRelError(ref, target Series, window int, floor float64) (float64, er
 	return sum / float64(len(path)), nil
 }
 
-// NormalizedError reproduces the normalization in §6.2: the raw
-// polling-vs-target error is divided down by the polling-vs-polling
-// run-pair baseline ("that way, we could correct for any OS-based
-// nondeterminism in the result"). The baseline error is subtracted in
-// quadrature-free form: normalized = max(raw − base, 0) is too aggressive
-// and raw/(1+base) too weak, so like the paper we report the excess error
-// over the baseline, floored at a small epsilon.
-func NormalizedError(raw, base float64) float64 {
-	e := raw - base
-	if e < 0 {
-		return 0
-	}
-	return e
-}
-
 // MAPE returns the index-aligned mean absolute percentage error between two
 // equal-length series. It is the cheap metric used inside tight loops (the
 // full DTW metric is used for reported results).

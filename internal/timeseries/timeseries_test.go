@@ -188,15 +188,6 @@ func TestAlignedRelErrorFloor(t *testing.T) {
 	}
 }
 
-func TestNormalizedError(t *testing.T) {
-	if got := NormalizedError(0.40, 0.05); math.Abs(got-0.35) > 1e-12 {
-		t.Errorf("normalized = %v", got)
-	}
-	if NormalizedError(0.03, 0.05) != 0 {
-		t.Error("normalized error must floor at 0")
-	}
-}
-
 func TestMAPE(t *testing.T) {
 	ref := Series{10, 20}
 	target := Series{11, 18}

@@ -109,29 +109,41 @@ func TestSpecRoundTripGroundTruth(t *testing.T) {
 }
 
 // TestSpecRoundTripPosteriorsBitIdentical is the acceptance criterion: the
-// builder-based and spec-loaded catalogs produce bit-identical graph.Infer
-// posteriors for the same observations, and bit-identical derived
-// posteriors through the reconstructed formulas.
+// builder-based and spec-loaded catalogs produce bit-identical graph
+// posteriors for the same whole-run multiplexed observations, and
+// bit-identical derived posteriors through the reconstructed formulas.
 func TestSpecRoundTripPosteriorsBitIdentical(t *testing.T) {
 	for _, cat := range uarch.Catalogs() {
 		_, rebuilt := roundTrip(t, cat)
 		r := rng.New(7)
 		tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), r.Split())
-		mux := measure.Multiplex(tr, measure.DefaultMuxConfig(), r.Split())
+		cfg := measure.DefaultMuxConfig()
+		smp := measure.NewSampler(tr, cfg, measure.NewRoundRobin(cat), r.Split())
+		xss := make([][]float64, cat.NumEvents())
+		for {
+			s, ok := smp.Next()
+			if !ok {
+				break
+			}
+			for i, id := range s.Events {
+				xss[id] = append(xss[id], s.Values[i])
+			}
+		}
+		est := measure.EstimateSamples(xss, tr.Intervals(), cfg)
 
-		infer := func(c *uarch.Catalog) graph.Result {
-			g := graph.Build(c)
-			for id, est := range mux.Est {
-				if est.N > 0 {
-					g.Observe(uarch.EventID(id), est.Total, est.Std)
+		infer := func(c *uarch.Catalog) *graph.BatchResult {
+			g := graph.Compile(c).NewBatch(1)
+			for id, e := range est {
+				if e.N > 0 {
+					g.Observe(0, uarch.EventID(id), e.Total, e.Std)
 				}
 			}
-			return g.Infer(500, 1e-9)
+			return g.ExecuteInto(nil, 1, 500, 1e-9)
 		}
 		postA, postB := infer(cat), infer(rebuilt)
-		if postA.Iters != postB.Iters || postA.Converged != postB.Converged {
+		if postA.Iters[0] != postB.Iters[0] || postA.Converged[0] != postB.Converged[0] {
 			t.Fatalf("%s: inference trajectory differs: %d/%v vs %d/%v",
-				cat.Arch, postA.Iters, postA.Converged, postB.Iters, postB.Converged)
+				cat.Arch, postA.Iters[0], postA.Converged[0], postB.Iters[0], postB.Converged[0])
 		}
 		for id := range postA.Mean {
 			if postA.Mean[id] != postB.Mean[id] || postA.Std[id] != postB.Std[id] {
@@ -140,8 +152,8 @@ func TestSpecRoundTripPosteriorsBitIdentical(t *testing.T) {
 			}
 		}
 		for i := range cat.Derived {
-			mA, sA := postA.DerivedPosterior(&cat.Derived[i])
-			mB, sB := postB.DerivedPosterior(&rebuilt.Derived[i])
+			mA, sA := cat.Derived[i].PosteriorFrom(postA.Mean, postA.Std)
+			mB, sB := rebuilt.Derived[i].PosteriorFrom(postB.Mean, postB.Std)
 			if mA != mB || sA != sB {
 				t.Fatalf("%s: derived %s posterior differs: %v±%v vs %v±%v",
 					cat.Arch, cat.Derived[i].Name, mA, sA, mB, sB)

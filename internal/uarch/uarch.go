@@ -566,10 +566,9 @@ func (c *Catalog) EvalDerived(d *Derived, vals []float64) float64 {
 
 // PosteriorFrom computes the derived event's (mean, std) from full
 // per-event posterior mean and std vectors (indexed by EventID): the value
-// at the posterior mean and the delta-method std (PropagateStd). It is the
-// single gather point shared by the batch (graph.Result) and any
-// vector-shaped caller, so a future covariance-aware propagation lands in
-// one place.
+// at the posterior mean and the delta-method std (PropagateStd). Batch
+// mode (pkg/bayesperf) reads its derived posteriors through it, and so can
+// any other vector-shaped caller.
 func (d *Derived) PosteriorFrom(mean, std []float64) (dMean, dStd float64) {
 	in := make([]float64, len(d.Inputs))
 	sd := make([]float64, len(d.Inputs))

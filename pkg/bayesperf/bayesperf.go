@@ -550,19 +550,23 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 	if rejected > 0 {
 		mm.GumbelRejected.Add(rejected)
 	}
-	g := graph.Build(cat)
+	// The whole run is one window: a one-lane batch, read from lane 0.
+	g := graph.Compile(cat).NewBatch(1)
+	if s.cfg.Covariance {
+		g.EnableCovariance()
+	}
 	g.SetMetrics(graph.NewMetrics(s.obs))
 	for id := range est {
 		// Readings large enough to overflow the whole-run sums leave a
 		// non-finite estimate; like the stream engine's quarantine, leave
 		// the event unobserved so the invariants infer it.
 		if est[id].N > 0 && finite(est[id].Total) && finite(est[id].Std) {
-			g.Observe(EventID(id), est[id].Total, est[id].Std)
+			g.Observe(0, EventID(id), est[id].Total, est[id].Std)
 		}
 	}
-	post := g.Infer(cfg.MaxIter, cfg.Tol)
+	post := g.ExecuteInto(nil, 1, cfg.MaxIter, cfg.Tol)
 	sm.seconds.Observe(time.Since(start).Seconds())
-	return s.batchReport(cat, src, est, &post, intervals), nil
+	return s.batchReport(cat, src, est, post, intervals), nil
 }
 
 // RunStream feeds the source through the sliding-window correction engine

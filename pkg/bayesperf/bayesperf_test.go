@@ -594,6 +594,105 @@ func TestSessionOverflowFailSoft(t *testing.T) {
 	}
 }
 
+// corruptSource replays recorded intervals with every reading of event all,
+// and the first reading of event once from interval 7 on, replaced by bad.
+// It counts the readings it corrupted, and how many intervals read once.
+type corruptSource struct {
+	cat       *bayesperf.Catalog
+	ivs       []bayesperf.Interval
+	all, once bayesperf.EventID
+	bad       float64
+	t         int
+	corrupted int
+	onceHit   bool
+	onceRead  int
+}
+
+func (s *corruptSource) Catalog() *bayesperf.Catalog { return s.cat }
+
+func (s *corruptSource) Next() (bayesperf.Interval, bool) {
+	if s.t == len(s.ivs) {
+		return bayesperf.Interval{}, false
+	}
+	iv := s.ivs[s.t]
+	iv.Values = append([]float64(nil), iv.Values...)
+	for i, id := range iv.Events {
+		if id == s.once {
+			s.onceRead++
+		}
+		if id == s.all || (id == s.once && s.t >= 7 && !s.onceHit) {
+			s.onceHit = s.onceHit || id == s.once
+			iv.Values[i] = s.bad
+			s.corrupted++
+		}
+	}
+	s.t++
+	return iv, true
+}
+
+// TestBatchCorruptedReadings: batch mode drops non-finite readings at
+// collection, with the Gumbel filter off or on. An event whose every
+// reading is NaN (or +Inf) gets no estimate — coverage 0 — and is inferred
+// from the invariants; one corrupted reading costs its event one sample.
+// Every raw estimate and posterior stays finite, and the measure layer
+// counts each dropped reading once.
+func TestBatchCorruptedReadings(t *testing.T) {
+	cat := uarch.Skylake()
+	tr := measure.GroundTruth(cat, measure.DefaultWorkload(40), rng.New(1))
+	smp := measure.NewSampler(tr, bayesperf.DefaultMuxConfig(), measure.NewRoundRobin(cat), rng.New(3))
+	var ivs []bayesperf.Interval
+	for {
+		iv, ok := smp.Next()
+		if !ok {
+			break
+		}
+		ivs = append(ivs, iv)
+	}
+	all := cat.MustEvent("MEM_INST_RETIRED.ALL_LOADS")
+	once := cat.MustEvent("MEM_INST_RETIRED.ALL_STORES")
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for _, reject := range []bool{false, true} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			label := fmt.Sprintf("reject=%v bad=%v", reject, bad)
+			reg := bayesperf.NewMetricsRegistry()
+			sess, err := bayesperf.New(bayesperf.WithCatalog(cat),
+				bayesperf.WithGumbelReject(reject), bayesperf.WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &corruptSource{cat: cat, ivs: ivs, all: all, once: once, bad: bad}
+			rep, err := sess.RunBatch(src)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !src.onceHit {
+				t.Fatalf("%s: %s never read from interval 7 on", label, rep.Events[once].Name)
+			}
+			if c := rep.Events[all].Coverage; c != 0 {
+				t.Errorf("%s: fully corrupted event has coverage %v, want 0", label, c)
+			}
+			if got, want := rep.Events[once].Coverage, float64(src.onceRead-1)/float64(rep.Intervals); got != want {
+				t.Errorf("%s: once-corrupted event has coverage %v, want %v", label, got, want)
+			}
+			for _, ev := range rep.Events {
+				if !finite(ev.Raw) || !finite(ev.Mean) || !(ev.Std > 0) || !finite(ev.Std) {
+					t.Errorf("%s: %s raw %v, posterior %v ± %v", label, ev.Name, ev.Raw, ev.Mean, ev.Std)
+				}
+			}
+			for _, d := range rep.Derived {
+				if !finite(d.Mean) || !finite(d.Std) {
+					t.Errorf("%s: derived %s posterior %v ± %v", label, d.Name, d.Mean, d.Std)
+				}
+			}
+			snap := reg.Snapshot()
+			dropped := snap.Find("bayesperf_measure_dropped_nonfinite_total")
+			if dropped == nil || dropped.Value != float64(src.corrupted) {
+				t.Errorf("%s: dropped-non-finite counter %+v, want %d", label, dropped, src.corrupted)
+			}
+		}
+	}
+}
+
 // reusingSource replays recorded intervals with every 1009th reading set to
 // NaN (about 0.1%). With reuse set it overwrites one Values buffer on every
 // Next, and with events set one Events buffer too, as the Source contract

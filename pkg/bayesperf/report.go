@@ -128,20 +128,20 @@ func groupCount(src Source) int {
 }
 
 // batchReport assembles the whole-run report from the estimates and the
-// posterior.
+// posterior, a one-lane batch result.
 func (s *Session) batchReport(cat *Catalog, src Source, est []measure.Sample,
-	post *graph.Result, intervals int) *Report {
+	post *graph.BatchResult, intervals int) *Report {
 
 	rep := &Report{
 		Arch:        cat.Arch,
 		Intervals:   intervals,
 		Groups:      groupCount(src),
-		Iters:       post.Iters,
-		Converged:   post.Converged,
+		Iters:       post.Iters[0],
+		Converged:   post.Converged[0],
 		Metrics:     s.obs,
-		TotalSweeps: post.Iters,
+		TotalSweeps: post.Iters[0],
 	}
-	if !post.Converged {
+	if !rep.Converged {
 		rep.UnconvergedWindows = 1
 	}
 	var truth []float64
@@ -180,12 +180,18 @@ func (s *Session) batchReport(cat *Catalog, src Source, est []measure.Sample,
 	for i := range cat.Derived {
 		d := &cat.Derived[i]
 		// WithCovariance: feed the delta method the clique posterior
-		// covariances instead of treating the inputs as independent.
+		// correlations instead of treating the inputs as independent.
 		var mean, std float64
 		if s.cfg.Covariance {
-			mean, std = post.DerivedPosteriorCov(d)
+			in := make([]float64, len(d.Inputs))
+			sd := make([]float64, len(d.Inputs))
+			for k, id := range d.Inputs {
+				in[k], sd[k] = post.Mean[id], post.Std[id]
+			}
+			corr := func(a, b int) float64 { return post.Corr(0, d.Inputs[a], d.Inputs[b]) }
+			mean, std = d.Eval(in), d.PropagateStdCov(in, sd, corr)
 		} else {
-			mean, std = post.DerivedPosterior(d)
+			mean, std = d.PosteriorFrom(post.Mean, post.Std)
 		}
 		dr := DerivedReport{
 			Name: d.Name,
